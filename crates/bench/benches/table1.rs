@@ -12,14 +12,13 @@
 use xmt_harness::BenchGroup;
 use xmt_workloads::micro::{build, MicroGroup, MicroParams};
 use xmtc::Options;
-use xmtsim::{DecodeMode, IcnModel, IssueModel, MemModel, XmtConfig};
+use xmtsim::{DecodeMode, IcnModel, IssueModel, XmtConfig};
 
 fn main() {
     let mut cfg = XmtConfig::chip1024();
     cfg.icn_model = IcnModel::PerHop;
     cfg.issue_model = IssueModel::PerInstr;
     cfg.decode_cache = DecodeMode::Off;
-    cfg.mem_model = MemModel::PerRequest;
     let params = MicroParams {
         threads: 1024,
         iters: 8,

@@ -21,11 +21,6 @@
 //! instructions executed as decoded replay, and the fused-superinstruction
 //! and invalidation counts.
 //!
-//! A fourth table profiles the *memory-system* event models: for each
-//! workload under per-request events vs closed-form macro drains, the
-//! cache-module/DRAM/prefetch traffic, the host-side memory event count,
-//! and the macro rows' drain and elision counters side by side.
-//!
 //! With `--json`, the same runs are emitted as one machine-readable
 //! document instead of the tables: an array of
 //! `{"table", "workload", "variant", "metrics"}` entries where each
@@ -37,7 +32,7 @@ use xmt_harness::{Json, ToJson};
 use xmt_workloads::micro::{build, MicroGroup, MicroParams};
 use xmt_workloads::suite::{self, Variant};
 use xmtc::Options;
-use xmtsim::{DecodeMode, IcnModel, IssueModel, MemModel, MetricsRegistry, XmtConfig};
+use xmtsim::{DecodeMode, IcnModel, IssueModel, MetricsRegistry, XmtConfig};
 
 /// One run's JSON entry for `--json` mode.
 fn json_run(table: &str, workload: &str, variant: &str, metrics: &MetricsRegistry) -> Json {
@@ -258,45 +253,6 @@ fn main() {
             ]);
         }
     }
-    // Fourth table: the *memory-system* event-model profile — what the
-    // macro queue drains do to the per-request event traffic at the
-    // cache modules, DRAM ports and prefetch buffers (same traffic
-    // counters on both sides, host memory-event count, and the macro
-    // rows' drain/elision books).
-    let mut mem_rows = Vec::new();
-    for (name, compiled) in workloads {
-        for (model, label) in [
-            (MemModel::PerRequest, "per-request"),
-            (MemModel::Macro, "macro"),
-        ] {
-            let mut cfg = XmtConfig::chip1024();
-            cfg.mem_model = model;
-            let mut sim = compiled.simulator(&cfg);
-            sim.enable_host_profiling();
-            let s = sim.run().expect("runs");
-            let hp = sim.host_profile().unwrap().clone();
-            if json_mode {
-                let reg = MetricsRegistry::for_run(&s, &sim.stats, Some(&hp));
-                json_runs.push(json_run("mem", name, label, &reg));
-            }
-            mem_rows.push(vec![
-                name.to_string(),
-                label.to_string(),
-                format!("{}", sim.stats.module_accesses.iter().sum::<u64>()),
-                format!("{}", sim.stats.dram_accesses),
-                format!("{}", sim.stats.prefetches),
-                format!("{}", hp.memory_events),
-                match model {
-                    MemModel::PerRequest => "-".to_string(),
-                    MemModel::Macro => format!(
-                        "{} drains, {} events elided",
-                        hp.mem_drains,
-                        hp.mem_elided.saturating_sub(hp.mem_drains)
-                    ),
-                },
-            ]);
-        }
-    }
     if json_mode {
         let doc = Json::Obj(vec![
             (
@@ -326,23 +282,4 @@ fn main() {
     );
     println!("(cache rows replay pre-decoded blocks inside burst issue; bit-identical");
     println!(" simulated results are enforced by the decode_diff differential suite)");
-
-    println!("\nmemory-system models: per-request events vs closed-form macro drains\n");
-    println!(
-        "{}",
-        render_table(
-            &[
-                "workload",
-                "mem model",
-                "module accesses",
-                "dram accesses",
-                "prefetches",
-                "memory events",
-                "macro savings",
-            ],
-            &mem_rows
-        )
-    );
-    println!("(macro rows drain whole memory queues in one scheduled event; bit-identical");
-    println!(" simulated results are enforced by the mem_macro_diff differential suite)");
 }

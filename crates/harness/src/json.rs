@@ -195,7 +195,8 @@ impl<'a> Parser<'a> {
             Some(b'[') => self.array(),
             Some(b'{') => self.object(),
             Some(b) if b == b'-' || b.is_ascii_digit() => self.number(),
-            other => err(format!("unexpected {:?} at byte {}", other.map(|c| c as char), self.pos)),
+            Some(b) => err(format!("unexpected {:?} at byte {}", b as char, self.pos)),
+            None => err(format!("unexpected end of input at byte {}", self.pos)),
         }
     }
 
@@ -886,6 +887,12 @@ mod tests {
         assert!(Json::parse("1 2").is_err());
         assert!(Json::parse("\"unterminated").is_err());
         assert!(Json::parse("1e999").is_err(), "overflowing float must not become inf");
+    }
+
+    #[test]
+    fn truncated_input_says_end_of_input() {
+        let e = Json::parse(r#"{"clusters":"#).unwrap_err();
+        assert_eq!(e.message, "unexpected end of input at byte 12");
     }
 
     #[derive(Debug, Clone, PartialEq)]

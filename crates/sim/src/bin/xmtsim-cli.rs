@@ -6,7 +6,7 @@
 //!
 //! ```text
 //! xmtsim-cli PROGRAM.xs [--memmap FILE.xbo] [--config fpga64|chip1024|tiny|FILE.json]
-//!            [--icn express|perhop] [--issue burst|perinstr] [--mem macro|perreq]
+//!            [--icn express|perhop] [--issue burst|perinstr]
 //!            [--engine sequential|parallel] [--threads N] [--decode cache|off]
 //!            [--functional] [--stats] [--dump GLOBAL:COUNT] [--cycles-limit N]
 //!            [--trace-out FILE] [--metrics-out FILE] [--obs-detail off|spans|full]
@@ -21,15 +21,14 @@
 use std::process::ExitCode;
 use xmt_harness::FromJson;
 use xmtsim::{
-    CycleSim, DecodeMode, EngineMode, FunctionalSim, IcnModel, IssueModel, MemModel, ObsDetail,
-    XmtConfig,
+    CycleSim, DecodeMode, EngineMode, FunctionalSim, IcnModel, IssueModel, ObsDetail, XmtConfig,
 };
 
 fn usage() -> ! {
     eprintln!(
         "usage: xmtsim-cli PROGRAM.xs [--memmap FILE.xbo] \
          [--config fpga64|chip1024|tiny|FILE.json] [--icn express|perhop] \
-         [--issue burst|perinstr] [--mem macro|perreq] \
+         [--issue burst|perinstr] \
          [--engine sequential|parallel] [--threads N] [--decode cache|off] \
          [--functional] [--stats] [--dump GLOBAL:COUNT] [--cycles-limit N] \
          [--trace-out FILE] [--metrics-out FILE] [--obs-detail off|spans|full]"
@@ -47,7 +46,6 @@ fn main() -> ExitCode {
     let mut limit: Option<u64> = None;
     let mut icn_model: Option<IcnModel> = None;
     let mut issue_model: Option<IssueModel> = None;
-    let mut mem_model: Option<MemModel> = None;
     let mut engine_mode: Option<EngineMode> = None;
     let mut threads: Option<u32> = None;
     let mut decode_mode: Option<DecodeMode> = None;
@@ -99,13 +97,6 @@ fn main() -> ExitCode {
                 issue_model = Some(match it.next().as_deref() {
                     Some("burst") => IssueModel::Burst,
                     Some("perinstr") => IssueModel::PerInstr,
-                    _ => usage(),
-                })
-            }
-            "--mem" => {
-                mem_model = Some(match it.next().as_deref() {
-                    Some("macro") => MemModel::Macro,
-                    Some("perreq") => MemModel::PerRequest,
                     _ => usage(),
                 })
             }
@@ -169,9 +160,6 @@ fn main() -> ExitCode {
     }
     if let Some(m) = issue_model {
         config.issue_model = m;
-    }
-    if let Some(m) = mem_model {
-        config.mem_model = m;
     }
     if let Some(m) = engine_mode {
         config.engine_mode = m;
@@ -247,8 +235,7 @@ fn main() -> ExitCode {
             Ok(instrs) => {
                 print!("{}", sim.machine.output.to_text());
                 eprintln!("[functional: {instrs} instructions]");
-                dump_globals(&dumps, &sim.machine, sim.executable());
-                ExitCode::SUCCESS
+                dump_globals(&dumps, &sim.machine, sim.executable())
             }
             Err(e) => {
                 eprintln!("xmtsim-cli: {e}");
@@ -305,8 +292,7 @@ fn main() -> ExitCode {
                         return ExitCode::FAILURE;
                     }
                 }
-                dump_globals(&dumps, &sim.machine, sim.executable());
-                ExitCode::SUCCESS
+                dump_globals(&dumps, &sim.machine, sim.executable())
             }
             Err(e) => {
                 eprintln!("xmtsim-cli: {e}");
@@ -316,14 +302,24 @@ fn main() -> ExitCode {
     }
 }
 
-fn dump_globals(dumps: &[(String, usize)], machine: &xmtsim::Machine, exe: &xmt_isa::Executable) {
+/// Print every `--dump`ed global; `FAILURE` if any name is not a global.
+fn dump_globals(
+    dumps: &[(String, usize)],
+    machine: &xmtsim::Machine,
+    exe: &xmt_isa::Executable,
+) -> ExitCode {
+    let mut code = ExitCode::SUCCESS;
     for (name, count) in dumps {
         match machine.read_symbol(exe, name, *count) {
             Some(ws) => {
                 let ints: Vec<i32> = ws.iter().map(|&w| w as i32).collect();
                 println!("{name} = {ints:?}");
             }
-            None => eprintln!("xmtsim-cli: no global `{name}`"),
+            None => {
+                eprintln!("xmtsim-cli: no global `{name}`");
+                code = ExitCode::FAILURE;
+            }
         }
     }
+    code
 }

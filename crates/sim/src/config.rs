@@ -80,28 +80,16 @@ pub enum IssueModel {
 
 json_enum!(IssueModel { Burst, PerInstr });
 
-/// How the cycle model schedules memory-system completions (cache-module
-/// service, DRAM channel occupancy, prefetch-buffer fills).
-///
-/// Every memory latency in the model is closed-form at enqueue time: a
-/// module's service slot follows from `module_free`, a miss's DRAM slot
-/// from `dram_free`, and the express traversal from the chain already
-/// computed by [`IcnModel::Express`]. `Macro` therefore keeps the whole
-/// per-request schedule in side queues and arms one generation-guarded
-/// end-of-service macro-event per busy instant, draining every memory
-/// completion due at that `(time, priority)` group in the canonical
-/// per-request order; `PerRequest` schedules one event per request — the
-/// original, mechanically-obvious model, kept as the differential oracle
-/// (like `PerHop` for the express network path).
+/// The memory-system event model. One scheduler event per request is the
+/// only model; the enum exists only because `bench/e2e` names
+/// `MemModel::PerRequest`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum MemModel {
-    /// Closed-form queue drains: one macro-event per busy memory instant.
-    Macro,
-    /// One scheduler event per request (the reference model).
+    /// One scheduler event per request.
     PerRequest,
 }
 
-json_enum!(MemModel { Macro, PerRequest });
+json_enum!(MemModel { PerRequest });
 
 /// How the cycle model drives its event loop across host threads.
 ///
@@ -258,12 +246,8 @@ pub struct XmtConfig {
     pub icn_model: IcnModel,
     /// Instruction-issue model (compute-burst batching vs per-instruction).
     pub issue_model: IssueModel,
-    /// Memory-system completion model (macro-event drains vs per-request).
+    /// Has one legal value; exists only because `bench/e2e` sets it.
     pub mem_model: MemModel,
-    /// `line_busy` table prune threshold: once the MSHR-chaining map holds
-    /// this many lines, entries whose busy-until time has passed are
-    /// dropped. Must be ≥ 1 (`validate()` rejects 0).
-    pub line_busy_prune: u32,
     /// Event-loop engine (sequential reference vs sharded parallel).
     pub engine_mode: EngineMode,
     /// Worker threads for [`EngineMode::Parallel`]; clamped to the
@@ -335,7 +319,6 @@ json_struct!(XmtConfig {
     icn_model,
     issue_model,
     mem_model,
-    line_busy_prune,
     engine_mode,
     threads,
     decode_cache,
@@ -425,11 +408,6 @@ impl XmtConfig {
         if self.engine_mode == EngineMode::Parallel && self.threads == 0 {
             return Err("parallel engine needs at least one worker thread".into());
         }
-        if self.line_busy_prune == 0 {
-            // A zero threshold would prune the MSHR-chaining table on
-            // every arrival, turning the amortized sweep quadratic.
-            return Err("line_busy_prune must be ≥ 1".into());
-        }
         Ok(())
     }
 
@@ -452,8 +430,7 @@ impl XmtConfig {
             icn_timing: IcnTiming::Synchronous,
             icn_model: IcnModel::Express,
             issue_model: IssueModel::Burst,
-            mem_model: MemModel::Macro,
-            line_busy_prune: 1024,
+            mem_model: MemModel::PerRequest,
             engine_mode: EngineMode::Sequential,
             threads: 4,
             decode_cache: DecodeMode::Cache,
@@ -496,8 +473,7 @@ impl XmtConfig {
             icn_timing: IcnTiming::Synchronous,
             icn_model: IcnModel::Express,
             issue_model: IssueModel::Burst,
-            mem_model: MemModel::Macro,
-            line_busy_prune: 1024,
+            mem_model: MemModel::PerRequest,
             engine_mode: EngineMode::Sequential,
             threads: 4,
             decode_cache: DecodeMode::Cache,
@@ -595,10 +571,6 @@ mod tests {
         c.engine_mode = EngineMode::Parallel;
         c.threads = 0;
         assert!(c.validate().is_err());
-        let mut c = XmtConfig::tiny();
-        c.line_busy_prune = 0;
-        let err = c.validate().unwrap_err();
-        assert!(err.contains("line_busy_prune"), "unspecific error: {err}");
     }
 
     /// Regression: `dram_channels = 0` used to pass validation (only the
@@ -645,37 +617,35 @@ mod tests {
         back.validate().unwrap();
     }
 
-    /// The `mem_model` / `line_busy_prune` knobs follow the same contract
-    /// as `decode_cache`: presets default to `Macro` / 1024, both fields
-    /// round-trip through config JSON, and a JSON image naming either
-    /// model loads to that model and validates.
+    /// `mem_model` has one legal value: presets carry it and it
+    /// round-trips through config JSON.
     #[test]
     fn mem_model_field_loads_from_json() {
         use xmt_harness::{FromJson, ToJson};
 
-        assert_eq!(XmtConfig::fpga64().mem_model, MemModel::Macro);
-        assert_eq!(XmtConfig::chip1024().mem_model, MemModel::Macro);
-        assert_eq!(XmtConfig::tiny().mem_model, MemModel::Macro);
-        assert_eq!(XmtConfig::fpga64().line_busy_prune, 1024);
-
-        let mut c = XmtConfig::tiny();
-        c.mem_model = MemModel::PerRequest;
-        c.line_busy_prune = 17;
+        assert_eq!(XmtConfig::fpga64().mem_model, MemModel::PerRequest);
+        assert_eq!(XmtConfig::chip1024().mem_model, MemModel::PerRequest);
+        let c = XmtConfig::tiny();
         let text = c.to_json_string();
-        assert!(text.contains("mem_model"), "field missing from JSON: {text}");
-        assert!(
-            text.contains("line_busy_prune"),
-            "field missing from JSON: {text}"
-        );
-        let back = XmtConfig::from_json_str(&text).unwrap();
-        assert_eq!(back, c);
-        back.validate().unwrap();
+        assert!(text.contains("\"mem_model\":\"PerRequest\""), "{text}");
+        assert_eq!(XmtConfig::from_json_str(&text).unwrap(), c);
+    }
 
-        let text = text.replace("\"mem_model\":\"PerRequest\"", "\"mem_model\":\"Macro\"");
-        let back = XmtConfig::from_json_str(&text).unwrap();
-        assert_eq!(back.mem_model, MemModel::Macro);
-        assert_eq!(back.line_busy_prune, 17);
-        back.validate().unwrap();
+    /// A config written when the `Macro` memory model existed is rejected
+    /// with an error naming the removed model — not a panic, and not a
+    /// silent fall-back to the per-request model.
+    #[test]
+    fn removed_macro_mem_model_is_rejected_by_name() {
+        use xmt_harness::{FromJson, ToJson};
+
+        let text = XmtConfig::tiny()
+            .to_json_string()
+            .replace("\"mem_model\":\"PerRequest\"", "\"mem_model\":\"Macro\"");
+        let err = XmtConfig::from_json_str(&text).unwrap_err().to_string();
+        assert!(
+            err.contains("mem_model") && err.contains("Macro"),
+            "unspecific error: {err}"
+        );
     }
 
     /// The `obs_detail` knob follows the same contract as `decode_cache`:

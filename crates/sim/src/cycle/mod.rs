@@ -33,8 +33,7 @@ mod parallel;
 pub mod prefetch;
 
 use crate::config::{
-    ClockDomain, DecodeMode, EngineMode, IcnModel, IcnTiming, IssueModel, MemModel, ObsDetail,
-    XmtConfig,
+    ClockDomain, DecodeMode, EngineMode, IcnModel, IcnTiming, IssueModel, ObsDetail, XmtConfig,
 };
 use crate::decode::{Cursor, DecodeCache, ReplayEnv};
 use crate::engine::{
@@ -163,14 +162,9 @@ pub struct HostProfile {
     /// Decode-cache invalidations (tracer/filter activation, checkpoint
     /// restore) that discarded at least one decoded block.
     pub decode_invalidations: u64,
-    /// `Ev::MemDrain` macro-events handled (live ones; stale
-    /// generation-mismatched drains are not counted) under
-    /// [`MemModel::Macro`].
+    /// Always 0; exists only because `bench/e2e` reads it.
     pub mem_drains: u64,
-    /// Memory-system scheduler events the macro path did *not* schedule:
-    /// one per traversal end, queued service, and completion that waited
-    /// in an entity queue instead. `mem_elided - mem_drains` is the net
-    /// event saving over [`MemModel::PerRequest`].
+    /// Always 0; exists only because `bench/e2e` reads it.
     pub mem_elided: u64,
 }
 
@@ -236,6 +230,10 @@ enum BurstBreak {
 /// run loop (and its cycle-limit check) turn over. Breaking here is
 /// always safe — the scheduled step event simply starts the next burst.
 pub(crate) const BURST_CAP: u64 = 4096;
+
+/// Size of the per-line MSHR chain map (`line_busy`) at which `arrive`
+/// drops its settled entries before inserting.
+const LINE_BUSY_PRUNE: usize = 1024;
 
 /// Per-TCU simulation state.
 #[derive(Debug, Clone, PartialEq)]
@@ -322,14 +320,6 @@ enum Ev {
     /// slot reuse and DVFS rescheduling — a mismatch means the event is
     /// stale and is ignored.
     ExpressEnd { leg: u32, gen: u64 },
-    /// End-of-service macro-event of the memory system under
-    /// [`MemModel::Macro`]: one generation-guarded event armed at the
-    /// earliest pending `(time, priority)` key across the four entity
-    /// queues (inbound traversals, queued services, outbound traversals,
-    /// completions). Handling it drains every entity due at that key and
-    /// re-arms at the next one; a `gen` mismatch means the event is stale
-    /// (the queue head moved since it was armed) and it is ignored.
-    MemDrain { gen: u64 },
 }
 
 json_enum!(Ev {
@@ -341,7 +331,6 @@ json_enum!(Ev {
     BroadcastDone { body_pc },
     Sample,
     ExpressEnd { leg, gen },
-    MemDrain { gen },
 });
 
 /// One in-flight ICN traversal under [`IcnModel::Express`].
@@ -389,124 +378,6 @@ struct LegSlot {
 
 json_struct!(LegSlot { gen, leg });
 
-/// Hop-arrival times of one in-flight macro traversal. Routes up to
-/// [`CHAIN_INLINE`] hops long live inline in the entity itself, so the
-/// canonical same-instant ordering compares walk local memory instead of
-/// chasing a heap `Vec` per element (in lockstep traffic most chains in a
-/// bucket are fully identical, which makes every compare walk the whole
-/// chain — a cache miss per element with boxed chains). Longer routes
-/// spill to a `Vec`.
-#[derive(Debug, Clone)]
-enum Chain {
-    Inline { len: u8, t: [Time; CHAIN_INLINE] },
-    Spill(Vec<Time>),
-}
-
-/// Inline hop capacity of [`Chain`] (chip1024 routes are 14 hops).
-const CHAIN_INLINE: usize = 16;
-
-impl Chain {
-    fn from_vec(v: Vec<Time>) -> Self {
-        if v.len() <= CHAIN_INLINE {
-            let mut t = [0; CHAIN_INLINE];
-            t[..v.len()].copy_from_slice(&v);
-            Chain::Inline { len: v.len() as u8, t }
-        } else {
-            Chain::Spill(v)
-        }
-    }
-
-    fn as_slice(&self) -> &[Time] {
-        match self {
-            Chain::Inline { len, t } => &t[..*len as usize],
-            Chain::Spill(v) => v,
-        }
-    }
-
-    fn as_mut_slice(&mut self) -> &mut [Time] {
-        match self {
-            Chain::Inline { len, t } => &mut t[..*len as usize],
-            Chain::Spill(v) => v,
-        }
-    }
-}
-
-/// One in-flight network traversal under [`MemModel::Macro`] — the macro
-/// twin of an [`ExpressLeg`]. Instead of a scheduler event per traversal,
-/// flights wait in a time-bucketed map keyed by chain end; the drain
-/// removes a whole same-instant bucket at once and sorts it with
-/// [`MemFlight::canon_cmp`] (the precise order `order_express_batch`
-/// gives same-instant leg ends) before handling, so the processing order
-/// still matches the per-request path exactly.
-#[derive(Debug, Clone)]
-struct MemFlight {
-    tcu: u32,
-    req: MemRequest,
-    value: u32,
-    inbound: bool,
-    issued_at: Time,
-    /// Monotone creation index (same counter as queued services); the
-    /// final tie-break between flights with fully identical chains.
-    seq: u64,
-    chain: Chain,
-}
-
-impl MemFlight {
-    fn end(&self) -> Time {
-        *self
-            .chain
-            .as_slice()
-            .last()
-            .expect("express chain is never empty")
-    }
-
-    /// The canonical same-instant order: reversed chain
-    /// lexicographically, then creation order — exactly how
-    /// `order_express_batch` orders same-instant `ExpressEnd` events.
-    fn canon_cmp(&self, other: &Self) -> Ordering {
-        let a = self.chain.as_slice();
-        let b = other.chain.as_slice();
-        let n = a.len().min(b.len());
-        for i in (0..n.saturating_sub(1)).rev() {
-            match a[i].cmp(&b[i]) {
-                Ordering::Equal => continue,
-                o => return o,
-            }
-        }
-        self.seq.cmp(&other.seq)
-    }
-}
-
-/// A queued cache-module service under [`MemModel::Macro`] — the macro
-/// twin of a pending [`Ev::Service`]. Services land in their due-time
-/// bucket in creation (`seq`) order, which is exactly the scheduler's
-/// FIFO order for the per-request `Service` events (`arrive` schedules
-/// them in creation order and `Ev::Service` groups are never re-sorted),
-/// so a drain handles the bucket as-is.
-#[derive(Debug, Clone)]
-struct MemService {
-    tcu: u32,
-    req: MemRequest,
-    done: Time,
-    issued_at: Time,
-    seq: u64,
-}
-
-/// A memory completion waiting to land under [`MemModel::Macro`] — the
-/// macro twin of a pending [`Ev::Complete`]. Same-instant buckets are
-/// sorted by the canonical completion key `(tcu, issued_at, addr, pc)`
-/// at drain time, matching `order_default_batch`'s sort of same-instant
-/// `Complete` events (a `(tcu, issued_at)` pair identifies a pending
-/// completion uniquely).
-#[derive(Debug, Clone)]
-struct MemDoneEnt {
-    tcu: u32,
-    req: MemRequest,
-    value: u32,
-    issued_at: Time,
-    at: Time,
-}
-
 /// A pending scheduler event captured by a mid-flight checkpoint, in exact
 /// pop order.
 #[derive(Debug, Clone, PartialEq)]
@@ -529,18 +400,16 @@ struct SavedWaiter {
 
 json_struct!(SavedWaiter { tcu, addr, waiters });
 
-/// One in-flight memory operation captured by a mid-flight checkpoint, in
-/// a model-neutral form: the per-request path saves its pending
-/// `ExpressEnd`/`Service`/`Complete` events here (stale express ends are
-/// dropped), the macro path saves its entity queues — and either model can
-/// restore from either, which is what makes mid-flight cross-model resume
-/// work. The list is sorted canonically by `(time, priority, tie)` with
-/// the same per-class tie-breaks both models use at run time, so the
-/// serialized bytes are identical whichever model wrote them.
+/// One in-flight memory operation captured by a mid-flight checkpoint: a
+/// pending `ExpressEnd`/`Service`/`Complete` event (stale express ends
+/// are dropped) without its scheduler sequence number or leg-slot index.
+/// The list is sorted canonically by `(time, priority, tie)` with the
+/// per-class tie-breaks the run loop uses, so the serialized bytes do not
+/// depend on insertion order.
 #[derive(Debug, Clone, PartialEq)]
 enum SavedMemOp {
     /// An in-flight ICN traversal ([`IcnModel::Express`] only): a live
-    /// express leg or a [`MemFlight`].
+    /// express leg.
     Flight {
         tcu: u32,
         req: MemRequest,
@@ -549,16 +418,14 @@ enum SavedMemOp {
         issued_at: Time,
         chain: Vec<Time>,
     },
-    /// A queued cache-module service (a pending [`Ev::Service`] or a
-    /// [`MemService`]).
+    /// A queued cache-module service (a pending [`Ev::Service`]).
     Queued {
         tcu: u32,
         req: MemRequest,
         done: Time,
         issued_at: Time,
     },
-    /// A completion in flight back to its TCU (a pending [`Ev::Complete`]
-    /// or a [`MemDoneEnt`]).
+    /// A completion in flight back to its TCU (a pending [`Ev::Complete`]).
     Done {
         tcu: u32,
         req: MemRequest,
@@ -615,7 +482,7 @@ impl InflightState {
     }
 
     /// Number of pending scheduler events captured (memory operations in
-    /// flight count one each, whichever model carried them).
+    /// flight count one each).
     pub fn pending_events(&self) -> usize {
         self.events.len() + self.mem_ops.len()
     }
@@ -706,36 +573,6 @@ pub struct CycleSim {
     /// size-capped. Unused in synchronous timing, where the offsets are
     /// a trivial multiple of the ICN period.
     route_cache: HashMap<u32, (Box<[Time]>, Box<[Time]>)>,
-
-    // Macro memory path (cfg.mem_model == MemModel::Macro): in-flight
-    // memory operations wait in entity queues instead of the scheduler,
-    // and a single generation-guarded `Ev::MemDrain` is kept armed at the
-    // earliest pending key across all four. Each queue buckets its
-    // entities by due time — the same shape the calendar queue exploits —
-    // so a push is one B-tree probe plus a `Vec` append and a drain
-    // removes the whole same-instant group in one `remove`, with no
-    // per-entity reordering (binary heaps here lost to the calendar
-    // queue on exactly that: every push/pop sifted a chain-carrying
-    // struct through `log n` levels).
-    /// Inbound express traversals, due at `(chain end, PRI_NEGOTIATE)`.
-    mem_in: BTreeMap<Time, Vec<MemFlight>>,
-    /// Outbound express traversals, due at `(chain end, PRI_NEGOTIATE)`.
-    mem_out: BTreeMap<Time, Vec<MemFlight>>,
-    /// Queued cache-module services, due at `(done, PRI_TRANSFER)`.
-    mem_svc: BTreeMap<Time, Vec<MemService>>,
-    /// Completions in flight, due at `(at, PRI_DEFAULT)`.
-    mem_done: BTreeMap<Time, Vec<MemDoneEnt>>,
-    /// Monotone entity creation counter (tie-breaks; mirrors `leg_seq`).
-    mem_seq: u64,
-    /// Generation of the currently armed `Ev::MemDrain`; events carrying
-    /// an older generation are stale no-ops.
-    mem_drain_gen: u64,
-    /// The `(time, priority)` key the live `Ev::MemDrain` is armed at,
-    /// `None` when no entities are pending.
-    mem_drain_at: Option<(Time, Priority)>,
-    /// True while a drain flush is running: suppresses per-push re-arming
-    /// (the flush re-arms once at the end).
-    mem_draining: bool,
 
     /// Built-in counters.
     pub stats: Stats,
@@ -838,14 +675,6 @@ impl CycleSim {
             legs_free: Vec::new(),
             leg_seq: 0,
             route_cache: HashMap::new(),
-            mem_in: BTreeMap::new(),
-            mem_out: BTreeMap::new(),
-            mem_svc: BTreeMap::new(),
-            mem_done: BTreeMap::new(),
-            mem_seq: 0,
-            mem_drain_gen: 0,
-            mem_drain_at: None,
-            mem_draining: false,
             stats: Stats::for_topology(cfg.clusters, cfg.cache_modules),
             filters: Vec::new(),
             activities: Vec::new(),
@@ -1082,17 +911,6 @@ impl CycleSim {
         self.cfg.issue_model == IssueModel::Burst && self.tracer.is_none()
     }
 
-    /// Whether memory operations wait in entity queues drained by macro
-    /// events ([`MemModel::Macro`]): the configured memory model,
-    /// auto-degraded to per-request events while a tracer is attached —
-    /// the tracer wants one `Service`/`Complete` record per request,
-    /// stamped as its own scheduler event (mirrors
-    /// [`Self::burst_issue`]).
-    #[inline]
-    fn mem_macro(&self) -> bool {
-        self.cfg.mem_model == MemModel::Macro && self.tracer.is_none()
-    }
-
     /// Top-of-step-handler instruction-limit check: when the limit is
     /// reached the step goes back on the list untaken and the run stops
     /// cleanly — with exactly `limit` instructions counted, under both
@@ -1166,7 +984,6 @@ impl CycleSim {
         // in-flight express chains onto the new periods.
         self.route_cache.clear();
         self.reschedule_express_legs(now);
-        self.reschedule_mem_flights(now);
     }
 
     /// Recompute the not-yet-committed suffix of every in-flight express
@@ -1251,32 +1068,6 @@ impl CycleSim {
         }
     }
 
-    /// [`Self::express_chain`] for the macro path: identical hop times,
-    /// but built straight into a [`Chain`] so short routes (the common
-    /// case) never touch the allocator.
-    fn mem_chain(&mut self, addr: u32, start: Time, inbound: bool) -> Chain {
-        let n = self.cfg.icn_oneway() as usize;
-        if n > CHAIN_INLINE {
-            return Chain::Spill(self.express_chain(addr, start, inbound));
-        }
-        let mut t = [0; CHAIN_INLINE];
-        match self.cfg.icn_timing {
-            IcnTiming::Synchronous => {
-                let p = self.p(ClockDomain::Icn);
-                for (k, slot) in t[..n].iter_mut().enumerate() {
-                    *slot = start + (k as u64 + 1) * p;
-                }
-            }
-            IcnTiming::Asynchronous { .. } => {
-                let offs = self.route_offsets(addr, inbound);
-                for (slot, &o) in t[..n].iter_mut().zip(offs) {
-                    *slot = start + o;
-                }
-            }
-        }
-        Chain::Inline { len: n as u8, t }
-    }
-
     /// Express-path replacement for the per-hop walk: compute the whole
     /// leg analytically and schedule its single end event.
     fn express_schedule(
@@ -1345,233 +1136,6 @@ impl CycleSim {
                 },
             );
         }
-    }
-
-    // ---------------------------------------------------------------
-    // Macro memory path (cfg.mem_model == MemModel::Macro)
-    // ---------------------------------------------------------------
-
-    /// The earliest `(time, priority)` key pending across the four
-    /// entity queues — where the one live `Ev::MemDrain` must be armed.
-    fn mem_min_key(&self) -> Option<(Time, Priority)> {
-        let mut min: Option<(Time, Priority)> = None;
-        let mut fold = |cand: (Time, Priority)| match min {
-            Some(cur) if cur <= cand => {}
-            _ => min = Some(cand),
-        };
-        if let Some((&t, _)) = self.mem_in.first_key_value() {
-            fold((t, PRI_NEGOTIATE));
-        }
-        if let Some((&t, _)) = self.mem_out.first_key_value() {
-            fold((t, PRI_NEGOTIATE));
-        }
-        if let Some((&t, _)) = self.mem_svc.first_key_value() {
-            fold((t, PRI_TRANSFER));
-        }
-        if let Some((&t, _)) = self.mem_done.first_key_value() {
-            fold((t, PRI_DEFAULT));
-        }
-        min
-    }
-
-    /// (Re-)arm the drain event at the current earliest pending key. A
-    /// fresh generation makes any previously armed event stale; arming
-    /// is skipped when the key did not move.
-    fn arm_mem_drain(&mut self) {
-        let min = self.mem_min_key();
-        if min == self.mem_drain_at {
-            return;
-        }
-        self.mem_drain_at = min;
-        if let Some((t, p)) = min {
-            self.mem_drain_gen += 1;
-            let gen = self.mem_drain_gen;
-            self.schedule_ev(t, p, Ev::MemDrain { gen });
-        }
-    }
-
-    /// Per-push arming: only re-arm when the new entity is due before
-    /// the currently armed key (and never mid-flush — the flush re-arms
-    /// once at the end).
-    #[inline]
-    fn mem_arm_if_earlier(&mut self, key: (Time, Priority)) {
-        if self.mem_draining {
-            return;
-        }
-        if self.mem_drain_at.map_or(true, |cur| key < cur) {
-            self.arm_mem_drain();
-        }
-    }
-
-    /// Macro-path replacement for [`Self::express_schedule`]: the
-    /// traversal waits in an entity heap instead of the express-leg
-    /// table, and no per-traversal end event is scheduled.
-    fn mem_flight_schedule(
-        &mut self,
-        tcu: u32,
-        req: MemRequest,
-        value: u32,
-        inbound: bool,
-        issued_at: Time,
-        start: Time,
-    ) {
-        let chain = self.mem_chain(req.addr, start, inbound);
-        let n = chain.as_slice().len();
-        let seq = self.mem_seq;
-        self.mem_seq += 1;
-        if let Some(hp) = self.host_profile.as_mut() {
-            hp.express_legs += 1;
-            hp.hops_elided += n as u64 - 1;
-            hp.mem_elided += 1;
-        }
-        let f = MemFlight {
-            tcu,
-            req,
-            value,
-            inbound,
-            issued_at,
-            seq,
-            chain,
-        };
-        let key = (f.end(), PRI_NEGOTIATE);
-        if inbound {
-            self.mem_in.entry(key.0).or_default().push(f);
-        } else {
-            self.mem_out.entry(key.0).or_default().push(f);
-        }
-        self.mem_arm_if_earlier(key);
-    }
-
-    /// Macro-path replacement for scheduling an `Ev::Complete` at `at`.
-    fn mem_complete_at(&mut self, at: Time, tcu: u32, req: MemRequest, value: u32, issued_at: Time) {
-        if let Some(hp) = self.host_profile.as_mut() {
-            hp.mem_elided += 1;
-        }
-        self.mem_done.entry(at).or_default().push(MemDoneEnt {
-            tcu,
-            req,
-            value,
-            issued_at,
-            at,
-        });
-        self.mem_arm_if_earlier((at, PRI_DEFAULT));
-    }
-
-    /// Handle the armed `Ev::MemDrain`: flush every entity due at the
-    /// armed `(now, priority)` key — in exactly the order the
-    /// per-request path would have handled its same-instant events —
-    /// then re-arm at the next pending key.
-    fn mem_drain(&mut self, now: Time, gen: u64) {
-        if gen != self.mem_drain_gen {
-            return; // stale: the queue head moved since this was armed
-        }
-        let Some((t, pri)) = self.mem_drain_at.take() else {
-            return;
-        };
-        debug_assert_eq!(t, now);
-        if let Some(hp) = self.host_profile.as_mut() {
-            hp.mem_drains += 1;
-        }
-        self.mem_draining = true;
-        match pri {
-            PRI_NEGOTIATE => {
-                // Inbound arrivals first, then outbound deliveries. The
-                // per-request path interleaves the two by reversed-chain
-                // order, but they touch disjoint state (arrivals advance
-                // module/DRAM timelines, deliveries only enqueue
-                // completions, which re-sort canonically), so grouping
-                // is equivalence-preserving. Buckets hold push order, so
-                // each same-instant group is re-sorted into the canonical
-                // per-request order before handling.
-                if let Some(mut group) = self.mem_in.remove(&now) {
-                    group.sort_unstable_by(|a, b| a.canon_cmp(b));
-                    for f in group {
-                        self.arrive(now, f.tcu, f.req, f.issued_at);
-                    }
-                }
-                if let Some(mut group) = self.mem_out.remove(&now) {
-                    group.sort_unstable_by(|a, b| a.canon_cmp(b));
-                    let cp = self.p(ClockDomain::Cluster);
-                    for f in group {
-                        // Register writeback cycle at the TCU (as the
-                        // per-request outbound ExpressEnd would).
-                        self.mem_complete_at(now + cp, f.tcu, f.req, f.value, f.issued_at);
-                    }
-                }
-            }
-            PRI_TRANSFER => {
-                // Bucket order is push order, i.e. ascending `seq` —
-                // already the scheduler's FIFO order for `Service`.
-                if let Some(group) = self.mem_svc.remove(&now) {
-                    for s in group {
-                        self.service(now, s.tcu, s.req, s.done, s.issued_at);
-                    }
-                }
-            }
-            _ => {
-                if let Some(mut group) = self.mem_done.remove(&now) {
-                    group.sort_unstable_by_key(|d| (d.tcu, d.issued_at, d.req.addr, d.req.pc));
-                    for d in group {
-                        self.complete(now, d.tcu, d.req, d.value, d.issued_at);
-                    }
-                }
-            }
-        }
-        self.mem_draining = false;
-        self.arm_mem_drain();
-    }
-
-    /// DVFS twin of [`Self::reschedule_express_legs`] for the macro
-    /// path: recompute the not-yet-committed suffix of every in-flight
-    /// chain under the new periods (the identical stage rule), leave a
-    /// deliberately stale drain at the old end of every traversal that
-    /// moved — one for one with the stale `ExpressEnd` the per-request
-    /// path leaves, so event-group boundaries stay aligned between the
-    /// models — and re-arm with a fresh generation.
-    fn reschedule_mem_flights(&mut self, now: Time) {
-        if self.mem_in.is_empty() && self.mem_out.is_empty() {
-            return;
-        }
-        let stale_gen = self.mem_drain_gen;
-        let mut old_ends = Vec::new();
-        for inbound in [true, false] {
-            let map = if inbound {
-                std::mem::take(&mut self.mem_in)
-            } else {
-                std::mem::take(&mut self.mem_out)
-            };
-            let mut items: Vec<MemFlight> = map.into_values().flatten().collect();
-            for f in &mut items {
-                let addr = f.req.addr;
-                let chain = f.chain.as_mut_slice();
-                let n = chain.len();
-                let old_end = chain[n - 1];
-                for k in 1..n {
-                    if chain[k - 1] > now {
-                        let d = self.hop_delay(addr, (n - k) as u32);
-                        chain[k] = chain[k - 1] + d;
-                    }
-                }
-                if chain[n - 1] != old_end {
-                    old_ends.push(old_end);
-                }
-            }
-            let target = if inbound {
-                &mut self.mem_in
-            } else {
-                &mut self.mem_out
-            };
-            for f in items {
-                target.entry(f.end()).or_default().push(f);
-            }
-        }
-        for end in old_ends {
-            self.schedule_ev(end, PRI_NEGOTIATE, Ev::MemDrain { gen: stale_gen });
-        }
-        // Force a fresh arm: the generation bump makes both the markers
-        // and any previously armed drain stale.
-        self.mem_drain_at = None;
-        self.arm_mem_drain();
     }
 
     // ---------------------------------------------------------------
@@ -1716,8 +1280,7 @@ impl CycleSim {
                     Ev::Hop { .. }
                     | Ev::Service { .. }
                     | Ev::Complete { .. }
-                    | Ev::ExpressEnd { .. }
-                    | Ev::MemDrain { .. } => 1,
+                    | Ev::ExpressEnd { .. } => 1,
                     _ => 2,
                 };
                 self.handle(now, ev)?;
@@ -1809,10 +1372,6 @@ impl CycleSim {
             }
             Ev::ExpressEnd { leg, gen } => {
                 self.express_end(now, leg, gen);
-                Ok(())
-            }
-            Ev::MemDrain { gen } => {
-                self.mem_drain(now, gen);
                 Ok(())
             }
         }
@@ -2372,20 +1931,16 @@ impl CycleSim {
                 let done = (now + cp).max(ready);
                 let value = exec::perform(&mut self.machine, &req);
                 let issued_at = now;
-                if self.mem_macro() {
-                    self.mem_complete_at(done, t, req, value, issued_at);
-                } else {
-                    self.schedule_ev(
-                        done,
-                        PRI_DEFAULT,
-                        Ev::Complete {
-                            tcu: t,
-                            req,
-                            value,
-                            issued_at,
-                        },
-                    );
-                }
+                self.schedule_ev(
+                    done,
+                    PRI_DEFAULT,
+                    Ev::Complete {
+                        tcu: t,
+                        req,
+                        value,
+                        issued_at,
+                    },
+                );
                 return;
             }
         }
@@ -2397,20 +1952,16 @@ impl CycleSim {
                 let done = now + self.cfg.ro_hit_latency as Time * cp;
                 let value = exec::perform(&mut self.machine, &req);
                 let issued_at = now;
-                if self.mem_macro() {
-                    self.mem_complete_at(done, t, req, value, issued_at);
-                } else {
-                    self.schedule_ev(
-                        done,
-                        PRI_DEFAULT,
-                        Ev::Complete {
-                            tcu: t,
-                            req,
-                            value,
-                            issued_at,
-                        },
-                    );
-                }
+                self.schedule_ev(
+                    done,
+                    PRI_DEFAULT,
+                    Ev::Complete {
+                        tcu: t,
+                        req,
+                        value,
+                        issued_at,
+                    },
+                );
                 return;
             }
             self.stats.ro_misses += 1;
@@ -2442,11 +1993,7 @@ impl CycleSim {
         let issued_at = now;
         match self.cfg.icn_model {
             // Compute the whole send-network traversal analytically and
-            // schedule the module arrival directly (macro path: the
-            // traversal waits in an entity heap instead).
-            IcnModel::Express if self.mem_macro() => {
-                self.mem_flight_schedule(tcu, req, 0, true, issued_at, send)
-            }
+            // schedule the module arrival directly.
             IcnModel::Express => self.express_schedule(tcu, req, 0, true, issued_at, send),
             // Walk the package through the send-network switch pipeline,
             // one event per stage (the paper's package-through-components
@@ -2485,20 +2032,16 @@ impl CycleSim {
             } else {
                 // Register writeback cycle at the TCU.
                 let cp = self.p(ClockDomain::Cluster);
-                if self.mem_macro() {
-                    self.mem_complete_at(now + cp, tcu, req, value, issued_at);
-                } else {
-                    self.schedule_ev(
-                        now + cp,
-                        PRI_DEFAULT,
-                        Ev::Complete {
-                            tcu,
-                            req,
-                            value,
-                            issued_at,
-                        },
-                    );
-                }
+                self.schedule_ev(
+                    now + cp,
+                    PRI_DEFAULT,
+                    Ev::Complete {
+                        tcu,
+                        req,
+                        value,
+                        issued_at,
+                    },
+                );
             }
             return;
         }
@@ -2555,7 +2098,7 @@ impl CycleSim {
         // `svc_end == tag == now`, and a same-instant arrival to the same
         // line still has to chain behind it (`max()` below) — pruning it
         // would let that arrival's service overtake the one just issued.
-        if self.line_busy.len() >= self.cfg.line_busy_prune as usize {
+        if self.line_busy.len() >= LINE_BUSY_PRUNE {
             self.line_busy.retain(|_, &mut t| t >= now);
         }
         let line = req.addr / self.cfg.line_bytes;
@@ -2566,32 +2109,16 @@ impl CycleSim {
 
         // The response leaves through the return network after service.
         let done = svc_end;
-        if self.mem_macro() {
-            let seq = self.mem_seq;
-            self.mem_seq += 1;
-            if let Some(hp) = self.host_profile.as_mut() {
-                hp.mem_elided += 1;
-            }
-            self.mem_svc.entry(done).or_default().push(MemService {
+        self.schedule_ev(
+            svc_end,
+            PRI_TRANSFER,
+            Ev::Service {
                 tcu,
                 req,
                 done,
                 issued_at,
-                seq,
-            });
-            self.mem_arm_if_earlier((done, PRI_TRANSFER));
-        } else {
-            self.schedule_ev(
-                svc_end,
-                PRI_TRANSFER,
-                Ev::Service {
-                    tcu,
-                    req,
-                    done,
-                    issued_at,
-                },
-            );
-        }
+            },
+        );
     }
 
     /// A request reaches its cache module's service point: apply it to
@@ -2619,9 +2146,6 @@ impl CycleSim {
             exec::perform(&mut self.machine, &req)
         };
         match self.cfg.icn_model {
-            IcnModel::Express if self.mem_macro() => {
-                self.mem_flight_schedule(tcu, req, value, false, issued_at, now)
-            }
             IcnModel::Express => self.express_schedule(tcu, req, value, false, issued_at, now),
             IcnModel::PerHop => {
                 let first_hop = self.hop_delay(req.addr, u32::MAX);
@@ -2673,20 +2197,16 @@ impl CycleSim {
                 if let Some(waiters) = self.pbuf_waiters.remove(&(tcu, req.addr & !3)) {
                     for (wreq, wissued) in waiters {
                         let value = exec::perform(&mut self.machine, &wreq);
-                        if self.mem_macro() {
-                            self.mem_complete_at(now + cp, tcu, wreq, value, wissued);
-                        } else {
-                            self.schedule_ev(
-                                now + cp,
-                                PRI_DEFAULT,
-                                Ev::Complete {
-                                    tcu,
-                                    req: wreq,
-                                    value,
-                                    issued_at: wissued,
-                                },
-                            );
-                        }
+                        self.schedule_ev(
+                            now + cp,
+                            PRI_DEFAULT,
+                            Ev::Complete {
+                                tcu,
+                                req: wreq,
+                                value,
+                                issued_at: wissued,
+                            },
+                        );
                     }
                 }
             }
@@ -2764,15 +2284,9 @@ impl CycleSim {
             q.clear();
         }
         // Quiescent: no packages in flight; any leg slots (and the stale
-        // end events `clear()` just dropped) can go, as can the macro
-        // entity queues and their armed drain.
+        // end events `clear()` just dropped) can go.
         self.express_legs.clear();
         self.legs_free.clear();
-        self.mem_in.clear();
-        self.mem_out.clear();
-        self.mem_svc.clear();
-        self.mem_done.clear();
-        self.mem_drain_at = None;
         self.schedule_ev(t, PRI_DEFAULT, Ev::MasterStep);
         self.next_sample_at = None;
         if let Some(iv) = self.sample_interval {
@@ -2816,10 +2330,9 @@ impl CycleSim {
 
     /// Capture everything beyond the quiescent machine state that a
     /// mid-flight checkpoint needs: the pending event list in exact pop
-    /// order (with memory operations factored out into the model-neutral
-    /// `mem_ops` form) and the package-tracking side tables, all in
-    /// deterministic (sorted) form — bit-identical across engine modes
-    /// *and* memory models.
+    /// order (with memory operations factored out into `mem_ops`) and
+    /// the package-tracking side tables, all in deterministic (sorted)
+    /// form — bit-identical across engine modes.
     pub(crate) fn inflight_snapshot(&self) -> InflightState {
         // Merge the per-shard pending queues into one global pop order.
         // Seqs come from the shared global counter (or the single
@@ -2835,11 +2348,9 @@ impl CycleSim {
         // In-flight memory operations go to `mem_ops`, keyed by their due
         // `(time, priority)` plus the per-class run-time tie-break —
         // reversed chain + creation rank for traversals, FIFO rank for
-        // queued services, the canonical completion key for completions —
-        // so both models serialize the identical canonical list. Stale
-        // events (generation-mismatched express ends, every `MemDrain`)
-        // are no-ops and are dropped; the macro path re-arms its drain
-        // from the entities on restore.
+        // queued services, the canonical completion key for completions.
+        // Stale (generation-mismatched) express ends are no-ops and are
+        // dropped.
         type OpKey = (Time, Priority, Vec<Time>, u64, (u32, Time, u32, u32));
         fn rev_of(chain: &[Time]) -> Vec<Time> {
             chain[..chain.len() - 1].iter().rev().copied().collect()
@@ -2895,51 +2406,8 @@ impl CycleSim {
                         at: time,
                     },
                 )),
-                Ev::MemDrain { .. } => {}
                 ev => events.push(SavedEvent { time, pri, ev }),
             }
-        }
-        for f in self.mem_in.values().flatten().chain(self.mem_out.values().flatten()) {
-            ops.push((
-                (f.end(), PRI_NEGOTIATE, rev_of(f.chain.as_slice()), f.seq, (0, 0, 0, 0)),
-                SavedMemOp::Flight {
-                    tcu: f.tcu,
-                    req: f.req.clone(),
-                    value: f.value,
-                    inbound: f.inbound,
-                    issued_at: f.issued_at,
-                    chain: f.chain.as_slice().to_vec(),
-                },
-            ));
-        }
-        for s in self.mem_svc.values().flatten() {
-            ops.push((
-                (s.done, PRI_TRANSFER, Vec::new(), s.seq, (0, 0, 0, 0)),
-                SavedMemOp::Queued {
-                    tcu: s.tcu,
-                    req: s.req.clone(),
-                    done: s.done,
-                    issued_at: s.issued_at,
-                },
-            ));
-        }
-        for d in self.mem_done.values().flatten() {
-            ops.push((
-                (
-                    d.at,
-                    PRI_DEFAULT,
-                    Vec::new(),
-                    0,
-                    (d.tcu, d.issued_at, d.req.addr, d.req.pc),
-                ),
-                SavedMemOp::Done {
-                    tcu: d.tcu,
-                    req: d.req.clone(),
-                    value: d.value,
-                    issued_at: d.issued_at,
-                    at: d.at,
-                },
-            ));
         }
         ops.sort_by(|a, b| a.0.cmp(&b.0));
         let mem_ops = ops.into_iter().map(|(_, op)| op).collect();
@@ -3004,14 +2472,6 @@ impl CycleSim {
         self.legs_free.clear();
         self.leg_seq = 0;
         self.route_cache.clear();
-        self.mem_in.clear();
-        self.mem_out.clear();
-        self.mem_svc.clear();
-        self.mem_done.clear();
-        self.mem_seq = 0;
-        self.mem_drain_gen = 0;
-        self.mem_drain_at = None;
-        self.mem_draining = false;
         self.started = true;
         // The decode cache is a pure function of the (immutable) text:
         // checkpoints carry no decode state, and a restored simulator
@@ -3055,12 +2515,8 @@ impl CycleSim {
                 }
                 self.schedule_ev(se.time, se.pri, se.ev);
             }
-            // Re-create the in-flight memory operations under whichever
-            // memory model *this* simulator runs — the canonical list
-            // order makes fresh seqs / slot indices rank-preserving, so
-            // either model resumes bit-identically from either model's
-            // checkpoint.
-            let macro_mode = self.mem_macro();
+            // Re-create the in-flight memory operations: the canonical
+            // list order makes fresh seqs / slot indices rank-preserving.
             for op in inflight.mem_ops {
                 match op {
                     SavedMemOp::Flight {
@@ -3071,105 +2527,56 @@ impl CycleSim {
                         issued_at,
                         chain,
                     } => {
-                        if macro_mode {
-                            let seq = self.mem_seq;
-                            self.mem_seq += 1;
-                            let f = MemFlight {
+                        let end = *chain.last().expect("nonempty chain");
+                        let seq = self.leg_seq;
+                        self.leg_seq += 1;
+                        let slot = self.express_legs.len() as u32;
+                        self.express_legs.push(LegSlot {
+                            gen: 1,
+                            leg: Some(ExpressLeg {
                                 tcu,
                                 req,
                                 value,
                                 inbound,
                                 issued_at,
                                 seq,
-                                chain: Chain::from_vec(chain),
-                            };
-                            let end = f.end();
-                            if inbound {
-                                self.mem_in.entry(end).or_default().push(f);
-                            } else {
-                                self.mem_out.entry(end).or_default().push(f);
-                            }
-                        } else {
-                            let end = *chain.last().expect("nonempty chain");
-                            let seq = self.leg_seq;
-                            self.leg_seq += 1;
-                            let slot = self.express_legs.len() as u32;
-                            self.express_legs.push(LegSlot {
-                                gen: 1,
-                                leg: Some(ExpressLeg {
-                                    tcu,
-                                    req,
-                                    value,
-                                    inbound,
-                                    issued_at,
-                                    seq,
-                                    chain,
-                                }),
-                            });
-                            self.schedule_ev(end, PRI_NEGOTIATE, Ev::ExpressEnd { leg: slot, gen: 1 });
-                        }
+                                chain,
+                            }),
+                        });
+                        self.schedule_ev(end, PRI_NEGOTIATE, Ev::ExpressEnd { leg: slot, gen: 1 });
                     }
                     SavedMemOp::Queued {
                         tcu,
                         req,
                         done,
                         issued_at,
-                    } => {
-                        if macro_mode {
-                            let seq = self.mem_seq;
-                            self.mem_seq += 1;
-                            self.mem_svc.entry(done).or_default().push(MemService {
-                                tcu,
-                                req,
-                                done,
-                                issued_at,
-                                seq,
-                            });
-                        } else {
-                            self.schedule_ev(
-                                done,
-                                PRI_TRANSFER,
-                                Ev::Service {
-                                    tcu,
-                                    req,
-                                    done,
-                                    issued_at,
-                                },
-                            );
-                        }
-                    }
+                    } => self.schedule_ev(
+                        done,
+                        PRI_TRANSFER,
+                        Ev::Service {
+                            tcu,
+                            req,
+                            done,
+                            issued_at,
+                        },
+                    ),
                     SavedMemOp::Done {
                         tcu,
                         req,
                         value,
                         issued_at,
                         at,
-                    } => {
-                        if macro_mode {
-                            self.mem_done.entry(at).or_default().push(MemDoneEnt {
-                                tcu,
-                                req,
-                                value,
-                                issued_at,
-                                at,
-                            });
-                        } else {
-                            self.schedule_ev(
-                                at,
-                                PRI_DEFAULT,
-                                Ev::Complete {
-                                    tcu,
-                                    req,
-                                    value,
-                                    issued_at,
-                                },
-                            );
-                        }
-                    }
+                    } => self.schedule_ev(
+                        at,
+                        PRI_DEFAULT,
+                        Ev::Complete {
+                            tcu,
+                            req,
+                            value,
+                            issued_at,
+                        },
+                    ),
                 }
-            }
-            if macro_mode {
-                self.arm_mem_drain();
             }
         }
     }
@@ -3850,8 +3257,8 @@ mod tests {
         }
     }
 
-    /// 4 virtual threads × 512 lines each = 2048 distinct lines — far
-    /// more than any `line_busy_prune` threshold under test.
+    /// 4 virtual threads × 512 lines each = 2048 distinct lines — twice
+    /// `LINE_BUSY_PRUNE`.
     fn streaming_scan_program() -> Executable {
         const LINES_PER_THREAD: i32 = 512;
         let line = XmtConfig::tiny().line_bytes as i32;
@@ -3932,10 +3339,9 @@ mod tests {
         p.link(mm).unwrap()
     }
 
-    /// Streaming far more distinct cache lines than the configured
-    /// `line_busy_prune` threshold keeps the MSHR chain map bounded:
-    /// settled entries are dropped on insert instead of accumulating one
-    /// per line ever touched.
+    /// Streaming far more distinct cache lines than `LINE_BUSY_PRUNE`
+    /// keeps the MSHR chain map bounded: settled entries are dropped on
+    /// insert instead of accumulating one per line ever touched.
     #[test]
     fn line_busy_map_stays_bounded_on_streaming_scans() {
         let exe = streaming_scan_program();
@@ -3952,39 +3358,6 @@ mod tests {
             "line_busy grew unboundedly: {} entries",
             sim.line_busy.len()
         );
-    }
-
-    /// The prune threshold is a config knob: a much smaller
-    /// `line_busy_prune` bounds the map proportionally tighter on the
-    /// same scan, without changing a single architecturally observable
-    /// bit — pruning settled entries is bookkeeping, not timing.
-    #[test]
-    fn line_busy_prune_threshold_is_configurable() {
-        use xmt_harness::ToJson;
-        let exe = streaming_scan_program();
-        let mut tight_cfg = XmtConfig::tiny();
-        tight_cfg.line_busy_prune = 64;
-        tight_cfg.validate().unwrap();
-        let mut tight = CycleSim::new(exe.clone(), tight_cfg);
-        let st = tight.run().unwrap();
-        // Live (unsettled) entries survive a prune by design, so the map
-        // can sit above the threshold by the number of in-flight lines;
-        // give that headroom, but stay far under the default's bound.
-        assert!(
-            tight.line_busy.len() <= 200,
-            "line_busy ignored the tightened threshold: {} entries",
-            tight.line_busy.len()
-        );
-
-        let mut dflt = CycleSim::new(exe, XmtConfig::tiny());
-        let sd = dflt.run().unwrap();
-        assert_eq!(
-            (st.cycles, st.time_ps, st.instructions),
-            (sd.cycles, sd.time_ps, sd.instructions),
-            "prune threshold leaked into simulated timing"
-        );
-        assert_eq!(tight.stats.to_json_string(), dflt.stats.to_json_string());
-        assert_eq!(tight.machine.to_json_string(), dflt.machine.to_json_string());
     }
 
     /// Regression: with `cache_hit_latency = 0` a hit completes at the

@@ -407,8 +407,7 @@ impl CycleSim {
                     Ev::Hop { .. }
                     | Ev::Service { .. }
                     | Ev::Complete { .. }
-                    | Ev::ExpressEnd { .. }
-                    | Ev::MemDrain { .. } => 1,
+                    | Ev::ExpressEnd { .. } => 1,
                     _ => 2,
                 };
                 match results.get(i - 1).and_then(Option::as_ref) {

@@ -2,12 +2,12 @@
 //!
 //! The toolchain has many ways to execute one program: fast functional
 //! mode plus the cycle-model configurations spanned by [`IssueModel`] ×
-//! [`IcnModel`] × [`EngineMode`] × [`DecodeMode`] × [`MemModel`]. Each
-//! batched path (`Burst`, `Express`, `Macro`) was introduced with a
-//! per-event oracle (`PerInstr`, `PerHop`, `PerRequest`) and a
-//! bit-identity property suite; this module packages that discipline as
-//! a single entry point: [`run_all_engines`] executes one [`Executable`]
-//! on every [`CYCLE_ENGINE_MATRIX`] row and
+//! [`IcnModel`] × [`EngineMode`] × [`DecodeMode`]. Each batched path
+//! (`Burst`, `Express`) was introduced with a per-event oracle
+//! (`PerInstr`, `PerHop`) and a bit-identity property suite; this module
+//! packages that discipline as a single entry point:
+//! [`run_all_engines`] executes one [`Executable`] on every
+//! [`CYCLE_ENGINE_MATRIX`] row and
 //! [`AllEngines::check_cycle_identical`] asserts all cycle
 //! configurations agree on everything architecturally observable —
 //! cycles, simulated time, instruction count, the full statistics record
@@ -19,14 +19,14 @@
 //! order-free is program knowledge, so the caller states it via
 //! [`FunctionalCheck`] and [`AllEngines::check_functional_agrees`].
 
-use crate::config::{DecodeMode, EngineMode, IcnModel, IssueModel, MemModel, XmtConfig};
+use crate::config::{DecodeMode, EngineMode, IcnModel, IssueModel, XmtConfig};
 use crate::cycle::{CycleSim, SimError};
 use crate::functional::{FuncError, FunctionalSim};
 use crate::machine::Machine;
 use xmt_harness::ToJson;
 use xmt_isa::Executable;
 
-/// The twelve cycle-model configurations every program is run through.
+/// The ten cycle-model configurations every program is run through.
 ///
 /// Rows 0–3: the sequential engine over both batched defaults and both
 /// per-event oracles, plus the two mixed pairings (a tie-break bug in one
@@ -40,22 +40,13 @@ use xmt_isa::Executable;
 /// *off*, so the interpreted issue path stays the oracle; rows 8–9 turn
 /// it on — sequential burst replay and worker-side shared-cache replay —
 /// and must be bit-identical to everything above.
-///
-/// The sixth column picks the memory-system model. The per-event oracle
-/// rows (2, 3, 6, 7) also pin [`MemModel::PerRequest`], so the matrix
-/// keeps one fully event-per-event configuration per engine; the batched
-/// rows run the [`MemModel::Macro`] default. Rows 10–11 are the pure
-/// mem-model pairings — identical to rows 0 and 4 except for the memory
-/// model — so a macro-drain tie-break bug cannot hide behind a
-/// compensating issue- or ICN-layer difference.
-pub const CYCLE_ENGINE_MATRIX: [(IssueModel, IcnModel, EngineMode, u32, DecodeMode, MemModel); 12] = [
+pub const CYCLE_ENGINE_MATRIX: [(IssueModel, IcnModel, EngineMode, u32, DecodeMode); 10] = [
     (
         IssueModel::Burst,
         IcnModel::Express,
         EngineMode::Sequential,
         0,
         DecodeMode::Off,
-        MemModel::Macro,
     ),
     (
         IssueModel::Burst,
@@ -63,7 +54,6 @@ pub const CYCLE_ENGINE_MATRIX: [(IssueModel, IcnModel, EngineMode, u32, DecodeMo
         EngineMode::Sequential,
         0,
         DecodeMode::Off,
-        MemModel::Macro,
     ),
     (
         IssueModel::PerInstr,
@@ -71,7 +61,6 @@ pub const CYCLE_ENGINE_MATRIX: [(IssueModel, IcnModel, EngineMode, u32, DecodeMo
         EngineMode::Sequential,
         0,
         DecodeMode::Off,
-        MemModel::PerRequest,
     ),
     (
         IssueModel::PerInstr,
@@ -79,7 +68,6 @@ pub const CYCLE_ENGINE_MATRIX: [(IssueModel, IcnModel, EngineMode, u32, DecodeMo
         EngineMode::Sequential,
         0,
         DecodeMode::Off,
-        MemModel::PerRequest,
     ),
     (
         IssueModel::Burst,
@@ -87,7 +75,6 @@ pub const CYCLE_ENGINE_MATRIX: [(IssueModel, IcnModel, EngineMode, u32, DecodeMo
         EngineMode::Parallel,
         2,
         DecodeMode::Off,
-        MemModel::Macro,
     ),
     (
         IssueModel::Burst,
@@ -95,7 +82,6 @@ pub const CYCLE_ENGINE_MATRIX: [(IssueModel, IcnModel, EngineMode, u32, DecodeMo
         EngineMode::Parallel,
         4,
         DecodeMode::Off,
-        MemModel::Macro,
     ),
     (
         IssueModel::PerInstr,
@@ -103,7 +89,6 @@ pub const CYCLE_ENGINE_MATRIX: [(IssueModel, IcnModel, EngineMode, u32, DecodeMo
         EngineMode::Parallel,
         2,
         DecodeMode::Off,
-        MemModel::PerRequest,
     ),
     (
         IssueModel::Burst,
@@ -111,7 +96,6 @@ pub const CYCLE_ENGINE_MATRIX: [(IssueModel, IcnModel, EngineMode, u32, DecodeMo
         EngineMode::Parallel,
         2,
         DecodeMode::Off,
-        MemModel::PerRequest,
     ),
     (
         IssueModel::Burst,
@@ -119,7 +103,6 @@ pub const CYCLE_ENGINE_MATRIX: [(IssueModel, IcnModel, EngineMode, u32, DecodeMo
         EngineMode::Sequential,
         0,
         DecodeMode::Cache,
-        MemModel::Macro,
     ),
     (
         IssueModel::Burst,
@@ -127,23 +110,6 @@ pub const CYCLE_ENGINE_MATRIX: [(IssueModel, IcnModel, EngineMode, u32, DecodeMo
         EngineMode::Parallel,
         2,
         DecodeMode::Cache,
-        MemModel::Macro,
-    ),
-    (
-        IssueModel::Burst,
-        IcnModel::Express,
-        EngineMode::Sequential,
-        0,
-        DecodeMode::Off,
-        MemModel::PerRequest,
-    ),
-    (
-        IssueModel::Burst,
-        IcnModel::Express,
-        EngineMode::Parallel,
-        2,
-        DecodeMode::Off,
-        MemModel::PerRequest,
     ),
 ];
 
@@ -157,8 +123,6 @@ pub struct EngineRun {
     pub threads: u32,
     /// Whether the pre-decoded basic-block cache was in force.
     pub decode: DecodeMode,
-    /// Which memory-system event model was in force.
-    pub mem: MemModel,
     pub cycles: u64,
     pub time_ps: u64,
     pub instructions: u64,
@@ -176,22 +140,27 @@ pub struct EngineRun {
 impl EngineRun {
     /// Label like `Burst×Express` (sequential) or `Burst×Express×Par2`
     /// (parallel at 2 threads) for diagnostics; decode-cache rows carry
-    /// a `×Cache` suffix and per-request memory rows a `×PerReq` suffix.
+    /// a `×Cache` suffix.
     pub fn label(&self) -> String {
-        let mut l = match self.engine {
-            EngineMode::Sequential => format!("{:?}×{:?}", self.issue, self.icn),
-            EngineMode::Parallel => {
-                format!("{:?}×{:?}×Par{}", self.issue, self.icn, self.threads)
-            }
-        };
-        if self.decode == DecodeMode::Cache {
-            l.push_str("×Cache");
-        }
-        if self.mem == MemModel::PerRequest {
-            l.push_str("×PerReq");
-        }
-        l
+        engine_label(self.issue, self.icn, self.engine, self.threads, self.decode)
     }
+}
+
+fn engine_label(
+    issue: IssueModel,
+    icn: IcnModel,
+    engine: EngineMode,
+    threads: u32,
+    decode: DecodeMode,
+) -> String {
+    let mut l = match engine {
+        EngineMode::Sequential => format!("{issue:?}×{icn:?}"),
+        EngineMode::Parallel => format!("{issue:?}×{icn:?}×Par{threads}"),
+    };
+    if decode == DecodeMode::Cache {
+        l.push_str("×Cache");
+    }
+    l
 }
 
 /// The functional-mode run of the same program.
@@ -266,7 +235,6 @@ pub fn run_cycle_engine(
     engine: EngineMode,
     threads: u32,
     decode: DecodeMode,
-    mem: MemModel,
     instr_limit: u64,
 ) -> Result<EngineRun, DifferentialError> {
     let mut cfg = cfg.clone();
@@ -274,23 +242,10 @@ pub fn run_cycle_engine(
     cfg.icn_model = icn;
     cfg.engine_mode = engine;
     cfg.decode_cache = decode;
-    cfg.mem_model = mem;
     if engine == EngineMode::Parallel {
         cfg.threads = threads;
     }
-    let label = || {
-        let mut l = match engine {
-            EngineMode::Sequential => format!("{issue:?}×{icn:?}"),
-            EngineMode::Parallel => format!("{issue:?}×{icn:?}×Par{threads}"),
-        };
-        if decode == DecodeMode::Cache {
-            l.push_str("×Cache");
-        }
-        if mem == MemModel::PerRequest {
-            l.push_str("×PerReq");
-        }
-        l
-    };
+    let label = || engine_label(issue, icn, engine, threads, decode);
     let mut sim = CycleSim::new(exe.clone(), cfg);
     sim.set_instr_limit(instr_limit);
     let s = sim.run().map_err(|err| DifferentialError::Sim {
@@ -309,7 +264,6 @@ pub fn run_cycle_engine(
         engine,
         threads,
         decode,
-        mem,
         cycles: s.cycles,
         time_ps: s.time_ps,
         instructions: s.instructions,
@@ -320,9 +274,9 @@ pub fn run_cycle_engine(
     })
 }
 
-/// Run `exe` through functional mode and all twelve cycle configurations
-/// (sequential and sharded-parallel, decode cache off and on, macro and
-/// per-request memory — see [`CYCLE_ENGINE_MATRIX`]).
+/// Run `exe` through functional mode and all ten cycle configurations
+/// (sequential and sharded-parallel, decode cache off and on — see
+/// [`CYCLE_ENGINE_MATRIX`]).
 ///
 /// `instr_limit` bounds every engine so a generated program that loops
 /// forever surfaces as an error instead of a hang.
@@ -340,7 +294,7 @@ pub fn run_all_engines(
     };
 
     let mut cycle = Vec::with_capacity(CYCLE_ENGINE_MATRIX.len());
-    for (issue, icn, engine, threads, decode, mem) in CYCLE_ENGINE_MATRIX {
+    for (issue, icn, engine, threads, decode) in CYCLE_ENGINE_MATRIX {
         cycle.push(run_cycle_engine(
             exe,
             cfg,
@@ -349,7 +303,6 @@ pub fn run_all_engines(
             engine,
             threads,
             decode,
-            mem,
             instr_limit,
         )?);
     }
@@ -365,14 +318,13 @@ pub fn run_all_engines(
 /// batched default on the parallel engine and under decoded replay —
 /// the configurations whose burst/offload fast paths would be the first
 /// to notice an observer that wasn't pure.
-pub const OBS_ENGINE_ROWS: [(IssueModel, IcnModel, EngineMode, u32, DecodeMode, MemModel); 4] = [
+pub const OBS_ENGINE_ROWS: [(IssueModel, IcnModel, EngineMode, u32, DecodeMode); 4] = [
     (
         IssueModel::Burst,
         IcnModel::Express,
         EngineMode::Sequential,
         0,
         DecodeMode::Off,
-        MemModel::Macro,
     ),
     (
         IssueModel::PerInstr,
@@ -380,7 +332,6 @@ pub const OBS_ENGINE_ROWS: [(IssueModel, IcnModel, EngineMode, u32, DecodeMode, 
         EngineMode::Sequential,
         0,
         DecodeMode::Off,
-        MemModel::PerRequest,
     ),
     (
         IssueModel::Burst,
@@ -388,7 +339,6 @@ pub const OBS_ENGINE_ROWS: [(IssueModel, IcnModel, EngineMode, u32, DecodeMode, 
         EngineMode::Parallel,
         2,
         DecodeMode::Cache,
-        MemModel::Macro,
     ),
     (
         IssueModel::Burst,
@@ -396,7 +346,6 @@ pub const OBS_ENGINE_ROWS: [(IssueModel, IcnModel, EngineMode, u32, DecodeMode, 
         EngineMode::Sequential,
         0,
         DecodeMode::Cache,
-        MemModel::Macro,
     ),
 ];
 
@@ -413,15 +362,14 @@ pub fn check_obs_transparent(
     cfg: &XmtConfig,
     instr_limit: u64,
 ) -> Result<(), String> {
-    for (issue, icn, engine, threads, decode, mem) in OBS_ENGINE_ROWS {
-        let off = run_cycle_engine(exe, cfg, issue, icn, engine, threads, decode, mem, instr_limit)
+    for (issue, icn, engine, threads, decode) in OBS_ENGINE_ROWS {
+        let off = run_cycle_engine(exe, cfg, issue, icn, engine, threads, decode, instr_limit)
             .map_err(|e| format!("obs-off run failed: {e}"))?;
         let mut on_cfg = cfg.clone();
         on_cfg.issue_model = issue;
         on_cfg.icn_model = icn;
         on_cfg.engine_mode = engine;
         on_cfg.decode_cache = decode;
-        on_cfg.mem_model = mem;
         on_cfg.obs_detail = crate::config::ObsDetail::Full;
         if engine == EngineMode::Parallel {
             on_cfg.threads = threads;

@@ -79,19 +79,28 @@ pub const BUCKET_WIDTH_PS: Time = 1 << BUCKET_SHIFT;
 /// comfortably past the deepest modeled latency (a DRAM round trip).
 pub const N_BUCKETS: usize = 256;
 
+/// One queue entry: the `(time, priority, seq)` ordering key plus the
+/// payload slot it refers to. `seq` is unique, so `slot` (compared last)
+/// never decides an ordering. The slot rides inside the key as a `u32`
+/// so an entry is 24 bytes, not 32: drained buckets keep their capacity,
+/// which makes this array the simulator's largest resident structure on
+/// chip-scale runs (hundreds of events per page × [`N_BUCKETS`] pages).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 struct Key {
     time: Time,
     priority: Priority,
     seq: u64,
+    slot: u32,
 }
+
+const _: () = assert!(std::mem::size_of::<Key>() == 24);
 
 /// One near-horizon bucket: events of a single page (`time >> BUCKET_SHIFT`
 /// value), drained front-to-back through a cursor so popping never shifts
 /// the vector.
 #[derive(Debug)]
 struct Bucket {
-    items: Vec<(Key, usize)>,
+    items: Vec<Key>,
     /// Entries before `head` have been popped.
     head: usize,
     /// Whether `items` is ascending by key. Kept `true` incrementally for
@@ -136,9 +145,9 @@ pub struct Scheduler<E> {
     /// Events currently held in the near-horizon buckets.
     near_pending: usize,
     /// Far-future events (page at or beyond `cur_page + N_BUCKETS`).
-    overflow: BinaryHeap<Reverse<(Key, usize)>>,
+    overflow: BinaryHeap<Reverse<Key>>,
     payloads: Vec<Option<E>>,
-    free: Vec<usize>,
+    free: Vec<u32>,
     now: Time,
     seq: u64,
     processed: u64,
@@ -184,52 +193,53 @@ impl<E> Scheduler<E> {
     }
 
     #[inline]
-    fn alloc_slot(&mut self, event: E) -> usize {
+    fn alloc_slot(&mut self, event: E) -> u32 {
         match self.free.pop() {
             Some(s) => {
-                self.payloads[s] = Some(event);
+                self.payloads[s as usize] = Some(event);
                 s
             }
             None => {
+                let s = u32::try_from(self.payloads.len()).expect("more than 2^32 pending events");
                 self.payloads.push(Some(event));
-                self.payloads.len() - 1
+                s
             }
         }
     }
 
     #[inline]
-    fn take_payload(&mut self, slot: usize) -> E {
-        let ev = self.payloads[slot].take().expect("event slot already taken");
+    fn take_payload(&mut self, slot: u32) -> E {
+        let ev = self.payloads[slot as usize].take().expect("event slot already taken");
         self.free.push(slot);
         ev
     }
 
     /// Insert into the near-horizon bucket for `page`.
-    fn push_near(&mut self, page: u64, key: Key, slot: usize) {
+    fn push_near(&mut self, page: u64, key: Key) {
         let is_current = page == self.cur_page;
         let b = &mut self.buckets[(page % N_BUCKETS as u64) as usize];
         match b.items.last() {
             None => {
                 b.head = 0;
                 b.sorted = true;
-                b.items.push((key, slot));
+                b.items.push(key);
             }
             // Common case: keys arrive in ascending order (monotone seq,
             // same or later time) — O(1) append keeps the bucket sorted.
-            Some(&(last, _)) if b.sorted && last <= key => b.items.push((key, slot)),
+            Some(&last) if b.sorted && last <= key => b.items.push(key),
             _ if is_current => {
                 // Out-of-order arrival into the bucket being drained (e.g.
                 // a same-timestamp event of an earlier phase): a binary
                 // insert preserves the partially-drained sorted invariant
                 // without re-sorting.
                 b.ensure_sorted();
-                let pos = b.head + b.items[b.head..].partition_point(|&(k, _)| k < key);
-                b.items.insert(pos, (key, slot));
+                let pos = b.head + b.items[b.head..].partition_point(|&k| k < key);
+                b.items.insert(pos, key);
             }
             _ => {
                 // Future bucket: append now, sort once when the window
                 // reaches it.
-                b.items.push((key, slot));
+                b.items.push(key);
                 b.sorted = false;
             }
         }
@@ -243,13 +253,13 @@ impl<E> Scheduler<E> {
     pub fn schedule_at(&mut self, time: Time, priority: Priority, event: E) {
         assert!(time >= self.now, "event scheduled in the past: {time} < {}", self.now);
         let slot = self.alloc_slot(event);
-        let key = Key { time, priority, seq: self.seq };
+        let key = Key { time, priority, seq: self.seq, slot };
         self.seq += 1;
         let page = time >> BUCKET_SHIFT;
         if page >= self.cur_page + N_BUCKETS as u64 {
-            self.overflow.push(Reverse((key, slot)));
+            self.overflow.push(Reverse(key));
         } else {
-            self.push_near(page, key, slot);
+            self.push_near(page, key);
         }
     }
 
@@ -272,13 +282,13 @@ impl<E> Scheduler<E> {
         assert!(time >= self.now, "event scheduled in the past: {time} < {}", self.now);
         debug_assert!(seq >= self.seq, "external seq must be monotone per scheduler");
         let slot = self.alloc_slot(event);
-        let key = Key { time, priority, seq };
+        let key = Key { time, priority, seq, slot };
         self.seq = seq + 1;
         let page = time >> BUCKET_SHIFT;
         if page >= self.cur_page + N_BUCKETS as u64 {
-            self.overflow.push(Reverse((key, slot)));
+            self.overflow.push(Reverse(key));
         } else {
-            self.push_near(page, key, slot);
+            self.push_near(page, key);
         }
     }
 
@@ -292,23 +302,23 @@ impl<E> Scheduler<E> {
     /// Pull every overflow event that now fits into the near window.
     fn refill_from_overflow(&mut self) {
         let limit = self.cur_page + N_BUCKETS as u64;
-        while let Some(&Reverse((key, _))) = self.overflow.peek() {
+        while let Some(&Reverse(key)) = self.overflow.peek() {
             let page = key.time >> BUCKET_SHIFT;
             if page >= limit {
                 break;
             }
-            let Reverse((key, slot)) = self.overflow.pop().expect("peeked");
-            self.push_near(page, key, slot);
+            self.overflow.pop();
+            self.push_near(page, key);
         }
     }
 
     /// Find, pop, and return the globally smallest key, advancing the
     /// window as needed. Does not touch `now`/`processed`.
-    fn pop_key(&mut self) -> Option<(Key, usize)> {
+    fn pop_key(&mut self) -> Option<Key> {
         if self.near_pending == 0 {
             // Near window exhausted: jump straight to the earliest
             // far-future page (or report empty).
-            let &Reverse((key, _)) = self.overflow.peek()?;
+            let &Reverse(key) = self.overflow.peek()?;
             self.cur_page = key.time >> BUCKET_SHIFT;
             self.refill_from_overflow();
         }
@@ -323,23 +333,23 @@ impl<E> Scheduler<E> {
             }
             let b = &mut self.buckets[idx];
             b.ensure_sorted();
-            let (key, slot) = b.items[b.head];
+            let key = b.items[b.head];
             b.head += 1;
             if b.head == b.items.len() {
                 b.items.clear();
                 b.head = 0;
             }
             self.near_pending -= 1;
-            return Some((key, slot));
+            return Some(key);
         }
     }
 
     /// Pop the next event, advancing simulated time.
     pub fn pop(&mut self) -> Option<(Time, E)> {
-        let (key, slot) = self.pop_key()?;
+        let key = self.pop_key()?;
         self.now = key.time;
         self.processed += 1;
-        Some((key.time, self.take_payload(slot)))
+        Some((key.time, self.take_payload(key.slot)))
     }
 
     /// Batch-drain one `(time, priority)` group: pop *every* currently
@@ -356,10 +366,10 @@ impl<E> Scheduler<E> {
     /// exactly as repeated single pops would.
     pub fn pop_cycle(&mut self, out: &mut Vec<E>) -> Option<(Time, Priority)> {
         out.clear();
-        let (key, slot) = self.pop_key()?;
+        let key = self.pop_key()?;
         self.now = key.time;
         self.processed += 1;
-        let ev = self.take_payload(slot);
+        let ev = self.take_payload(key.slot);
         out.push(ev);
         // The rest of the group is contiguous at the head of the current
         // bucket: same time ⟹ same page, and the bucket is sorted.
@@ -369,7 +379,7 @@ impl<E> Scheduler<E> {
             if b.items.is_empty() {
                 break;
             }
-            let (k, s) = b.items[b.head];
+            let k = b.items[b.head];
             if k.time != key.time || k.priority != key.priority {
                 break;
             }
@@ -380,7 +390,7 @@ impl<E> Scheduler<E> {
             }
             self.near_pending -= 1;
             self.processed += 1;
-            let ev = self.take_payload(s);
+            let ev = self.take_payload(k.slot);
             out.push(ev);
         }
         Some((key.time, key.priority))
@@ -397,7 +407,7 @@ impl<E> Scheduler<E> {
                 if !b.items.is_empty() {
                     // First non-empty bucket holds the earliest event; the
                     // bucket may be unsorted, so scan for the minimum key.
-                    break b.items[b.head..].iter().map(|&(k, _)| (k.time, k.priority)).min();
+                    break b.items[b.head..].iter().map(|k| (k.time, k.priority)).min();
                 }
                 page += 1;
             }
@@ -406,7 +416,7 @@ impl<E> Scheduler<E> {
         };
         // Overflow events live ≥ N_BUCKETS pages past `cur_page`, so any
         // near event beats them; compare only when the near window is empty.
-        near.or_else(|| self.overflow.peek().map(|&Reverse((k, _))| (k.time, k.priority)))
+        near.or_else(|| self.overflow.peek().map(|&Reverse(k)| (k.time, k.priority)))
     }
 
     /// Drain this scheduler's slice of the global `(time, priority)` group
@@ -420,10 +430,10 @@ impl<E> Scheduler<E> {
             Some((t, p)) if t == time && p == priority => {}
             _ => return,
         }
-        let (key, slot) = self.pop_key().expect("peeked a matching group");
+        let key = self.pop_key().expect("peeked a matching group");
         debug_assert!(key.time == time && key.priority == priority);
         self.processed += 1;
-        let ev = self.take_payload(slot);
+        let ev = self.take_payload(key.slot);
         out.push((key.seq, ev));
         // As in `pop_cycle`: the rest of the group is contiguous at the
         // head of the (sorted) current bucket.
@@ -433,7 +443,7 @@ impl<E> Scheduler<E> {
             if b.items.is_empty() {
                 break;
             }
-            let (k, s) = b.items[b.head];
+            let k = b.items[b.head];
             if k.time != time || k.priority != priority {
                 break;
             }
@@ -444,7 +454,7 @@ impl<E> Scheduler<E> {
             }
             self.near_pending -= 1;
             self.processed += 1;
-            let ev = self.take_payload(s);
+            let ev = self.take_payload(k.slot);
             out.push((k.seq, ev));
         }
     }
@@ -479,17 +489,17 @@ impl<E> Scheduler<E> {
     where
         E: Clone,
     {
-        let mut keyed: Vec<(Key, usize)> = Vec::with_capacity(self.pending());
+        let mut keyed: Vec<Key> = Vec::with_capacity(self.pending());
         for b in &self.buckets {
             keyed.extend_from_slice(&b.items[b.head..]);
         }
-        keyed.extend(self.overflow.iter().map(|Reverse(e)| *e));
+        keyed.extend(self.overflow.iter().map(|Reverse(k)| *k));
         // Keys are unique (seq), so an unstable sort is exact.
-        keyed.sort_unstable_by_key(|&(k, _)| k);
+        keyed.sort_unstable();
         keyed
             .into_iter()
-            .map(|(k, slot)| {
-                let ev = self.payloads[slot].as_ref().expect("pending slot has payload");
+            .map(|k| {
+                let ev = self.payloads[k.slot as usize].as_ref().expect("pending slot has payload");
                 (k.time, k.priority, k.seq, ev.clone())
             })
             .collect()
@@ -504,12 +514,12 @@ impl<E> Scheduler<E> {
                 if !b.items.is_empty() {
                     // The earliest event is in the first non-empty bucket;
                     // the bucket may be unsorted, so scan for its minimum.
-                    return b.items[b.head..].iter().map(|&(k, _)| k.time).min();
+                    return b.items[b.head..].iter().map(|k| k.time).min();
                 }
                 page += 1;
             }
         }
-        self.overflow.peek().map(|Reverse((k, _))| k.time)
+        self.overflow.peek().map(|Reverse(k)| k.time)
     }
 
     /// Drop all pending events (used by the stop event and by phase

@@ -221,8 +221,6 @@ impl MetricsRegistry {
         self.counter("host.other_events", hp.other_events);
         self.counter("host.express_legs", hp.express_legs);
         self.counter("host.hops_elided", hp.hops_elided);
-        self.counter("host.mem_drains", hp.mem_drains);
-        self.counter("host.mem_elided", hp.mem_elided);
         self.counter("host.bursts", hp.bursts);
         self.counter("host.burst_instrs", hp.burst_instrs);
         self.gauge("host.mean_burst_len", hp.mean_burst_len());

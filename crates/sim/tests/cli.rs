@@ -70,6 +70,23 @@ fn functional_mode_matches() {
 }
 
 #[test]
+fn dumping_a_missing_global_fails_after_the_run() {
+    let xs = write_tmp("m.xs", ASM);
+    let xbo = write_tmp("m.xbo", MAP);
+    let out = cli()
+        .arg(&xs)
+        .args(["--config", "tiny", "--dump", "MISSING:4", "--dump", "A:8"])
+        .arg("--memmap")
+        .arg(&xbo)
+        .output()
+        .unwrap();
+    assert!(!out.status.success(), "missing --dump global exited 0");
+    assert!(String::from_utf8_lossy(&out.stderr).contains("no global `MISSING`"));
+    // The run itself completed and the other dump still printed.
+    assert!(String::from_utf8_lossy(&out.stdout).contains("A = [11, 12"));
+}
+
+#[test]
 fn bad_assembly_reports_line() {
     let xs = write_tmp("bad.xs", "main:\n    bogus $t0\n");
     let out = cli().arg(&xs).output().unwrap();

@@ -10,15 +10,18 @@
 //!
 //! Cases sweep random programs (loads, non-blocking stores, prefix-sum-to-
 //! memory, prefetch + consume, fences, MDU work), random small topologies,
-//! both switch timing disciplines (synchronous and self-timed with jitter)
-//! and mid-run DVFS retuning driven by an activity plug-in — the hardest
-//! case for the express path, which must re-derive in-flight legs exactly
-//! as the per-hop walk would have re-decided each remaining hop.
+//! both switch timing disciplines (synchronous and self-timed with jitter),
+//! both prefetch-buffer eviction policies, the sequential and the sharded
+//! parallel (2-worker) engines, and mid-run DVFS retuning driven by an
+//! activity plug-in — the hardest case for the express path, which must
+//! re-derive in-flight legs exactly as the per-hop walk would have
+//! re-decided each remaining hop. A second generator saturates the TCU
+//! prefetch buffers, where fill and eviction order decide which loads hit.
 
 use xmt_harness::prop::{run, Config, Gen};
 use xmt_harness::ToJson;
 use xmt_isa::{AsmProgram, Executable, GlobalReg, Instr, MemoryMap, Reg, Target};
-use xmtsim::config::{ClockDomain, IcnTiming, PrefetchPolicy};
+use xmtsim::config::{ClockDomain, EngineMode, IcnTiming, PrefetchPolicy};
 use xmtsim::stats::{ActivityPlugin, ActivitySample, RuntimeCtl};
 use xmtsim::{CycleSim, IcnModel, XmtConfig};
 
@@ -66,6 +69,17 @@ fn gen_config(g: &mut Gen) -> XmtConfig {
         }
     };
     cfg.prefetch_policy = if g.bool_p(0.5) { PrefetchPolicy::Fifo } else { PrefetchPolicy::Lru };
+    // The MSHR-chain edge case: zero hit latency makes a service end at
+    // its arrival instant, so same-instant arrivals to one line must
+    // still chain in leg-end order.
+    if g.bool_p(0.25) {
+        cfg.cache_hit_latency = 0;
+    }
+    // One case in four runs the sharded parallel engine at 2 workers.
+    if g.bool_p(0.25) {
+        cfg.engine_mode = EngineMode::Parallel;
+        cfg.threads = 2;
+    }
     cfg
 }
 
@@ -111,6 +125,8 @@ fn gen_program(g: &mut Gen) -> Executable {
                     p.push(Instr::Psm { rt: Reg::T4, base: Reg::S1, off: 4 * s as i32 });
                 }
                 3 => {
+                    // Prefetch-buffer fill + consume: hit-or-wait timing
+                    // depends on exact fill order under either policy.
                     p.push(Instr::Pref { base: Reg::T1, off: 0 });
                     p.push(Instr::Lw { rt: Reg::T2, base: Reg::T1, off: 0 });
                 }
@@ -178,22 +194,100 @@ fn observe(
     )
 }
 
-/// The tentpole property: 256 random (program, topology, timing, DVFS)
-/// cases where the express path and the per-hop oracle are bit-identical.
+/// The property itself: the express path and the per-hop oracle are
+/// bit-identical on `exe` under `cfg` and the shared DVFS schedule.
+fn assert_express_matches_perhop(exe: &Executable, cfg: &XmtConfig, dvfs: Option<DvfsSpec>) {
+    let express = observe(exe.clone(), cfg, IcnModel::Express, dvfs);
+    let perhop = observe(exe.clone(), cfg, IcnModel::PerHop, dvfs);
+    assert_eq!(
+        express, perhop,
+        "express/per-hop divergence under cfg {:?} engine {:?} policy {:?} dvfs {:?}",
+        cfg.icn_timing, cfg.engine_mode, cfg.prefetch_policy, dvfs
+    );
+}
+
+/// The tentpole property: 256 random (program, topology, timing, engine,
+/// DVFS) cases where the express path and the per-hop oracle are
+/// bit-identical.
 #[test]
 fn icn_express_matches_perhop_oracle() {
     run("icn_express_matches_perhop_oracle", Config::default(), |g: &mut Gen| {
         let exe = gen_program(g);
         let cfg = gen_config(g);
         let dvfs = gen_dvfs(g);
-        let express = observe(exe.clone(), &cfg, IcnModel::Express, dvfs);
-        let perhop = observe(exe, &cfg, IcnModel::PerHop, dvfs);
-        assert_eq!(
-            express, perhop,
-            "express/per-hop divergence under cfg {:?} dvfs {:?}",
-            cfg.icn_timing, dvfs
-        );
+        assert_express_matches_perhop(&exe, &cfg, dvfs);
     });
+}
+
+/// A prefetch-saturating program: every thread prefetches more lines
+/// than one buffer holds and consumes most of them, so fills contend for
+/// buffer slots and a wrong fill or eviction order changes which loads
+/// hit.
+fn gen_prefetch_saturation(g: &mut Gen) -> Executable {
+    let words = 128usize;
+    let mask = (words - 1) as u32;
+    let mut mm = MemoryMap::new();
+    let a = mm.push("A", (0..words as u32).collect());
+    let mut p = AsmProgram::new();
+    let threads = g.usize_in(4, 16) as i32;
+    let bursts = g.usize_in(3, 8);
+    p.push(Instr::Li { rt: Reg::A0, imm: 0 });
+    p.push(Instr::Li { rt: Reg::A1, imm: threads - 1 });
+    p.push(Instr::Li { rt: Reg::S0, imm: a as i32 });
+    p.push(Instr::Spawn { lo: Reg::A0, hi: Reg::A1 });
+    p.label("vt");
+    p.push(Instr::Li { rt: Reg::T0, imm: 1 });
+    p.push(Instr::Ps { rt: Reg::T0, gr: GlobalReg::THREAD_ALLOC });
+    p.push(Instr::Chkid { rt: Reg::T0 });
+    for k in 0..bursts {
+        // Distinct line per burst.
+        let stride = 1 + g.usize_in(0, 5) as u32;
+        p.push(Instr::Sll { rd: Reg::T1, rt: Reg::T0, sh: 3 });
+        p.push(Instr::Addi {
+            rt: Reg::T1,
+            rs: Reg::T1,
+            imm: ((k as u32 * stride) & mask) as i32,
+        });
+        p.push(Instr::Andi { rt: Reg::T1, rs: Reg::T1, imm: mask });
+        p.push(Instr::Sll { rd: Reg::T1, rt: Reg::T1, sh: 2 });
+        p.push(Instr::Add { rd: Reg::T1, rs: Reg::T1, rt: Reg::S0 });
+        p.push(Instr::Pref { base: Reg::T1, off: 0 });
+        if g.bool_p(0.7) {
+            p.push(Instr::Lw { rt: Reg::T2, base: Reg::T1, off: 0 });
+            p.push(Instr::Add { rd: Reg::T3, rs: Reg::T3, rt: Reg::T2 });
+        }
+    }
+    p.push(Instr::Swnb { rt: Reg::T3, base: Reg::T1, off: 0 });
+    p.push(Instr::J { target: Target::label("vt") });
+    p.push(Instr::Join);
+    p.push(Instr::Halt);
+    p.link(mm).unwrap()
+}
+
+/// The same property on prefetch-saturating programs, under *both*
+/// eviction policies and both engines — and the programs really
+/// prefetched.
+#[test]
+fn prefetch_fill_and_evict_order_matches_perhop_oracle() {
+    run(
+        "prefetch_fill_and_evict_order_matches_perhop_oracle",
+        Config::with_cases(64),
+        |g: &mut Gen| {
+            let exe = gen_prefetch_saturation(g);
+            for policy in [PrefetchPolicy::Fifo, PrefetchPolicy::Lru] {
+                for engine in [EngineMode::Sequential, EngineMode::Parallel] {
+                    let mut cfg = XmtConfig::tiny();
+                    cfg.prefetch_policy = policy;
+                    cfg.engine_mode = engine;
+                    cfg.threads = 2;
+                    assert_express_matches_perhop(&exe, &cfg, None);
+                }
+            }
+            let mut sim = CycleSim::new(exe, XmtConfig::tiny());
+            sim.run().unwrap();
+            assert!(sim.stats.prefetches > 0, "workload never prefetched");
+        },
+    );
 }
 
 /// The express path does what it is for: on a memory-bound workload it
@@ -225,10 +319,6 @@ fn express_elides_hop_events() {
 
     let mut cfg = XmtConfig::tiny();
     cfg.icn_latency = 6; // six switches each way
-    // The hop-for-hop event books below assume one scheduler event per
-    // memory request on both sides; the macro memory model elides those
-    // too (its own books are checked in `mem_macro_diff`).
-    cfg.mem_model = xmtsim::MemModel::PerRequest;
     let run_model = |model: IcnModel| {
         let mut c = cfg.clone();
         c.icn_model = model;

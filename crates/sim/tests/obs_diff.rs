@@ -24,7 +24,7 @@
 use xmt_harness::prop::{run, Config, Gen};
 use xmt_harness::ToJson;
 use xmt_isa::{AsmProgram, Executable, GlobalReg, Instr, MemoryMap, Reg, Target};
-use xmtsim::config::{DecodeMode, EngineMode, IssueModel, MemModel, ObsDetail};
+use xmtsim::config::{DecodeMode, EngineMode, IssueModel, ObsDetail};
 use xmtsim::differential::{check_obs_transparent, OBS_ENGINE_ROWS};
 use xmtsim::{CycleSim, IcnModel, XmtConfig};
 
@@ -212,7 +212,6 @@ fn observe(
     engine: EngineMode,
     threads: u32,
     decode: DecodeMode,
-    mem: MemModel,
     obs: bool,
 ) -> Observed {
     let mut cfg = cfg.clone();
@@ -220,7 +219,6 @@ fn observe(
     cfg.icn_model = icn;
     cfg.engine_mode = engine;
     cfg.decode_cache = decode;
-    cfg.mem_model = mem;
     if engine == EngineMode::Parallel {
         cfg.threads = threads;
     }
@@ -263,7 +261,7 @@ fn obs_on_matches_obs_off_across_engines() {
             let cfg = gen_config(g);
             // Half the cases sweep the curated rows; the other half draw
             // a fully random engine pairing.
-            let (issue, icn, engine, threads, decode, mem) = if g.bool_p(0.5) {
+            let (issue, icn, engine, threads, decode) = if g.bool_p(0.5) {
                 OBS_ENGINE_ROWS[g.usize_in(0, OBS_ENGINE_ROWS.len() - 1)]
             } else {
                 (
@@ -288,18 +286,13 @@ fn obs_on_matches_obs_off_across_engines() {
                     } else {
                         DecodeMode::Off
                     },
-                    if g.bool_p(0.5) {
-                        MemModel::Macro
-                    } else {
-                        MemModel::PerRequest
-                    },
                 )
             };
-            let off = observe(&exe, &cfg, issue, icn, engine, threads, decode, mem, false);
-            let on = observe(&exe, &cfg, issue, icn, engine, threads, decode, mem, true);
+            let off = observe(&exe, &cfg, issue, icn, engine, threads, decode, false);
+            let on = observe(&exe, &cfg, issue, icn, engine, threads, decode, true);
             assert_eq!(
                 off, on,
-                "obs-on diverged under {issue:?}×{icn:?}×{engine:?}(t={threads})×{decode:?}×{mem:?}"
+                "obs-on diverged under {issue:?}×{icn:?}×{engine:?}(t={threads})×{decode:?}"
             );
         },
     );

@@ -4,7 +4,7 @@
 //! [`generate`] draws a [`ProgramSpec`] — a small program AST — from the
 //! property harness's [`Gen`], renders it to XMTC source ([`render`]),
 //! and [`check_case`] compiles it once and runs it through functional
-//! mode and all four cycle-model configurations
+//! mode and all ten cycle-model configurations
 //! ([`xmtsim::differential::CYCLE_ENGINE_MATRIX`]), asserting the cycle
 //! engines are bit-identical and that functional mode agrees on every
 //! architectural observable.
@@ -749,9 +749,7 @@ pub fn check_case_against(
         // `oracle_cfg`.
         use xmtsim::differential::{run_cycle_engine, CYCLE_ENGINE_MATRIX};
         let mut all = run_all_engines(exe, cfg, INSTR_LIMIT).map_err(|e| e.to_string())?;
-        for (k, (issue, icn, engine, threads, decode, mem)) in
-            CYCLE_ENGINE_MATRIX.iter().enumerate()
-        {
+        for (k, (issue, icn, engine, threads, decode)) in CYCLE_ENGINE_MATRIX.iter().enumerate() {
             if matches!(issue, xmtsim::IssueModel::PerInstr) {
                 all.cycle[k] = run_cycle_engine(
                     exe,
@@ -761,7 +759,6 @@ pub fn check_case_against(
                     *engine,
                     *threads,
                     *decode,
-                    *mem,
                     INSTR_LIMIT,
                 )
                 .map_err(|e| e.to_string())?;

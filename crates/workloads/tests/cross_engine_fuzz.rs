@@ -2,13 +2,12 @@
 //!
 //! Every case draws a random (but race-free-by-construction) XMTC
 //! program and a random machine configuration, compiles the program
-//! once, and runs it through functional mode plus all twelve cycle-model
+//! once, and runs it through functional mode plus all ten cycle-model
 //! configurations (`{Burst,PerInstr} × {Express,PerHop}` sequential, the
-//! sharded parallel engine at 2 and 4 worker threads, the decode cache
-//! on both sequential and parallel burst rows, and the macro/per-request
-//! memory-model pairings), asserting
+//! sharded parallel engine at 2 and 4 worker threads, and the decode
+//! cache on both sequential and parallel burst rows), asserting
 //!
-//! * the twelve cycle engines (sequential, sharded-parallel and decoded
+//! * the ten cycle engines (sequential, sharded-parallel and decoded
 //!   replay) are
 //!   **bit-identical** — cycles, simulated time, instruction counts, the
 //!   full stats JSON and the final machine image (memory + registers)
@@ -64,7 +63,7 @@ fn cross_engine_differential_fuzz() {
     });
     // scripts/verify.sh greps for this line to prove the suite really ran
     // (and wasn't filtered out) with the expected case count.
-    eprintln!("cross_engine_fuzz: ran {ran} cases through functional + 12 cycle engines");
+    eprintln!("cross_engine_fuzz: ran {ran} cases through functional + 10 cycle engines");
     assert!(ran >= 1);
 }
 

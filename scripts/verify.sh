@@ -39,159 +39,67 @@ cargo build --release --offline --workspace
 echo "==> cargo test --offline (full suite)"
 cargo test -q --offline --workspace
 
-echo "==> determinism referee: bit-identical runs + checkpoint resume"
-# These are the tests that police the event-list rewrite; make sure they
-# actually *ran* (a filter typo or harness change silently skipping them
-# must fail the gate, not pass it).
-det_out=$(cargo test --offline -p xmt-bench --test checkpoint_resume -- --nocapture 2>&1) || {
-    echo "$det_out" >&2
-    exit 1
-}
-echo "$det_out" | grep -qE 'test result: ok\. [1-9][0-9]* passed' || {
-    echo "determinism/checkpoint tests were skipped (0 ran):" >&2
-    echo "$det_out" >&2
-    exit 1
-}
-
-echo "==> ICN express-vs-per-hop differential referee"
-# The express-path rewrite is only safe while the per-hop oracle agrees
-# bit-for-bit; these property tests must have *run* (not been filtered
-# out) for the gate to pass.
-icn_out=$(cargo test --offline -p xmtsim --test icn_express_diff -- --nocapture 2>&1) || {
-    echo "$icn_out" >&2
-    exit 1
-}
-echo "$icn_out" | grep -qE 'test result: ok\. [1-9][0-9]* passed' || {
-    echo "icn express differential tests were skipped (0 ran):" >&2
-    echo "$icn_out" >&2
-    exit 1
-}
-echo "==> issue burst-vs-per-instr differential referee"
-# Same contract as the ICN referee: the compute-burst issue path is only
-# safe while the per-instruction oracle agrees bit-for-bit, and the
-# tracer/instr-limit/sample-clip regressions must actually have run.
-issue_out=$(cargo test --offline -p xmtsim --test issue_burst_diff -- --nocapture 2>&1) || {
-    echo "$issue_out" >&2
-    exit 1
-}
-echo "$issue_out" | grep -qE 'test result: ok\. [1-9][0-9]* passed' || {
-    echo "issue burst differential tests were skipped (0 ran):" >&2
-    echo "$issue_out" >&2
-    exit 1
-}
-issue_model_out=$(cargo test --offline -p xmtsim --test issue_model 2>&1) || {
-    echo "$issue_model_out" >&2
-    exit 1
-}
-echo "$issue_model_out" | grep -qE 'test result: ok\. [1-9][0-9]* passed' || {
-    echo "issue-model regression tests were skipped (0 ran):" >&2
-    echo "$issue_model_out" >&2
-    exit 1
+echo "==> differential referees"
+# Each suite below polices one fast path against its oracle (or one
+# engine against the other) bit for bit, so it must actually have *run*:
+# a filter typo, a renamed test or a harness change that silently skips
+# it has to fail the gate, not pass it.
+#
+# referee <package> "<test> [<test>…]" [<must-print-regex>]
+#   runs the named integration-test targets of <package> (which may
+#   carry extra cargo flags, e.g. "xmt-workloads --release"), requires
+#   every target to report at least one passed test, and — when given —
+#   requires the output to contain a line matching <must-print-regex>
+#   (the suites' "ran N cases" lines), which is then echoed.
+referee() {
+    pkg=$1
+    tests=$2
+    must_print=${3:-}
+    targets=""
+    want=0
+    for t in $tests; do
+        targets="$targets --test $t"
+        want=$((want + 1))
+    done
+    echo "--> $tests"
+    # shellcheck disable=SC2086  # $pkg and $targets are word lists
+    out=$(cargo test --offline -p $pkg $targets -- --nocapture 2>&1) || {
+        echo "$out" >&2
+        exit 1
+    }
+    ran=$(echo "$out" | grep -cE 'test result: ok\. [1-9][0-9]* passed' || true)
+    [ "$ran" -eq "$want" ] || {
+        echo "$tests: $ran of $want suites ran any test (skipped or filtered out):" >&2
+        echo "$out" >&2
+        exit 1
+    }
+    if [ -n "$must_print" ]; then
+        echo "$out" | grep -E "$must_print" || {
+            echo "$tests: did not report its case count (/$must_print/):" >&2
+            echo "$out" >&2
+            exit 1
+        }
+    fi
 }
 
-echo "==> decode-cache differential referee"
-# Decoded basic-block replay (with superinstruction fusion) is only an
-# optimization while the interpreted issue path agrees bit-for-bit —
-# sequential and parallel, including mid-flight checkpoint bytes. The
-# suite must have actually run for the gate to pass.
-decode_out=$(cargo test --offline -p xmtsim --test decode_diff -- --nocapture 2>&1) || {
-    echo "$decode_out" >&2
-    exit 1
-}
-echo "$decode_out" | grep -qE 'test result: ok\. [1-9][0-9]* passed' || {
-    echo "decode differential tests were skipped (0 ran):" >&2
-    echo "$decode_out" >&2
-    exit 1
-}
+# XMT_FUZZ_CASES lets a quick smoke tier dial the fuzz count down.
+export XMT_FUZZ_CASES="${XMT_FUZZ_CASES:-256}"
 
-echo "==> memory-system macro-vs-per-request differential referee"
-# Macro queue drains are only an optimization while the per-request
-# oracle agrees bit-for-bit — across ICN/issue models, the parallel
-# engine, DVFS retuning, and mid-flight checkpoint cross-resume. The
-# property suite must report its case count for the gate to pass.
-mem_out=$(cargo test --offline -p xmtsim --test mem_macro_diff -- --nocapture 2>&1) || {
-    echo "$mem_out" >&2
-    exit 1
-}
-echo "$mem_out" | grep -qE 'test result: ok\. [1-9][0-9]* passed' || {
-    echo "memory macro differential tests were skipped (0 ran):" >&2
-    echo "$mem_out" >&2
-    exit 1
-}
-echo "$mem_out" | grep -qE 'mem_macro_diff: ran [1-9][0-9]* macro/per-request cases' || {
-    echo "memory macro differential suite did not report its case count:" >&2
-    echo "$mem_out" >&2
-    exit 1
-}
-echo "$mem_out" | grep -E 'mem_macro_diff: ran'
-
-echo "==> parallel-engine differential referee"
-# The sharded parallel engine is only an implementation detail while it
-# stays bit-identical to the sequential engine — including mid-flight
-# checkpoints taken inside an open parallel section. These tests must
-# have actually run for the gate to pass.
-par_out=$(cargo test --offline -p xmtsim --test parallel_engine -- --nocapture 2>&1) || {
-    echo "$par_out" >&2
-    exit 1
-}
-echo "$par_out" | grep -qE 'test result: ok\. [1-9][0-9]* passed' || {
-    echo "parallel-engine differential tests were skipped (0 ran):" >&2
-    echo "$par_out" >&2
-    exit 1
-}
-
-inflight_out=$(cargo test --offline -p xmt-bench --test checkpoint_inflight 2>&1) || {
-    echo "$inflight_out" >&2
-    exit 1
-}
-echo "$inflight_out" | grep -qE 'test result: ok\. [1-9][0-9]* passed' || {
-    echo "mid-flight checkpoint tests were skipped (0 ran):" >&2
-    echo "$inflight_out" >&2
-    exit 1
-}
-
-echo "==> cross-engine differential fuzz referee"
-# The fuzzer must actually *run* its seeded cases through functional
-# mode plus all twelve cycle-model configs — a filter typo or a renamed
-# test silently skipping the suite must fail the gate. XMT_FUZZ_CASES
-# lets a quick smoke tier dial the count down (default 256).
-fuzz_out=$(XMT_FUZZ_CASES="${XMT_FUZZ_CASES:-256}" \
-    cargo test --offline --release -p xmt-workloads --test cross_engine_fuzz -- --nocapture 2>&1) || {
-    echo "$fuzz_out" >&2
-    exit 1
-}
-echo "$fuzz_out" | grep -qE 'test result: ok\. [1-9][0-9]* passed' || {
-    echo "cross-engine fuzz tests were skipped (0 ran):" >&2
-    echo "$fuzz_out" >&2
-    exit 1
-}
-echo "$fuzz_out" | grep -qE 'cross_engine_fuzz: ran [1-9][0-9]* cases through functional \+ 12 cycle engines' || {
-    echo "cross-engine fuzz suite did not report its case count:" >&2
-    echo "$fuzz_out" >&2
-    exit 1
-}
-echo "$fuzz_out" | grep -E 'cross_engine_fuzz: ran'
-
-echo "==> observability referee: obs-on/obs-off bit-identity + trace export"
-# The observability layer is only free while an obs-on run stays
-# bit-identical to an obs-off run under both engines; the 256-case
-# suite must report its case count (a filtered-out suite must fail the
-# gate), and the exported trace/metrics sidecars must actually parse.
-obs_out=$(cargo test --offline -p xmtsim --test obs_diff --test obs_trace -- --nocapture 2>&1) || {
-    echo "$obs_out" >&2
-    exit 1
-}
-echo "$obs_out" | grep -qE 'test result: ok\. [1-9][0-9]* passed' || {
-    echo "observability tests were skipped (0 ran):" >&2
-    echo "$obs_out" >&2
-    exit 1
-}
-echo "$obs_out" | grep -qE 'obs_diff: ran [1-9][0-9]* obs-on/obs-off cases' || {
-    echo "obs differential suite did not report its case count:" >&2
-    echo "$obs_out" >&2
-    exit 1
-}
-echo "$obs_out" | grep -E 'obs_diff: ran'
+# determinism: bit-identical runs + quiescent and mid-flight checkpoints
+referee xmt-bench "checkpoint_resume checkpoint_inflight"
+# express ICN legs vs the per-hop walk
+referee xmtsim icn_express_diff
+# compute bursts vs per-instruction issue (+ tracer/limit/sample clips)
+referee xmtsim "issue_burst_diff issue_model"
+# decoded basic-block replay vs interpreted issue
+referee xmtsim decode_diff
+# sharded parallel engine vs the sequential engine
+referee xmtsim parallel_engine
+# generated XMTC through functional mode + the whole engine matrix
+referee "xmt-workloads --release" cross_engine_fuzz \
+    'cross_engine_fuzz: ran [1-9][0-9]* cases through functional \+ 10 cycle engines'
+# observability on vs off, and the exported trace parses
+referee xmtsim "obs_diff obs_trace" 'obs_diff: ran [1-9][0-9]* obs-on/obs-off cases'
 
 # End-to-end smoke: the CLI writes both sidecars and both parse (the
 # bench binary's --json mode shares the metrics schema).
@@ -237,7 +145,7 @@ echo "==> smoke benches (shortened iterations; writes BENCH_*.json)"
 XMT_BENCH_DIR="$PWD/target/bench" \
 XMT_BENCH_ITERS="${XMT_BENCH_ITERS:-3}" \
 XMT_BENCH_WARMUP_MS="${XMT_BENCH_WARMUP_MS:-10}" \
-    cargo bench --offline -p xmt-bench --bench modes --bench compiler --bench scheduler --bench icn --bench issue --bench corpus --bench parallel --bench decode --bench mem
+    cargo bench --offline -p xmt-bench --bench modes --bench compiler --bench scheduler --bench icn --bench issue --bench corpus --bench parallel --bench decode
 
 ls target/bench/BENCH_*.json >/dev/null 2>&1 || {
     echo "no BENCH_*.json emitted" >&2
@@ -267,10 +175,6 @@ ls target/bench/BENCH_*.json >/dev/null 2>&1 || {
     echo "BENCH_decode.json missing (decode cache-vs-off bench did not run)" >&2
     exit 1
 }
-[ -f target/bench/BENCH_mem.json ] || {
-    echo "BENCH_mem.json missing (memory macro-vs-per-request bench did not run)" >&2
-    exit 1
-}
 
 echo "==> perf-regression gate (fresh medians vs bench/refs)"
 # One confirm-rerun on failure: the refs are per-host wall-clock
@@ -283,7 +187,7 @@ if ! ./scripts/perf_gate.sh target/bench; then
     XMT_BENCH_DIR="$PWD/target/bench" \
     XMT_BENCH_ITERS="${XMT_BENCH_ITERS:-3}" \
     XMT_BENCH_WARMUP_MS="${XMT_BENCH_WARMUP_MS:-10}" \
-        cargo bench --offline -p xmt-bench --bench modes --bench compiler --bench scheduler --bench icn --bench issue --bench corpus --bench parallel --bench decode --bench mem
+        cargo bench --offline -p xmt-bench --bench modes --bench compiler --bench scheduler --bench icn --bench issue --bench corpus --bench parallel --bench decode
     ./scripts/perf_gate.sh target/bench
 fi
 

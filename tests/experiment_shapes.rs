@@ -24,10 +24,6 @@ fn table1_shape_holds() {
     // per-instruction step events whose cost Table I measures, so the
     // shape is pinned on per-instruction stepping.
     cfg.issue_model = xmtsim::IssueModel::PerInstr;
-    // And for the memory system: macro queue drains collapse the
-    // per-request service/completion events on exactly the memory-bound
-    // rows whose cost this shape pins, so E1 stays on the oracle.
-    cfg.mem_model = xmtsim::MemModel::PerRequest;
     let p = MicroParams { threads: 1024, iters: 12, data_words: 1 << 14 };
     let mut rates = std::collections::HashMap::new();
     for g in MicroGroup::ALL {
