@@ -30,6 +30,7 @@
 //! ```
 
 use std::fmt;
+use std::sync::Arc;
 use xmt_isa::{AsmProgram, Executable, MemoryMap};
 use xmtc::{CompileError, Options};
 use xmtsim::cycle::SimError;
@@ -110,13 +111,14 @@ impl Toolchain {
     /// Compile and link an XMTC program.
     pub fn compile(&self, source: &str) -> Result<Compiled, ToolchainError> {
         let out = xmtc::compile(source, &self.options)?;
-        let exe = out.link()?;
+        // Link with the data segment moved, not cloned: the image is built once.
+        let exe = out.asm.link(out.memmap)?;
         Ok(Compiled {
             asm: out.asm,
             warnings: out.warnings,
             layout_fixes: out.layout_fixes,
             line_table: out.line_table,
-            exe,
+            exe: Arc::new(exe),
         })
     }
 }
@@ -132,7 +134,9 @@ pub struct Compiled {
     pub layout_fixes: u32,
     /// Sparse instruction-index → XMTC-source-line table.
     pub line_table: Vec<(u32, u32)>,
-    exe: Executable,
+    /// Shared with every simulator and [`RunResult`] built from it, so a
+    /// run copies the image once (into simulated memory), not per holder.
+    exe: Arc<Executable>,
 }
 
 impl Compiled {
@@ -162,8 +166,10 @@ impl Compiled {
     }
 
     /// Set a global's initial raw words (the program-input channel).
+    /// Results of earlier runs keep the image they ran with: the first
+    /// change while one is alive copies the image (`Arc::make_mut`).
     pub fn set_global(&mut self, name: &str, words: &[u32]) -> Result<(), ToolchainError> {
-        if self.exe.memmap.set_values(name, words) {
+        if Arc::make_mut(&mut self.exe).memmap.set_values(name, words) {
             Ok(())
         } else {
             Err(ToolchainError::Input(match self.exe.memmap.lookup(name) {
@@ -192,12 +198,12 @@ impl Compiled {
     /// Build a cycle-accurate simulator for this program (for advanced
     /// use: attaching plug-ins, tracers, checkpoints).
     pub fn simulator(&self, cfg: &XmtConfig) -> CycleSim {
-        CycleSim::new(self.exe.clone(), cfg.clone())
+        CycleSim::new(Arc::clone(&self.exe), cfg.clone())
     }
 
     /// Build a fast functional simulator for this program.
     pub fn functional_simulator(&self) -> FunctionalSim {
-        FunctionalSim::new(self.exe.clone())
+        FunctionalSim::new(Arc::clone(&self.exe))
     }
 
     /// Run on the cycle-accurate simulator.
@@ -210,9 +216,9 @@ impl Compiled {
             instructions: summary.instructions,
             events: summary.events,
             output: sim.machine.output.clone(),
-            stats: sim.stats.clone(),
-            machine: sim.machine.clone(),
-            exe: self.exe.clone(),
+            stats: sim.stats,
+            machine: sim.machine,
+            exe: Arc::clone(&self.exe),
         })
     }
 
@@ -226,9 +232,9 @@ impl Compiled {
             instructions,
             events: 0,
             output: sim.machine.output.clone(),
-            stats: sim.stats.clone(),
-            machine: sim.machine.clone(),
-            exe: self.exe.clone(),
+            stats: sim.stats,
+            machine: sim.machine,
+            exe: Arc::clone(&self.exe),
         })
     }
 }
@@ -249,7 +255,7 @@ pub struct RunResult {
     /// Simulator statistics counters.
     pub stats: xmtsim::stats::Stats,
     machine: Machine,
-    exe: Executable,
+    exe: Arc<Executable>,
 }
 
 impl RunResult {

@@ -57,6 +57,30 @@ fn fig2a_array_compaction() {
     assert_eq!(b, vec![3, 5, 9, 12], "non-zeros compacted (order not preserved)");
 }
 
+/// The program image is shared between a `Compiled` and the results of
+/// its runs; a result must keep the image it ran with when the inputs
+/// change afterwards (the copy-on-write case of `set_global`).
+#[test]
+fn set_global_leaves_earlier_results_alone() {
+    let src = "
+        int A[4]; int B[4];
+        void main() { spawn(0, 3) { B[$] = A[$] + 1; } }
+    ";
+    let mut c = Toolchain::new().compile(src).unwrap();
+    c.set_global_ints("A", &[1, 2, 3, 4]).unwrap();
+    let first = c.run(&XmtConfig::tiny()).unwrap();
+    let first_functional = c.run_functional().unwrap();
+    c.set_global_ints("A", &[10, 20, 30, 40]).unwrap();
+    let second = c.run(&XmtConfig::tiny()).unwrap();
+    for r in [&first, &first_functional] {
+        assert_eq!(r.read_global_ints("A", 4).unwrap(), vec![1, 2, 3, 4]);
+        assert_eq!(r.read_global_ints("B", 4).unwrap(), vec![2, 3, 4, 5]);
+    }
+    assert_eq!(second.read_global_ints("A", 4).unwrap(), vec![10, 20, 30, 40]);
+    assert_eq!(second.read_global_ints("B", 4).unwrap(), vec![11, 21, 31, 41]);
+    assert_eq!(c.memmap().lookup("A").unwrap().words, vec![10, 20, 30, 40]);
+}
+
 #[test]
 fn functions_recursion_and_stack_args() {
     let r = run_src(

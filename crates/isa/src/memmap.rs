@@ -38,6 +38,13 @@ impl MemEntry {
     pub fn byte_len(&self) -> u32 {
         (self.words.len() as u32) * 4
     }
+
+    /// The first address past the entry, or `None` when the entry runs
+    /// past the end of the 32-bit address space.
+    pub fn end(&self) -> Option<u32> {
+        let bytes = u32::try_from(self.words.len()).ok()?.checked_mul(4)?;
+        self.addr.checked_add(bytes)
+    }
 }
 
 /// A complete memory map: the initial image of the static data segment.
@@ -78,12 +85,10 @@ impl MemoryMap {
     }
 
     /// The first address past all current entries (data base when empty).
+    /// Entries that run past the end of the address space — which
+    /// [`Self::parse`] and `AsmProgram::link` reject — do not count.
     pub fn next_free(&self) -> u32 {
-        self.entries
-            .iter()
-            .map(|e| e.addr + e.byte_len())
-            .max()
-            .unwrap_or(DATA_BASE)
+        self.entries.iter().filter_map(MemEntry::end).max().unwrap_or(DATA_BASE)
     }
 
     /// Find a global by name.
@@ -139,7 +144,9 @@ impl MemoryMap {
             }
             let count_s = parts.next().ok_or_else(|| err("missing word count"))?;
             let count = parse_u32(count_s).ok_or_else(|| err("bad word count"))? as usize;
-            let mut words = Vec::with_capacity(count);
+            // The count is the file's own claim; a line of `len` bytes
+            // holds fewer than `len / 2 + 1` tokens, so reserve no more.
+            let mut words = Vec::with_capacity(count.min(line.len() / 2 + 1));
             for _ in 0..count {
                 let w = parts.next().ok_or_else(|| err("too few words"))?;
                 words.push(parse_u32(w).ok_or_else(|| err("bad word value"))?);
@@ -147,7 +154,11 @@ impl MemoryMap {
             if parts.next().is_some() {
                 return Err(err("trailing tokens"));
             }
-            map.entries.push(MemEntry { name, addr, words });
+            let entry = MemEntry { name, addr, words };
+            if entry.end().is_none() {
+                return Err(err("entry runs past the end of the address space"));
+            }
+            map.entries.push(entry);
         }
         Ok(map)
     }
@@ -201,6 +212,31 @@ mod tests {
         assert!(MemoryMap::parse("x 0x10000000 2 0").is_err()); // too few words
         assert!(MemoryMap::parse("x 0x10000000 1 0 9").is_err()); // trailing
         assert!(MemoryMap::parse("x zzz 1 0").is_err()); // bad addr
+    }
+
+    #[test]
+    fn parse_bounds_the_reservation_by_the_line() {
+        // The count is hostile; the answer is a diagnostic, not a 16 GB
+        // reservation that aborts the process.
+        let e = MemoryMap::parse("x 0x10000000 4294967295 1\n").unwrap_err();
+        assert_eq!(e.to_string(), "memory map line 1: too few words");
+    }
+
+    #[test]
+    fn parse_rejects_an_entry_past_the_address_space() {
+        let e = MemoryMap::parse("# top\nx 0xfffffffc 2 7 9\n").unwrap_err();
+        assert_eq!(
+            e.to_string(),
+            "memory map line 2: entry runs past the end of the address space"
+        );
+        // Ending exactly at 2^32 has no representable end either.
+        assert!(MemoryMap::parse("x 0xfffffffc 1 7").is_err());
+        assert!(MemoryMap::parse("x 0xfffffff8 1 7").is_ok());
+        // A programmatically built map reports it instead of wrapping.
+        let mut m = MemoryMap::new();
+        m.entries.push(MemEntry { name: "x".into(), addr: 0xffff_fffc, words: vec![7, 9] });
+        assert_eq!(m.entries[0].end(), None);
+        assert_eq!(m.next_free(), DATA_BASE);
     }
 
     #[test]

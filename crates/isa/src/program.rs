@@ -50,6 +50,8 @@ pub enum LinkError {
     NestedSpawn(u32),
     /// The program is empty.
     Empty,
+    /// A memory-map entry runs past the end of the 32-bit address space.
+    DataOverrun(String),
 }
 
 impl fmt::Display for LinkError {
@@ -61,6 +63,9 @@ impl fmt::Display for LinkError {
             LinkError::UnmatchedSpawn(i) => write!(f, "`spawn` at instruction {i} never joined"),
             LinkError::NestedSpawn(i) => write!(f, "nested `spawn` at instruction {i}"),
             LinkError::Empty => write!(f, "empty program"),
+            LinkError::DataOverrun(name) => {
+                write!(f, "global `{name}` runs past the end of the address space")
+            }
         }
     }
 }
@@ -122,6 +127,9 @@ impl AsmProgram {
         }
         if idx == 0 {
             return Err(LinkError::Empty);
+        }
+        if let Some(e) = memmap.entries.iter().find(|e| e.end().is_none()) {
+            return Err(LinkError::DataOverrun(e.name.clone()));
         }
 
         // Pass 2: resolve targets and match spawn/join.
@@ -305,6 +313,15 @@ mod tests {
     fn link_rejects_empty() {
         let p = AsmProgram::new();
         assert_eq!(p.link(MemoryMap::default()), Err(LinkError::Empty));
+    }
+
+    #[test]
+    fn link_rejects_data_past_the_address_space() {
+        let mut p = AsmProgram::new();
+        p.push(Instr::Halt);
+        let mut mm = MemoryMap::default();
+        mm.entries.push(crate::MemEntry { name: "x".into(), addr: 0xffff_fffc, words: vec![7, 9] });
+        assert_eq!(p.link(mm), Err(LinkError::DataOverrun("x".into())));
     }
 
     #[test]

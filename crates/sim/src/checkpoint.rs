@@ -143,7 +143,7 @@ impl CycleSim {
     /// configuration as the original run). Plug-ins and tracers must be
     /// re-attached by the caller.
     pub fn resume(
-        exe: xmt_isa::Executable,
+        exe: impl Into<std::sync::Arc<xmt_isa::Executable>>,
         cfg: crate::config::XmtConfig,
         ckpt: Checkpoint,
     ) -> CycleSim {

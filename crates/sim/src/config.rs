@@ -6,6 +6,7 @@
 //! paper's: the 64-TCU Paraleap FPGA prototype used for verification, and
 //! the envisioned 1024-TCU XMT chip used in the GPU comparisons.
 
+use crate::cycle::cachesim::MAX_ASSOC;
 use xmt_harness::{json_enum, json_struct};
 
 /// Replacement policy of the TCU prefetch buffers (the design-space knob
@@ -401,6 +402,9 @@ impl XmtConfig {
         }
         if self.cache_assoc == 0 || self.master_cache_assoc == 0 {
             return Err("associativity must be nonzero".into());
+        }
+        if self.cache_assoc.max(self.master_cache_assoc) > MAX_ASSOC {
+            return Err(format!("associativity must be at most {MAX_ASSOC}"));
         }
         if self.broadcast_ipc == 0 {
             return Err("broadcast ipc must be nonzero".into());

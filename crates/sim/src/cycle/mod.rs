@@ -49,6 +49,7 @@ use prefetch::PrefetchBuffer;
 use std::cmp::Ordering;
 use std::collections::{BTreeMap, HashMap};
 use std::fmt;
+use std::sync::Arc;
 use xmt_harness::{json_enum, json_struct};
 use xmt_isa::{Executable, Reg};
 
@@ -333,17 +334,55 @@ json_enum!(Ev {
     ExpressEnd { leg, gen },
 });
 
+/// The per-hop timestamps of one express leg: entry `k` is the time the
+/// per-hop model's `(k+1)`-th `Hop` event would carry, the last entry is
+/// the leg's end. Every request makes two of these, so the common shape
+/// costs no allocation.
+#[derive(Debug, Clone)]
+enum HopChain {
+    /// Evenly spaced stages — synchronous switches, or self-timed ones
+    /// without jitter: entry `k` is `start + (k + 1) · step`.
+    Even { start: Time, step: Time, n: u32 },
+    /// One timestamp per stage: jittered asynchronous timing, a chain
+    /// whose suffix a DVFS retune moved, or one read from a checkpoint.
+    Explicit(Vec<Time>),
+}
+
+impl HopChain {
+    fn len(&self) -> usize {
+        match self {
+            HopChain::Even { n, .. } => *n as usize,
+            HopChain::Explicit(times) => times.len(),
+        }
+    }
+
+    #[inline]
+    fn at(&self, k: usize) -> Time {
+        match self {
+            HopChain::Even { start, step, .. } => start + (k as u64 + 1) * step,
+            HopChain::Explicit(times) => times[k],
+        }
+    }
+
+    /// The leg's end: the time of its last stage.
+    fn end(&self) -> Time {
+        self.at(self.len() - 1)
+    }
+
+    fn to_vec(&self) -> Vec<Time> {
+        (0..self.len()).map(|k| self.at(k)).collect()
+    }
+}
+
 /// One in-flight ICN traversal under [`IcnModel::Express`].
 ///
-/// `chain[k]` is the timestamp the per-hop model's `(k+1)`-th `Hop` event
-/// would carry; `chain.last()` is the leg's end, where the one scheduled
-/// [`Ev::ExpressEnd`] fires. Storing the whole chain (not just the end)
-/// serves two purposes: same-timestamp ties between leg-end events are
-/// broken exactly as the per-hop walk would break them (lexicographic on
-/// the *reversed* chain — see `order_express_batch`), and a mid-flight
-/// DVFS period change can recompute exactly the suffix of stages whose
-/// per-hop scheduling decision would have happened after the change.
-#[derive(Debug, Clone, PartialEq)]
+/// Keeping the whole chain (not just the end) serves two purposes:
+/// same-timestamp ties between leg-end events are broken exactly as the
+/// per-hop walk would break them (lexicographic on the *reversed* chain —
+/// see `order_express_batch`), and a mid-flight DVFS period change can
+/// recompute exactly the suffix of stages whose per-hop scheduling
+/// decision would have happened after the change.
+#[derive(Debug, Clone)]
 struct ExpressLeg {
     tcu: u32,
     req: MemRequest,
@@ -354,29 +393,17 @@ struct ExpressLeg {
     /// model's first `Hop` event would have carried, as the final
     /// tie-break between legs with fully identical chains.
     seq: u64,
-    chain: Vec<Time>,
+    chain: HopChain,
 }
-
-json_struct!(ExpressLeg {
-    tcu,
-    req,
-    value,
-    inbound,
-    issued_at,
-    seq,
-    chain
-});
 
 /// A slot of the express-leg table. Slots are reused; `gen` increments on
 /// every (re)allocation and reschedule so stale `ExpressEnd` events can be
 /// recognized.
-#[derive(Debug, Clone, PartialEq, Default)]
+#[derive(Debug, Clone, Default)]
 struct LegSlot {
     gen: u64,
     leg: Option<ExpressLeg>,
 }
-
-json_struct!(LegSlot { gen, leg });
 
 /// A pending scheduler event captured by a mid-flight checkpoint, in exact
 /// pop order.
@@ -502,7 +529,8 @@ const MASTER_ID: u32 = u32::MAX;
 
 /// The cycle-accurate simulator.
 pub struct CycleSim {
-    exe: Executable,
+    /// The program image, shared with whoever built the simulator.
+    exe: Arc<Executable>,
     cfg: XmtConfig,
     /// Functional-model state (shared memory, global registers, output).
     pub machine: Machine,
@@ -609,9 +637,10 @@ pub struct CycleSim {
 }
 
 impl CycleSim {
-    /// Build a simulator for `exe` on configuration `cfg`, panicking on
-    /// an invalid configuration (see [`Self::try_new`]).
-    pub fn new(exe: Executable, cfg: XmtConfig) -> Self {
+    /// Build a simulator for `exe` (an `Executable`, or an `Arc` of one
+    /// to share the image instead of copying it) on configuration `cfg`,
+    /// panicking on an invalid configuration (see [`Self::try_new`]).
+    pub fn new(exe: impl Into<Arc<Executable>>, cfg: XmtConfig) -> Self {
         Self::try_new(exe, cfg).expect("invalid configuration")
     }
 
@@ -621,9 +650,10 @@ impl CycleSim {
     /// configurations, where e.g. `dram_channels = 0` must surface as a
     /// load-time error rather than a divide-by-zero at the first cache
     /// miss.
-    pub fn try_new(exe: Executable, cfg: XmtConfig) -> Result<Self, String> {
+    pub fn try_new(exe: impl Into<Arc<Executable>>, cfg: XmtConfig) -> Result<Self, String> {
         cfg.validate()?;
-        let machine = Machine::load(&exe);
+        let exe = exe.into();
+        let machine = Machine::load(&exe)?;
         let n_tcus = cfg.n_tcus() as usize;
         let line = cfg.line_bytes;
         let tcu = TcuState {
@@ -997,44 +1027,47 @@ impl CycleSim {
     /// no-op.
     fn reschedule_express_legs(&mut self, now: Time) {
         for i in 0..self.express_legs.len() {
-            let Some(mut leg) = self.express_legs[i].leg.take() else {
+            let Some(leg) = self.express_legs[i].leg.as_ref() else {
                 continue;
             };
             let n = leg.chain.len();
-            let old_end = leg.chain[n - 1];
-            for k in 1..n {
-                if leg.chain[k - 1] > now {
-                    let d = self.hop_delay(leg.req.addr, (n - k) as u32);
-                    leg.chain[k] = leg.chain[k - 1] + d;
-                }
+            // Timestamps increase along a chain, so the stages to
+            // re-decide are a suffix.
+            let Some(first) = (1..n).find(|&k| leg.chain.at(k - 1) > now) else {
+                continue;
+            };
+            let addr = leg.req.addr;
+            let mut times = leg.chain.to_vec();
+            for k in first..n {
+                times[k] = times[k - 1] + self.hop_delay(addr, (n - k) as u32);
             }
-            let end = leg.chain[n - 1];
-            self.express_legs[i].leg = Some(leg);
-            if end != old_end {
-                self.express_legs[i].gen += 1;
-                let gen = self.express_legs[i].gen;
+            let end = times[n - 1];
+            let slot = &mut self.express_legs[i];
+            let leg = slot.leg.as_mut().expect("leg checked above");
+            if end != leg.chain.end() {
+                leg.chain = HopChain::Explicit(times);
+                slot.gen += 1;
+                let gen = slot.gen;
                 self.schedule_ev(end, PRI_NEGOTIATE, Ev::ExpressEnd { leg: i as u32, gen });
             }
         }
     }
 
     /// The per-hop timestamps of one express leg to `addr`, entered into
-    /// the network at `start`: entry `k` is when the per-hop model's
-    /// `(k+1)`-th `Hop` event would fire; the last entry is the leg end.
-    /// Asynchronous cumulative offsets are cached per destination (they
-    /// are the same for every package to `addr`); synchronous offsets are
-    /// a trivial multiple of the ICN period.
-    fn express_chain(&mut self, addr: u32, start: Time, inbound: bool) -> Vec<Time> {
-        let n = self.cfg.icn_oneway() as usize;
+    /// the network at `start`. Jittered asynchronous cumulative offsets
+    /// are cached per destination (they are the same for every package to
+    /// `addr`); any other timing has one delay for every stage.
+    fn express_chain(&mut self, addr: u32, start: Time, inbound: bool) -> HopChain {
         match self.cfg.icn_timing {
-            IcnTiming::Synchronous => {
-                let p = self.p(ClockDomain::Icn);
-                (1..=n as u64).map(|k| start + k * p).collect()
-            }
-            IcnTiming::Asynchronous { .. } => {
+            IcnTiming::Asynchronous { jitter_ps, .. } if jitter_ps != 0 => {
                 let offs = self.route_offsets(addr, inbound);
-                offs.iter().map(|&o| start + o).collect()
+                HopChain::Explicit(offs.iter().map(|&o| start + o).collect())
             }
+            _ => HopChain::Even {
+                start,
+                step: self.hop_delay(addr, 0),
+                n: self.cfg.icn_oneway(),
+            },
         }
     }
 
@@ -1081,7 +1114,7 @@ impl CycleSim {
     ) {
         let chain = self.express_chain(req.addr, start, inbound);
         let n = chain.len();
-        let end = chain[n - 1];
+        let end = chain.end();
         let seq = self.leg_seq;
         self.leg_seq += 1;
         let leg = ExpressLeg {
@@ -1119,7 +1152,7 @@ impl CycleSim {
         }
         let Some(leg) = entry.leg.take() else { return };
         self.legs_free.push(slot);
-        debug_assert_eq!(*leg.chain.last().expect("nonempty chain"), now);
+        debug_assert_eq!(leg.chain.end(), now);
         if leg.inbound {
             self.arrive(now, leg.tcu, leg.req, leg.issued_at);
         } else {
@@ -2352,8 +2385,8 @@ impl CycleSim {
         // Stale (generation-mismatched) express ends are no-ops and are
         // dropped.
         type OpKey = (Time, Priority, Vec<Time>, u64, (u32, Time, u32, u32));
-        fn rev_of(chain: &[Time]) -> Vec<Time> {
-            chain[..chain.len() - 1].iter().rev().copied().collect()
+        fn rev_of(chain: &HopChain) -> Vec<Time> {
+            (0..chain.len() - 1).rev().map(|k| chain.at(k)).collect()
         }
         let mut events = Vec::new();
         let mut ops: Vec<(OpKey, SavedMemOp)> = Vec::new();
@@ -2371,7 +2404,7 @@ impl CycleSim {
                                     value: l.value,
                                     inbound: l.inbound,
                                     issued_at: l.issued_at,
-                                    chain: l.chain.clone(),
+                                    chain: l.chain.to_vec(),
                                 },
                             ));
                         }
@@ -2527,7 +2560,8 @@ impl CycleSim {
                         issued_at,
                         chain,
                     } => {
-                        let end = *chain.last().expect("nonempty chain");
+                        let chain = HopChain::Explicit(chain);
+                        let end = chain.end();
                         let seq = self.leg_seq;
                         self.leg_seq += 1;
                         let slot = self.express_legs.len() as u32;
@@ -2614,7 +2648,7 @@ fn order_express_batch(legs: &[LegSlot], batch: &mut [Ev]) {
         (Some(la), Some(lb)) => {
             let n = la.chain.len().min(lb.chain.len());
             for i in (0..n.saturating_sub(1)).rev() {
-                match la.chain[i].cmp(&lb.chain[i]) {
+                match la.chain.at(i).cmp(&lb.chain.at(i)) {
                     Ordering::Equal => continue,
                     o => return o,
                 }

@@ -50,6 +50,7 @@ use crate::engine::{Priority, Time, PRI_DEFAULT, PRI_NEGOTIATE};
 use crate::exec::{self, CostClass};
 use crate::machine::ThreadCtx;
 use std::sync::mpsc::{channel, Receiver, Sender};
+use std::sync::Arc;
 use xmt_isa::{Executable, FuKind};
 
 /// Minimum burstable step events in a window before phase A is worth a
@@ -277,7 +278,9 @@ impl CycleSim {
     /// shard for the duration of the run, then drive the window loop.
     pub(super) fn run_inner_parallel(&mut self) -> Result<Outcome, SimError> {
         self.start();
-        let exe = self.exe.clone();
+        // A second handle on the shared image, so the workers can borrow
+        // it while the window loop borrows `self` mutably.
+        let exe = Arc::clone(&self.exe);
         let workers = self.workers();
         std::thread::scope(|scope| {
             let mut cmd_txs: Vec<Sender<WorkerCmd>> = Vec::with_capacity(workers);

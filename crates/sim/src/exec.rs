@@ -738,7 +738,7 @@ mod tests {
 
     fn run_serial(p: AsmProgram, mm: MemoryMap) -> (Machine, ThreadCtx) {
         let exe = p.link(mm).unwrap();
-        let mut m = Machine::load(&exe);
+        let mut m = Machine::load(&exe).unwrap();
         let mut ctx = ThreadCtx { pc: exe.entry, ..Default::default() };
         ctx.regs.set(Reg::Sp, xmt_isa::STACK_TOP);
         for _ in 0..100_000 {
@@ -819,7 +819,7 @@ mod tests {
         mm.push("PAD", vec![0; 2048]);
         let exe = p.link(mm).unwrap();
 
-        let mut m = Machine::load(&exe);
+        let mut m = Machine::load(&exe).unwrap();
         let mut a = ThreadCtx::default(); // stepped by `issue`
         let mut b = ThreadCtx::default(); // stepped by `issue_local`
         let mut local_steps = 0;
@@ -916,7 +916,7 @@ mod tests {
             p.push(Instr::Halt);
             p.link(MemoryMap::new()).unwrap()
         };
-        let mut m = Machine::load(&exe);
+        let mut m = Machine::load(&exe).unwrap();
         let mut ctx = ThreadCtx::default();
         issue(&exe, &mut ctx, &mut m, Mode::Master).unwrap();
         let err = issue(&exe, &mut ctx, &mut m, Mode::Master).unwrap_err();
@@ -971,7 +971,7 @@ mod tests {
             p.push(Instr::Halt);
             p.link(MemoryMap::new()).unwrap()
         };
-        let mut m = Machine::load(&exe);
+        let mut m = Machine::load(&exe).unwrap();
         let mut ctx = ThreadCtx { pc: 3, ..Default::default() };
         ctx.regs.set(Reg::T0, 4); // out of range: hi = 3
         let res = issue(&exe, &mut ctx, &mut m, Mode::Parallel { hi: 3 }).unwrap();
@@ -993,7 +993,7 @@ mod tests {
             p.push(Instr::Halt);
             p.link(MemoryMap::new()).unwrap()
         };
-        let mut m = Machine::load(&exe);
+        let mut m = Machine::load(&exe).unwrap();
         let mut ctx = ThreadCtx::default();
         issue(&exe, &mut ctx, &mut m, Mode::Master).unwrap();
         let err = issue(&exe, &mut ctx, &mut m, Mode::Master).unwrap_err();
@@ -1009,7 +1009,7 @@ mod tests {
             p.push(Instr::Join);
             p.link(MemoryMap::new()).unwrap()
         };
-        let mut m = Machine::load(&exe);
+        let mut m = Machine::load(&exe).unwrap();
         let par = Mode::Parallel { hi: 10 };
 
         let mut ctx = ThreadCtx { pc: 0, ..Default::default() };

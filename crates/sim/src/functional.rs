@@ -14,6 +14,7 @@ use crate::decode::{Cursor, DecodeCache, ReplayEnv, C_ALU, C_BR, C_CTL, C_SFT};
 use crate::exec::{self, Issued, MemKind, Mode};
 use crate::machine::{Machine, ThreadCtx, Trap};
 use crate::stats::Stats;
+use std::sync::Arc;
 use xmt_isa::{Executable, Instr, Reg};
 
 /// Errors from a functional run.
@@ -46,7 +47,8 @@ impl From<Trap> for FuncError {
 
 /// The functional-mode simulator.
 pub struct FunctionalSim {
-    exe: Executable,
+    /// The program image, shared with whoever built the simulator.
+    exe: Arc<Executable>,
     /// Architectural state.
     pub machine: Machine,
     /// Master context.
@@ -63,9 +65,12 @@ pub struct FunctionalSim {
 }
 
 impl FunctionalSim {
-    /// Build a functional simulator for `exe`.
-    pub fn new(exe: Executable) -> Self {
-        let machine = Machine::load(&exe);
+    /// Build a functional simulator for `exe` (an `Executable`, or an
+    /// `Arc` of one to share the image instead of copying it). Panics on
+    /// an image `AsmProgram::link` would have rejected.
+    pub fn new(exe: impl Into<Arc<Executable>>) -> Self {
+        let exe = exe.into();
+        let machine = Machine::load(&exe).expect("invalid executable image");
         let mut master = ThreadCtx {
             pc: exe.entry,
             ..Default::default()

@@ -6,19 +6,154 @@
 //! cycle-accurate model fetches instructions, delays them, and applies
 //! their operational semantics to this state.
 
-use std::collections::BTreeMap;
-use xmt_harness::{json_enum, json_struct};
 use std::fmt;
+use std::ops::Range;
+use xmt_harness::json::{JsonError, JsonKey};
+use xmt_harness::{json_enum, json_struct, FromJson, Json, ToJson};
 use xmt_isa::{Executable, FReg, GlobalReg, Reg, HEAP_PTR_ADDR};
 
 /// Size of one memory page (bytes).
 const PAGE_SIZE: u32 = 4096;
+/// Words per page.
+const PAGE_WORDS: usize = (PAGE_SIZE / 4) as usize;
+/// Entries per page-table level: a 32-bit address splits 10/10/12 into
+/// directory index, leaf index and byte offset within the page.
+const FANOUT: usize = 1024;
 
-/// Sparse byte-addressable memory, allocated in 4 KiB pages on first
-/// touch. `BTreeMap` keeps dumps and checkpoints deterministic.
+/// One page, words stored natively; byte `b` of a word is bits
+/// `8b..8b+8` (the simulated machine is little-endian).
+type Page = [u32; PAGE_WORDS];
+type Leaf = [Option<Box<Page>>; FANOUT];
+
+/// Two-level page table over the 32-bit address space. A lookup is two
+/// indexed loads (directory, then leaf) with no key comparison.
+///
+/// A leaf exists only while it holds a page and pages are never removed,
+/// so the derived equality is equality of the resident-page sets and
+/// their contents.
+#[derive(Debug, Clone, PartialEq)]
+struct PageTable {
+    dir: Box<[Option<Box<Leaf>>; FANOUT]>,
+}
+
+impl Default for PageTable {
+    fn default() -> Self {
+        PageTable { dir: Box::new(std::array::from_fn(|_| None)) }
+    }
+}
+
+impl PageTable {
+    /// The resident page holding `addr`.
+    #[inline]
+    fn get(&self, addr: u32) -> Option<&Page> {
+        self.dir[(addr >> 22) as usize].as_ref()?[(addr >> 12) as usize % FANOUT].as_deref()
+    }
+
+    /// The table slot of the page holding `addr`; filling it makes the
+    /// page resident.
+    #[inline]
+    fn slot(&mut self, addr: u32) -> &mut Option<Box<Page>> {
+        let leaf = self.dir[(addr >> 22) as usize]
+            .get_or_insert_with(|| Box::new(std::array::from_fn(|_| None)));
+        &mut leaf[(addr >> 12) as usize % FANOUT]
+    }
+
+    /// Resident pages with their page numbers, ascending.
+    fn iter(&self) -> impl Iterator<Item = (u32, &Page)> {
+        self.dir.iter().enumerate().flat_map(|(d, leaf)| {
+            leaf.iter().flat_map(move |leaf| {
+                leaf.iter()
+                    .enumerate()
+                    .filter_map(move |(l, page)| Some(((d * FANOUT + l) as u32, page.as_deref()?)))
+            })
+        })
+    }
+}
+
+/// The checkpoint form, independent of the in-memory layout: an object
+/// keyed by decimal page number, ascending, each page an array of its
+/// `PAGE_SIZE` bytes.
+impl ToJson for PageTable {
+    fn to_json(&self) -> Json {
+        Json::Obj(
+            self.iter()
+                .map(|(no, page)| {
+                    let bytes = page.iter().flat_map(|w| w.to_le_bytes());
+                    (no.to_key(), Json::Arr(bytes.map(|b| b.to_json()).collect()))
+                })
+                .collect(),
+        )
+    }
+}
+
+impl FromJson for PageTable {
+    fn from_json(v: &Json) -> Result<Self, JsonError> {
+        let mut table = PageTable::default();
+        for (key, bytes) in v.as_obj()? {
+            let no = u32::from_key(key)?;
+            let bytes = Vec::<u8>::from_json(bytes)?;
+            if no as usize >= FANOUT * FANOUT || bytes.len() != PAGE_SIZE as usize {
+                return Err(JsonError::new(format!(
+                    "page {no} ({} bytes) is not a {PAGE_SIZE}-byte page of a 32-bit address space",
+                    bytes.len()
+                )));
+            }
+            let words: Box<[u32]> = bytes
+                .chunks_exact(4)
+                .map(|b| u32::from_le_bytes([b[0], b[1], b[2], b[3]]))
+                .collect();
+            // A repeated key overwrites, as decoding into a map would.
+            *table.slot(no * PAGE_SIZE) = Some(words.try_into().expect("PAGE_SIZE / 4 words"));
+        }
+        Ok(table)
+    }
+}
+
+fn zeroed_page() -> Box<Page> {
+    // Through `Vec`, so the zeroes come from the allocator rather than
+    // from an array built on the stack and copied.
+    vec![0u32; PAGE_WORDS].into_boxed_slice().try_into().expect("PAGE_WORDS words")
+}
+
+/// Cut the word range `[addr, addr + 4·count)` at page boundaries: for
+/// each piece, the address of its first word and its index range within
+/// the caller's word slice.
+///
+/// Panics when the range runs past the end of the address space; ranges
+/// that come from outside the program are rejected before they get here
+/// (`MemoryMap::parse`, `AsmProgram::link`, [`Machine::load`]).
+fn page_chunks(addr: u32, count: usize) -> impl Iterator<Item = (u32, Range<usize>)> {
+    debug_assert_eq!(addr % 4, 0);
+    let room = ((1u64 << 32) - addr as u64) / 4;
+    assert!(
+        count as u64 <= room,
+        "{count} words at 0x{addr:08x} run past the end of the address space"
+    );
+    let mut done = 0;
+    std::iter::from_fn(move || {
+        if done == count {
+            return None;
+        }
+        // In range because the whole range is and `done < count`.
+        let at = addr + 4 * done as u32;
+        let n = (PAGE_WORDS - word_of(at)).min(count - done);
+        done += n;
+        Some((at, done - n..done))
+    })
+}
+
+/// Index of `addr`'s word within its page.
+#[inline]
+fn word_of(addr: u32) -> usize {
+    (addr % PAGE_SIZE / 4) as usize
+}
+
+/// Sparse byte-addressable memory in 4 KiB pages: reads of untouched
+/// memory return zero and allocate nothing, the first write to a page
+/// makes it resident.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct Memory {
-    pages: BTreeMap<u32, Vec<u8>>,
+    pages: PageTable,
 }
 
 json_struct!(Memory { pages });
@@ -29,65 +164,69 @@ impl Memory {
         Self::default()
     }
 
-    fn page(&self, addr: u32) -> Option<&Vec<u8>> {
-        self.pages.get(&(addr / PAGE_SIZE))
-    }
-
-    fn page_mut(&mut self, addr: u32) -> &mut Vec<u8> {
-        self.pages
-            .entry(addr / PAGE_SIZE)
-            .or_insert_with(|| vec![0; PAGE_SIZE as usize])
+    #[inline]
+    fn page_mut(&mut self, addr: u32) -> &mut Page {
+        self.pages.slot(addr).get_or_insert_with(zeroed_page)
     }
 
     /// Read one byte.
     pub fn read_u8(&self, addr: u32) -> u8 {
-        self.page(addr)
-            .map(|p| p[(addr % PAGE_SIZE) as usize])
-            .unwrap_or(0)
+        (self.read_u32(addr & !3) >> (8 * (addr % 4))) as u8
     }
 
     /// Write one byte.
     pub fn write_u8(&mut self, addr: u32, val: u8) {
-        self.page_mut(addr)[(addr % PAGE_SIZE) as usize] = val;
+        let shift = 8 * (addr % 4);
+        let word = &mut self.page_mut(addr)[word_of(addr)];
+        *word = *word & !(0xff << shift) | (val as u32) << shift;
     }
 
     /// Read an aligned 32-bit little-endian word. The caller checks
     /// alignment (the execution layer raises [`Trap::Misaligned`]).
+    #[inline]
     pub fn read_u32(&self, addr: u32) -> u32 {
         debug_assert_eq!(addr % 4, 0);
-        // A word never straddles a page (page size is a multiple of 4).
-        match self.page(addr) {
-            Some(p) => {
-                let i = (addr % PAGE_SIZE) as usize;
-                u32::from_le_bytes([p[i], p[i + 1], p[i + 2], p[i + 3]])
-            }
-            None => 0,
-        }
+        self.pages.get(addr).map_or(0, |p| p[word_of(addr)])
     }
 
     /// Write an aligned 32-bit little-endian word.
+    #[inline]
     pub fn write_u32(&mut self, addr: u32, val: u32) {
         debug_assert_eq!(addr % 4, 0);
-        let p = self.page_mut(addr);
-        let i = (addr % PAGE_SIZE) as usize;
-        p[i..i + 4].copy_from_slice(&val.to_le_bytes());
+        self.page_mut(addr)[word_of(addr)] = val;
     }
 
     /// Read `count` consecutive words starting at `addr`.
     pub fn read_words(&self, addr: u32, count: usize) -> Vec<u32> {
-        (0..count as u32).map(|k| self.read_u32(addr + 4 * k)).collect()
+        let mut out = vec![0; count];
+        for (at, piece) in page_chunks(addr, count) {
+            if let Some(page) = self.pages.get(at) {
+                let n = piece.len();
+                out[piece].copy_from_slice(&page[word_of(at)..][..n]);
+            }
+        }
+        out
     }
 
     /// Write consecutive words starting at `addr`.
     pub fn write_words(&mut self, addr: u32, words: &[u32]) {
-        for (k, w) in words.iter().enumerate() {
-            self.write_u32(addr + 4 * k as u32, *w);
+        for (at, piece) in page_chunks(addr, words.len()) {
+            let src = &words[piece];
+            match self.pages.slot(at) {
+                // A whole page that is not resident yet is built straight
+                // from the source, not zero-filled and then overwritten.
+                slot @ None if src.len() == PAGE_WORDS => {
+                    *slot = Some(Box::<[u32]>::from(src).try_into().expect("PAGE_WORDS words"));
+                }
+                slot => slot.get_or_insert_with(zeroed_page)[word_of(at)..][..src.len()]
+                    .copy_from_slice(src),
+            }
         }
     }
 
     /// Number of touched pages (memory footprint indicator).
     pub fn pages_touched(&self) -> usize {
-        self.pages.len()
+        self.pages.iter().count()
     }
 }
 
@@ -299,22 +438,30 @@ impl Machine {
     /// Build the initial machine state for an executable: load the memory
     /// map into the data segment and initialize the heap-break word used
     /// by serial dynamic allocation.
-    pub fn load(exe: &Executable) -> Self {
+    ///
+    /// Fails on a memory-map entry that runs past the end of the address
+    /// space, which `AsmProgram::link` rejects but a hand-assembled
+    /// [`Executable`] can still carry.
+    pub fn load(exe: &Executable) -> Result<Self, String> {
         let mut mem = Memory::new();
         let mut data_end = 0u32;
         for e in &exe.memmap.entries {
+            let end = e
+                .end()
+                .ok_or_else(|| xmt_isa::LinkError::DataOverrun(e.name.clone()).to_string())?;
             mem.write_words(e.addr, &e.words);
-            data_end = data_end.max(e.addr + e.byte_len());
+            data_end = data_end.max(end);
         }
-        // Heap starts past the static data, rounded up to a page.
-        let heap_base = (data_end.max(xmt_isa::DATA_BASE) + PAGE_SIZE) & !(PAGE_SIZE - 1);
+        // Heap starts past the static data, rounded up to a page (the top
+        // page when the data reaches it).
+        let heap_base = data_end.max(xmt_isa::DATA_BASE).saturating_add(PAGE_SIZE) & !(PAGE_SIZE - 1);
         mem.write_u32(HEAP_PTR_ADDR, heap_base);
-        Machine {
+        Ok(Machine {
             mem,
             gregs: [0; GlobalReg::COUNT as usize],
             output: Output::default(),
             halted: false,
-        }
+        })
     }
 
     /// Atomic prefix-sum on a global register: returns the old value.
@@ -359,6 +506,15 @@ mod tests {
     }
 
     #[test]
+    fn memory_json_rejects_what_is_not_a_page() {
+        // A short page used to decode and then index out of bounds.
+        assert!(Memory::from_json_str(r#"{"pages":{"5":[1,2,3]}}"#).is_err());
+        let page = vec!["0"; PAGE_SIZE as usize].join(",");
+        assert!(Memory::from_json_str(&format!(r#"{{"pages":{{"1048575":[{page}]}}}}"#)).is_ok());
+        assert!(Memory::from_json_str(&format!(r#"{{"pages":{{"1048576":[{page}]}}}}"#)).is_err());
+    }
+
+    #[test]
     fn zero_register_is_hardwired() {
         let mut r = RegFile::default();
         r.set(Reg::Zero, 42);
@@ -388,12 +544,32 @@ mod tests {
         let mut mm = MemoryMap::new();
         let a = mm.push("A", vec![7, 8, 9]);
         let exe = p.link(mm).unwrap();
-        let m = Machine::load(&exe);
+        let m = Machine::load(&exe).unwrap();
         assert_eq!(m.mem.read_words(a, 3), vec![7, 8, 9]);
         let heap = m.mem.read_u32(HEAP_PTR_ADDR);
         assert!(heap > a + 12);
         assert_eq!(heap % PAGE_SIZE, 0);
         assert_eq!(m.read_symbol(&exe, "A", 3), Some(vec![7, 8, 9]));
+    }
+
+    #[test]
+    fn load_reports_data_past_the_address_space() {
+        let mut p = AsmProgram::new();
+        p.push(Instr::Halt);
+        let mut exe = p.link(MemoryMap::new()).unwrap();
+        // Past the linker: a hand-edited image.
+        exe.memmap.entries.push(xmt_isa::MemEntry {
+            name: "x".into(),
+            addr: 0xffff_fffc,
+            words: vec![7, 9],
+        });
+        let err = Machine::load(&exe).unwrap_err();
+        assert!(err.contains("`x` runs past the end of the address space"), "{err}");
+        // The last representable entry loads, heap break at the top page.
+        exe.memmap.entries[0].addr = 0xffff_fff4;
+        let m = Machine::load(&exe).unwrap();
+        assert_eq!(m.mem.read_words(0xffff_fff4, 2), vec![7, 9]);
+        assert_eq!(m.mem.read_u32(HEAP_PTR_ADDR), 0xffff_f000);
     }
 
     #[test]

@@ -207,3 +207,37 @@ fn invalid_config_is_an_error_not_a_panic() {
     let err = String::from_utf8_lossy(&out.stderr);
     assert!(err.contains("dram_channels"), "{err}");
 }
+
+/// A hostile memory map is a one-line diagnostic naming the line — in
+/// both modes, with no abort (the word count used to be reserved up
+/// front: 16 GB) and no wrapped store (an entry past 2³² used to put its
+/// second word at address 0).
+#[test]
+fn hostile_memory_maps_are_diagnosed() {
+    let xs = write_tmp("h.xs", ASM);
+    for (name, map, want) in [
+        ("count", "x 0x10000000 4294967295 1\n", "memory map line 1: too few words"),
+        (
+            "wrap",
+            "# top\nx 0xfffffffc 2 7 9\n",
+            "memory map line 2: entry runs past the end of the address space",
+        ),
+    ] {
+        let xbo = write_tmp(&format!("h_{name}.xbo"), map);
+        for mode in [&["--config", "tiny"][..], &["--functional"][..]] {
+            let out = cli()
+                .arg(&xs)
+                .args(mode)
+                .args(["--dump", "x:2"])
+                .arg("--memmap")
+                .arg(&xbo)
+                .output()
+                .unwrap();
+            assert_eq!(out.status.code(), Some(1), "{name} {mode:?}: {:?}", out.status);
+            let err = String::from_utf8_lossy(&out.stderr);
+            assert_eq!(err.lines().count(), 1, "{err}");
+            assert!(err.contains(want), "{err}");
+            assert!(out.stdout.is_empty(), "nothing ran");
+        }
+    }
+}

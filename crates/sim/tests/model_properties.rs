@@ -2,7 +2,10 @@
 //! scheduler's ordering contract, the cache tag model against a naive
 //! reference, and the sparse memory against a flat reference.
 
+use std::collections::BTreeMap;
 use xmt_harness::prop::{run, Config, Gen};
+use xmt_harness::{FromJson, Json, ToJson};
+use xmt_isa::{DATA_BASE, HEAP_PTR_ADDR, STACK_TOP};
 use xmtsim::cycle::cachesim::CacheTags;
 use xmtsim::engine::baseline::HeapScheduler;
 use xmtsim::engine::{Priority, Scheduler, Time, BUCKET_WIDTH_PS, N_BUCKETS};
@@ -183,6 +186,120 @@ fn memory_matches_flat_reference() {
                 }
             }
         }
+    });
+}
+
+/// The representation `Memory` had before it became a page table — a
+/// `BTreeMap` from page number to 4096 bytes, probed once per access,
+/// words moved one at a time — kept here as the oracle for the new one.
+#[derive(Clone, Default, PartialEq)]
+struct PageMap {
+    pages: BTreeMap<u32, Vec<u8>>,
+}
+
+impl PageMap {
+    fn read_u8(&self, addr: u32) -> u8 {
+        self.pages.get(&(addr / 4096)).map_or(0, |p| p[(addr % 4096) as usize])
+    }
+
+    fn write_u8(&mut self, addr: u32, val: u8) {
+        self.pages.entry(addr / 4096).or_insert_with(|| vec![0; 4096])[(addr % 4096) as usize] = val;
+    }
+
+    fn read_u32(&self, addr: u32) -> u32 {
+        u32::from_le_bytes(std::array::from_fn(|b| self.read_u8(addr + b as u32)))
+    }
+
+    fn write_u32(&mut self, addr: u32, val: u32) {
+        for (b, byte) in val.to_le_bytes().into_iter().enumerate() {
+            self.write_u8(addr + b as u32, byte);
+        }
+    }
+
+    fn read_words(&self, addr: u32, count: usize) -> Vec<u32> {
+        (0..count as u32).map(|k| self.read_u32(addr + 4 * k)).collect()
+    }
+
+    fn write_words(&mut self, addr: u32, words: &[u32]) {
+        for (k, w) in words.iter().enumerate() {
+            self.write_u32(addr + 4 * k as u32, *w);
+        }
+    }
+
+    /// The checkpoint form: `{"pages":{"<page>":[bytes…]}}`, ascending.
+    fn to_json_string(&self) -> String {
+        Json::Obj(vec![("pages".to_string(), self.pages.to_json())]).encode()
+    }
+}
+
+/// The page-table `Memory` is indistinguishable from the page map it
+/// replaced: every read, the set of touched pages, equality, and the
+/// JSON bytes — on interleaved byte / word / bulk accesses whose ranges
+/// cross a page, cross a page-table leaf, and sit at the addresses the
+/// toolchain itself uses.
+#[test]
+fn memory_matches_the_page_map_it_replaced() {
+    // Ranges start a little before each of these.
+    const EDGES: [u32; 8] = [
+        0x40,               // bottom of the address space
+        0x1000,             // a page boundary inside leaf 0
+        HEAP_PTR_ADDR + 8,  // the heap-break word, just under…
+        DATA_BASE + 0x2000, // …the data segment
+        0x1040_0000,        // 0x103f_f000 → 0x1040_0000: next leaf
+        STACK_TOP,          // the stack grows down from here
+        0x8000_0000,        // a directory entry no program touches
+        0xffff_fff0,        // the last words there are
+    ];
+    run("memory_matches_the_page_map_it_replaced", Config::default(), |g: &mut Gen| {
+        let mut sut = Memory::new();
+        let mut oracle = PageMap::default();
+        for _ in 0..g.len_in(1, 80) {
+            let edge = *g.choose(&EDGES);
+            let addr = edge - g.int_in(0, 17) as u32 * 4;
+            // Usually a few words around the edge; sometimes enough to
+            // cover whole pages (which takes the build-in-place path).
+            let room = ((u32::MAX - addr) / 4 + 1) as usize;
+            let count = if g.bool_p(0.15) { g.usize_in(1024, 2200) } else { g.usize_in(0, 40) }.min(room);
+            match g.usize_in(0, 6) {
+                0 => {
+                    let a = addr + g.int_in(0, 8) as u32;
+                    assert_eq!(sut.read_u8(a), oracle.read_u8(a), "read_u8 0x{a:08x}");
+                }
+                1 => {
+                    let (a, v) = (addr + g.int_in(0, 8) as u32, g.u32() as u8);
+                    sut.write_u8(a, v);
+                    oracle.write_u8(a, v);
+                }
+                2 => assert_eq!(sut.read_u32(addr), oracle.read_u32(addr), "read_u32 0x{addr:08x}"),
+                3 => {
+                    // Zero is a value like any other: it touches the page.
+                    let v = if g.bool_p(0.2) { 0 } else { g.u32() };
+                    sut.write_u32(addr, v);
+                    oracle.write_u32(addr, v);
+                }
+                4 => assert_eq!(
+                    sut.read_words(addr, count),
+                    oracle.read_words(addr, count),
+                    "read_words 0x{addr:08x} x {count}"
+                ),
+                _ => {
+                    let words: Vec<u32> = (0..count).map(|_| g.u32()).collect();
+                    sut.write_words(addr, &words);
+                    oracle.write_words(addr, &words);
+                }
+            }
+            // Reads allocate nothing, writes exactly the pages they hit.
+            assert_eq!(sut.pages_touched(), oracle.pages.len());
+        }
+        let json = sut.to_json_string();
+        assert_eq!(json, oracle.to_json_string(), "checkpoint bytes");
+        let back = Memory::from_json_str(&json).unwrap();
+        assert!(back == sut, "JSON round trip");
+        // Equality is over touched pages, not over what reads return.
+        let mut touched = sut.clone();
+        assert!(touched == sut);
+        touched.write_u32(0x2000_0000, 0);
+        assert!(touched != sut, "an all-zero touched page still differs from an untouched one");
     });
 }
 

@@ -139,6 +139,25 @@ grep -q '"xmtsim.metrics.v1"' "$obs_dir/metrics.json" || {
 }
 echo "obs smoke OK (trace + metrics sidecars written and tagged)"
 
+echo "==> end-to-end benchmark still builds and checks out (bench/e2e)"
+# bench/e2e is a workspace of its own (BENCHMARK.json's command), so the
+# build and test tiers above never compile it: an API change in crates/*
+# that breaks it would otherwise surface only when the benchmark is next
+# run. --quick is every workload once, untraced and traced, at 1/8 size;
+# each run's record ends in {"correct","attempted","failed",…}.
+e2e_out=$(bash bench/e2e/run.sh --quick) || {
+    echo "$e2e_out" | tail -n 40 >&2
+    echo "bench/e2e --quick failed (does it still build against crates/*?)" >&2
+    exit 1
+}
+e2e_clean=$(echo "$e2e_out" | grep -c '"attempted":[1-9][0-9]*,"failed":0,' || true)
+[ "$e2e_clean" -eq 10 ] || {
+    echo "bench/e2e --quick: $e2e_clean of 10 runs attempted work with failed = 0" >&2
+    exit 1
+}
+bash bench/e2e/run.sh determinism
+echo "bench/e2e OK (10 quick runs, failed = 0; exact metrics repeat)"
+
 echo "==> smoke benches (shortened iterations; writes BENCH_*.json)"
 # Cargo runs bench binaries with cwd = the package dir; pin the output
 # to the workspace-root target/ so the gate below finds it.

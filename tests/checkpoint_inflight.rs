@@ -7,8 +7,9 @@
 //! Exercised under both package-movement models.
 
 use xmt_core::Toolchain;
-use xmt_harness::ToJson;
-use xmtsim::checkpoint::CheckpointOutcome;
+use xmt_harness::{FromJson, Json, ToJson};
+use xmtsim::checkpoint::{Checkpoint, CheckpointOutcome};
+use xmtsim::cycle::RunSummary;
 use xmtsim::{CycleSim, DecodeMode, IcnModel, XmtConfig};
 
 fn memory_heavy_program() -> xmt_core::Compiled {
@@ -251,4 +252,87 @@ fn quiescent_checkpoints_stay_quiescent() {
     let resumed_sum = resumed.run().unwrap();
     assert_eq!(resumed_sum.cycles, want.cycles);
     assert_eq!(resumed.machine.output, ref_sim.machine.output);
+}
+
+/// The program behind `fixtures/parent_inflight_*.json`: hand-written
+/// assembly and memory map, so that neither a compiler change nor a
+/// preset other than `tiny` can move it.
+const FIXTURE_ASM: &str = r"
+main:
+    li $a0, 0
+    li $a1, 63
+    li $s0, 268435456    # A
+    li $s1, 268435712    # H = A + 64 words
+    spawn $a0, $a1
+vt:
+    li $t0, 1
+    ps $t0, gr0
+    chkid $t0
+    sll $t1, $t0, 2
+    add $t1, $t1, $s0
+    lw $t2, 0($t1)
+    add $t2, $t2, $t0
+    swnb $t2, 0($t1)
+    andi $t3, $t0, 3
+    sll $t3, $t3, 2
+    add $t3, $t3, $s1
+    li $t4, 1
+    psm $t4, 0($t3)
+    j vt
+    join
+    lw $t5, 0($s1)
+    print $t5
+    halt
+";
+
+fn fixture_memmap() -> xmt_isa::MemoryMap {
+    let mut mm = xmt_isa::MemoryMap::new();
+    mm.push("A", (1..=64).collect());
+    mm.push("H", vec![0; 4]);
+    mm
+}
+
+/// The checkpoint JSON is the compatibility surface, not the in-memory
+/// layout of `Memory`, `CacheTags` or the express-leg chains. The two
+/// fixtures were written by the binary of commit f9027ed — the last one
+/// with a `BTreeMap` memory, per-set `Vec` tags and `Vec` chains — from
+/// the program above on `XmtConfig::tiny()`: its mid-flight checkpoint at
+/// half the run (express legs in flight), and the summary, statistics and
+/// machine image of its uninterrupted run. This binary must read that
+/// checkpoint, write the same bytes for the same stop, and finish where
+/// the parent finished.
+#[test]
+fn parent_written_checkpoint_is_read_rewritten_and_resumed() {
+    const CKPT: &str = include_str!("fixtures/parent_inflight_checkpoint.json");
+    const FINAL: &str = include_str!("fixtures/parent_inflight_final.json");
+    let exe = xmt_isa::asm::parse(FIXTURE_ASM).unwrap().link(fixture_memmap()).unwrap();
+    let cfg = XmtConfig::tiny();
+    let expected = Json::parse(FINAL).unwrap();
+    let field = |name: &str| {
+        let members = expected.as_obj().unwrap();
+        &members.iter().find(|(k, _)| k == name).unwrap_or_else(|| panic!("no `{name}`")).1
+    };
+
+    let restored = Checkpoint::from_json(CKPT).unwrap();
+    assert!(restored.inflight.express_legs_in_flight() > 0, "fixture is mid-flight");
+    assert_eq!(restored.to_json(), CKPT, "decode → encode reproduces the parent's bytes");
+
+    let stop = u64::from_json(field("stop_cycle")).unwrap();
+    let mut donor = CycleSim::new(exe.clone(), cfg.clone());
+    let own = match donor.run_to_checkpoint_anytime(stop).unwrap() {
+        CheckpointOutcome::Checkpoint(c) => c,
+        CheckpointOutcome::Done(_) => panic!("program ended before the checkpoint"),
+    };
+    assert_eq!(own.to_json(), CKPT, "same program, config and stop: same checkpoint bytes");
+
+    let mut resumed = CycleSim::resume(exe, cfg, restored);
+    let summary = resumed.run().unwrap();
+    let want = RunSummary::from_json(field("summary")).unwrap();
+    // `events` counts the events of this process, not of the whole run.
+    assert_eq!(
+        (summary.cycles, summary.time_ps, summary.instructions),
+        (want.cycles, want.time_ps, want.instructions)
+    );
+    assert_eq!(resumed.stats.to_json_string(), field("stats").encode(), "stats JSON");
+    assert_eq!(resumed.machine.to_json_string(), field("machine").encode(), "machine image");
 }
