@@ -6,8 +6,9 @@
 //! workload under *both* package-movement models (the per-hop switch walk
 //! the paper describes, and the closed-form express path that elides it),
 //! the fraction of host time in the memory-system model, the per-class
-//! event counts and the event list's own self-time — so the express
-//! path's event savings and scheduler relief are visible side by side.
+//! event counts, the event list's pop-side self-time and its traffic
+//! counters — so the express path's event savings and scheduler relief
+//! are visible side by side.
 //!
 //! A second table profiles the *issue* models the same way: for each
 //! workload under per-instruction stepping vs compute-burst issue, the
@@ -90,6 +91,15 @@ fn main() {
                 format!("{:.3}s", hp.sched_s),
                 format!("{}", hp.compute_events),
                 format!("{}", hp.memory_events),
+                format!(
+                    "{} / {} / {} / {} / {} / {}",
+                    hp.sched.groups,
+                    hp.sched.partial_groups,
+                    hp.sched.lane_sorts,
+                    hp.sched.overflow_events,
+                    hp.sched.max_pending,
+                    hp.sched.chunks_allocated
+                ),
                 match model {
                     IcnModel::PerHop => "-".to_string(),
                     IcnModel::Express => {
@@ -128,6 +138,7 @@ fn main() {
                     "event-list time",
                     "compute events",
                     "memory events",
+                    "groups / partial / lane sorts / overflow / peak pending / chunks",
                     "express savings",
                 ],
                 &rows
@@ -135,7 +146,11 @@ fn main() {
         );
         println!("paper: up to 60% of simulation time in the interconnection network model");
         println!("(the per-hop rows reproduce the paper's cost profile; the express rows");
-        println!(" show the same runs with hop events flattened into closed-form legs)");
+        println!(" show the same runs with hop events flattened into closed-form legs;");
+        println!(" event-list time is the pop side only — pushes run inside the handlers —");
+        println!(" and the event-list column counts what the queue saw: groups drained,");
+        println!(" groups that were a strict prefix of their lane, lanes sorted, events");
+        println!(" beyond the 256-page window, peak pending events, chunks allocated)");
     }
 
     // Second table: the *issue*-model profile — how much of the event

@@ -150,6 +150,29 @@ fn hotspot_lines(sim: &xmtsim::CycleSim) -> Vec<(u32, u64, u32)> {
         .unwrap_or_default()
 }
 
+/// Print the `--dump`ed globals; a name the program does not define is
+/// an error (exit 1), reported after the others are printed.
+fn dump_globals(
+    dumps: &[(String, usize)],
+    machine: &xmtsim::Machine,
+    exe: &xmt_isa::Executable,
+) -> ExitCode {
+    let mut code = ExitCode::SUCCESS;
+    for (name, count) in dumps {
+        match machine.read_symbol(exe, name, *count) {
+            Some(ws) => {
+                let ints: Vec<i32> = ws.iter().map(|&w| w as i32).collect();
+                println!("{name} = {ints:?}");
+            }
+            None => {
+                eprintln!("xmtcc: no global `{name}`");
+                code = ExitCode::FAILURE;
+            }
+        }
+    }
+    code
+}
+
 fn main() -> ExitCode {
     let args = parse_args();
     let source = match std::fs::read_to_string(&args.file) {
@@ -215,16 +238,7 @@ fn main() -> ExitCode {
             Ok(instrs) => {
                 print!("{}", sim.machine.output.to_text());
                 eprintln!("[functional mode: {instrs} instructions]");
-                for (name, count) in &args.dumps {
-                    match sim.machine.read_symbol(sim.executable(), name, *count) {
-                        Some(ws) => {
-                            let ints: Vec<i32> = ws.iter().map(|&w| w as i32).collect();
-                            println!("{name} = {ints:?}");
-                        }
-                        None => eprintln!("xmtcc: no global `{name}`"),
-                    }
-                }
-                ExitCode::SUCCESS
+                dump_globals(&args.dumps, &sim.machine, sim.executable())
             }
             Err(e) => {
                 eprintln!("xmtcc: {e}");
@@ -337,16 +351,7 @@ fn main() -> ExitCode {
                 if let Some(t) = &sim.tracer {
                     eprint!("{}", t.to_text());
                 }
-                for (name, count) in &args.dumps {
-                    match sim.machine.read_symbol(sim.executable(), name, *count) {
-                        Some(ws) => {
-                            let ints: Vec<i32> = ws.iter().map(|&w| w as i32).collect();
-                            println!("{name} = {ints:?}");
-                        }
-                        None => eprintln!("xmtcc: no global `{name}`"),
-                    }
-                }
-                ExitCode::SUCCESS
+                dump_globals(&args.dumps, &sim.machine, sim.executable())
             }
             Err(e) => {
                 eprintln!("xmtcc: {e}");

@@ -40,6 +40,33 @@ fn compile_set_run_dump() {
     assert!(stderr.contains("cycles"));
 }
 
+/// `--dump` of a global the program does not define is an error: exit 1
+/// after the run, with the other dumps still printed.
+fn missing_dump_fails_after_the_run(mode: &[&str]) {
+    let src = write_tmp(&format!("missing{}.c", mode.len()), COMPACT);
+    let out = xmtcc()
+        .arg(&src)
+        .args(["--set", "A=5,0,12,0,0,3,0,9", "--dump", "MISSING:4", "--dump", "N:1"])
+        .args(mode)
+        .output()
+        .unwrap();
+    assert_eq!(out.status.code(), Some(1), "missing --dump global exited 0");
+    assert!(String::from_utf8_lossy(&out.stderr).contains("no global `MISSING`"));
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(stdout.starts_with("4\n"), "the run completed: {stdout}");
+    assert!(stdout.contains("N = [8]"), "the other dump printed: {stdout}");
+}
+
+#[test]
+fn dumping_a_missing_global_fails_the_cycle_run() {
+    missing_dump_fails_after_the_run(&["--config", "tiny"]);
+}
+
+#[test]
+fn dumping_a_missing_global_fails_the_functional_run() {
+    missing_dump_fails_after_the_run(&["--functional"]);
+}
+
 #[test]
 fn functional_mode_flag() {
     let src = write_tmp("func.c", "void main() { print(123); }");

@@ -13,13 +13,17 @@
 //!   shrink-by-halving and failure-seed replay (replaces `proptest`).
 //! - [`bench`] — warmup/median/MAD bench runner emitting
 //!   `BENCH_*.json` (replaces `criterion`).
+//! - [`hash`] — a multiplicative hasher for maps keyed by small integers
+//!   the program computed itself (replaces `rustc-hash`).
 
 pub mod bench;
+pub mod hash;
 pub mod json;
 pub mod prng;
 pub mod prop;
 
 pub use bench::{black_box, BenchGroup, BenchResult};
+pub use hash::IntMap;
 pub use json::{FromJson, Json, JsonError, ToJson};
 pub use prng::{splitmix64, Rng};
 pub use prop::{Config as PropConfig, Gen};

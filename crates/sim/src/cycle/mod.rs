@@ -37,7 +37,7 @@ use crate::config::{
 };
 use crate::decode::{Cursor, DecodeCache, ReplayEnv};
 use crate::engine::{
-    Priority, Scheduler, Time, PRI_DEFAULT, PRI_NEGOTIATE, PRI_SAMPLE, PRI_TRANSFER,
+    Priority, SchedCounters, Scheduler, Time, PRI_DEFAULT, PRI_NEGOTIATE, PRI_SAMPLE, PRI_TRANSFER,
 };
 use crate::exec::{self, CostClass, Issued, MemKind, MemRequest, Mode};
 use crate::machine::{Machine, ThreadCtx, Trap};
@@ -47,10 +47,10 @@ use crate::trace::{TraceEvent, Tracer};
 use cachesim::CacheTags;
 use prefetch::PrefetchBuffer;
 use std::cmp::Ordering;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::Arc;
-use xmt_harness::{json_enum, json_struct};
+use xmt_harness::{json_enum, json_struct, IntMap};
 use xmt_isa::{Executable, Reg};
 
 /// Errors terminating a cycle-accurate run.
@@ -113,9 +113,13 @@ pub struct HostProfile {
     pub memory_s: f64,
     /// Seconds spent in everything else (spawn control, sampling).
     pub other_s: f64,
-    /// Seconds spent inside the event list itself (`pop_cycle` batch
-    /// drains) — the scheduler self-time the calendar queue attacks.
+    /// Seconds spent on the *pop* side of the event list (`pop_cycle`
+    /// batch drains, the parallel engine's window merge). The push side
+    /// runs inside the handlers and is charged to their classes, so this
+    /// under-reports what the event list costs.
     pub sched_s: f64,
+    /// The event list's traffic counters, summed over the shard queues.
+    pub sched: SchedCounters,
     /// TCU/master compute events handled.
     pub compute_events: u64,
     /// ICN + cache + DRAM (memory system) events handled.
@@ -232,8 +236,8 @@ enum BurstBreak {
 /// always safe — the scheduled step event simply starts the next burst.
 pub(crate) const BURST_CAP: u64 = 4096;
 
-/// Size of the per-line MSHR chain map (`line_busy`) at which `arrive`
-/// drops its settled entries before inserting.
+/// Smallest size of the per-line MSHR chain map (`line_busy`) at which
+/// `arrive` drops its settled entries before inserting.
 const LINE_BUSY_PRUNE: usize = 1024;
 
 /// Per-TCU simulation state.
@@ -578,14 +582,21 @@ pub struct CycleSim {
     pending_total: u64,
     /// Blocking loads parked on a prefetch still in flight, keyed by
     /// (tcu, word address).
-    pbuf_waiters: HashMap<(u32, u32), Vec<(MemRequest, Time)>>,
+    pbuf_waiters: IntMap<(u32, u32), Vec<(MemRequest, Time)>>,
     /// Per cache line: when its last service completes. Accesses to a
     /// line chain behind an outstanding miss to it (MSHR behaviour),
     /// which is also what preserves memory-model rule 1 — same source,
     /// same destination operations are never reordered.
     /// Entries whose time has passed are pruned opportunistically at
     /// insert (see `arrive`) so the map stays bounded on long runs.
-    line_busy: HashMap<u32, Time>,
+    line_busy: IntMap<u32, Time>,
+    /// Size of `line_busy` at which `arrive` prunes next: at least
+    /// `LINE_BUSY_PRUNE`, and far enough above what the last prune left
+    /// that a run with many lines busy at once does not rescan the whole
+    /// map on every arrival.
+    line_busy_prune_at: usize,
+    /// Entries the prunes have visited so far.
+    line_busy_scanned: u64,
 
     // Express ICN path (cfg.icn_model == IcnModel::Express).
     /// In-flight express legs; `Ev::ExpressEnd` events index this table.
@@ -600,7 +611,7 @@ pub struct CycleSim {
     /// package. Invalidated by `apply_periods` (epoch change) and
     /// size-capped. Unused in synchronous timing, where the offsets are
     /// a trivial multiple of the ICN period.
-    route_cache: HashMap<u32, (Box<[Time]>, Box<[Time]>)>,
+    route_cache: IntMap<u32, (Box<[Time]>, Box<[Time]>)>,
 
     /// Built-in counters.
     pub stats: Stats,
@@ -699,12 +710,14 @@ impl CycleSim {
             master_cache: CacheTags::new(cfg.master_cache_kb * 1024, cfg.master_cache_assoc, line),
             par: None,
             pending_total: 0,
-            pbuf_waiters: HashMap::new(),
-            line_busy: HashMap::new(),
+            pbuf_waiters: IntMap::default(),
+            line_busy: IntMap::default(),
+            line_busy_prune_at: LINE_BUSY_PRUNE,
+            line_busy_scanned: 0,
             express_legs: Vec::new(),
             legs_free: Vec::new(),
             leg_seq: 0,
-            route_cache: HashMap::new(),
+            route_cache: IntMap::default(),
             stats: Stats::for_topology(cfg.clusters, cfg.cache_modules),
             filters: Vec::new(),
             activities: Vec::new(),
@@ -1227,8 +1240,10 @@ impl CycleSim {
             let group = self.sched.pop_cycle(&mut batch);
             if let Some(s0) = s0 {
                 let dt = s0.elapsed();
+                let sched = self.sched_counters();
                 if let Some(hp) = self.host_profile.as_mut() {
                     hp.sched_s += dt.as_secs_f64();
+                    hp.sched = sched;
                 }
                 if obs_host {
                     if let Some(o) = self.obs.as_deref_mut() {
@@ -1350,6 +1365,20 @@ impl CycleSim {
             self.requeue_ev(time, pri, ev);
         }
         batch.clear();
+    }
+
+    /// The event list's traffic counters, summed over the shard queues.
+    pub(crate) fn sched_counters(&self) -> SchedCounters {
+        let mut sum = self.sched.counters;
+        for q in &self.shard_queues {
+            sum.groups += q.counters.groups;
+            sum.partial_groups += q.counters.partial_groups;
+            sum.lane_sorts += q.counters.lane_sorts;
+            sum.overflow_events += q.counters.overflow_events;
+            sum.max_pending += q.counters.max_pending;
+            sum.chunks_allocated += q.counters.chunks_allocated;
+        }
+        sum
     }
 
     pub(crate) fn summary(&self) -> RunSummary {
@@ -2131,8 +2160,16 @@ impl CycleSim {
         // `svc_end == tag == now`, and a same-instant arrival to the same
         // line still has to chain behind it (`max()` below) — pruning it
         // would let that arrival's service overtake the one just issued.
-        if self.line_busy.len() >= LINE_BUSY_PRUNE {
+        if self.line_busy.len() >= self.line_busy_prune_at {
+            self.line_busy_scanned += self.line_busy.len() as u64;
             self.line_busy.retain(|_, &mut t| t >= now);
+            // Next when the table it already has is full — that costs no
+            // memory — unless what is left nearly fills it: then the table
+            // is about to grow anyway, and the next scan waits for as many
+            // arrivals again.
+            let (left, room) = (self.line_busy.len(), self.line_busy.capacity());
+            let next = if room >= left + left / 4 { room } else { 2 * left };
+            self.line_busy_prune_at = LINE_BUSY_PRUNE.max(next);
         }
         let line = req.addr / self.cfg.line_bytes;
         if let Some(&busy) = self.line_busy.get(&line) {
@@ -2501,6 +2538,7 @@ impl CycleSim {
         // times could only lower-bound future services with past times,
         // which max() ignores — safe to start empty.
         self.line_busy.clear();
+        self.line_busy_prune_at = LINE_BUSY_PRUNE;
         self.express_legs.clear();
         self.legs_free.clear();
         self.leg_seq = 0;
@@ -3459,6 +3497,38 @@ mod tests {
         assert!(
             sim.line_busy[&boundary_line] >= now + 900,
             "same-line arrival failed to chain behind the in-flight fill"
+        );
+    }
+
+    /// With more than `LINE_BUSY_PRUNE` lines busy at once no prune can
+    /// drop anything; the threshold then moves up with the map instead
+    /// of rescanning all of it on every arrival, so the entries visited
+    /// stay linear in the arrivals.
+    #[test]
+    fn line_busy_prune_is_amortised_when_many_lines_stay_busy() {
+        let mut p = AsmProgram::new();
+        p.push(Instr::Halt);
+        let exe = p.link(MemoryMap::new()).unwrap();
+        let mut sim = CycleSim::new(exe, XmtConfig::tiny());
+        let now: Time = 50_000;
+        let arrivals = 8 * LINE_BUSY_PRUNE as u32;
+        for k in 0..arrivals {
+            let req = MemRequest {
+                kind: MemKind::LoadW,
+                addr: k * sim.cfg.line_bytes,
+                dst_i: Some(Reg::T0),
+                dst_f: None,
+                value: 0,
+                pc: 0,
+            };
+            // Every access misses, so its line stays busy past `now`.
+            sim.arrive(now, 0, req, now);
+        }
+        assert_eq!(sim.line_busy.len(), arrivals as usize, "nothing had settled");
+        assert!(
+            sim.line_busy_scanned <= 2 * arrivals as u64,
+            "{} entries rescanned for {arrivals} arrivals",
+            sim.line_busy_scanned
         );
     }
 }

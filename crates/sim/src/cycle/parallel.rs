@@ -353,8 +353,10 @@ impl CycleSim {
             batch.extend(merged.drain(..).map(|(_, ev)| ev));
             if let Some(s0) = s0 {
                 let dt = s0.elapsed();
+                let sched = self.sched_counters();
                 if let Some(hp) = self.host_profile.as_mut() {
                     hp.sched_s += dt.as_secs_f64();
+                    hp.sched = sched;
                 }
                 if obs_host {
                     if let Some(o) = self.obs.as_deref_mut() {

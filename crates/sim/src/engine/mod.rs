@@ -25,16 +25,20 @@
 //! attributes up to 60% of host time to the ICN model (§III-D), and most
 //! of that is event-list traffic; MGSim and gem5 both abandoned binary
 //! heaps for bucketed designs for the same reason. [`Scheduler`] is a
-//! **two-level calendar queue**:
+//! **calendar queue of FIFO lanes**:
 //!
-//! * a *near horizon* of [`N_BUCKETS`] per-tick buckets, each covering
-//!   [`BUCKET_WIDTH_PS`] picoseconds (one default clock period), arranged
-//!   as a ring indexed by `time >> BUCKET_SHIFT`. Insertion is an O(1)
-//!   append; a bucket is sorted at most once, lazily, when the window
-//!   reaches it (appends that arrive already in key order never trigger a
-//!   sort at all);
-//! * a *far-future overflow* min-heap for events beyond the near window,
-//!   drained back into buckets as the window advances.
+//! * a *near horizon* of [`N_BUCKETS`] pages of [`BUCKET_WIDTH_PS`]
+//!   picoseconds (one default clock period), a ring indexed by
+//!   `time >> BUCKET_SHIFT`. A page is [`N_PRI`] *lanes*, one per
+//!   priority; a lane's entries sit in fixed-size chunks taken from and
+//!   returned to one pool, so queue memory follows the *pending* events.
+//!   Insertion appends to the lane's last chunk. Sequence numbers only
+//!   grow, so a lane whose page holds one timestamp (all but about 1 in
+//!   42 at 1000 ps periods) is in `(time, seq)` order as built, and all
+//!   of it is one group; a lane that does receive an earlier time after
+//!   a later one is flagged and stably sorted once, when next drained;
+//! * a *far-future overflow* map for events beyond the near window,
+//!   drained back into lanes as the window advances.
 //!
 //! Events are totally ordered by `(time, priority, seq)`, so the popping
 //! order — including the deterministic FIFO tie-break — is bit-identical
@@ -44,8 +48,7 @@
 pub mod actor;
 pub mod baseline;
 
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+use std::collections::{BTreeMap, VecDeque};
 
 /// Simulated time, in picoseconds.
 ///
@@ -68,89 +71,103 @@ pub const PRI_TRANSFER: Priority = 1;
 pub const PRI_DEFAULT: Priority = 2;
 /// Priority of sampling/observation events (run after state settles).
 pub const PRI_SAMPLE: Priority = 3;
+/// Number of priorities: every [`Priority`] must be below it.
+pub const N_PRI: usize = 4;
 
-/// log2 of the bucket width: 1024 ps per bucket, about one cycle of the
-/// default 1000 ps clock domains, so one bucket holds one cycle's burst.
+/// log2 of the page width: 1024 ps per page, about one cycle of the
+/// default 1000 ps clock domains, so one page holds one cycle's burst.
 const BUCKET_SHIFT: u32 = 10;
-/// Width of one near-horizon bucket in picoseconds.
+/// Width of one near-horizon page in picoseconds.
 pub const BUCKET_WIDTH_PS: Time = 1 << BUCKET_SHIFT;
-/// Buckets in the near horizon; the window covers
+/// Pages in the near horizon; the window covers
 /// `N_BUCKETS * BUCKET_WIDTH_PS` ≈ 256 cycles ahead of the current time,
 /// comfortably past the deepest modeled latency (a DRAM round trip).
 pub const N_BUCKETS: usize = 256;
 
-/// One queue entry: the `(time, priority, seq)` ordering key plus the
-/// payload slot it refers to. `seq` is unique, so `slot` (compared last)
-/// never decides an ordering. The slot rides inside the key as a `u32`
-/// so an entry is 24 bytes, not 32: drained buckets keep their capacity,
-/// which makes this array the simulator's largest resident structure on
-/// chip-scale runs (hundreds of events per page × [`N_BUCKETS`] pages).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-struct Key {
-    time: Time,
-    priority: Priority,
-    seq: u64,
-    slot: u32,
-}
+/// Entries per chunk. A lane holding one event pins a whole chunk, and
+/// on chip-scale runs a hundred lanes hold a few events each: 32 cost
+/// more resident memory than the parent's key ring, 8 bought no speed.
+const CHUNK: usize = 16;
+/// "No chunk": an empty lane, the end of a chain, an empty pool.
+const NIL: u32 = u32::MAX;
+/// Words in the bitmap of non-empty lanes.
+const LANE_WORDS: usize = N_BUCKETS * N_PRI / 64;
 
-const _: () = assert!(std::mem::size_of::<Key>() == 24);
-
-/// One near-horizon bucket: events of a single page (`time >> BUCKET_SHIFT`
-/// value), drained front-to-back through a cursor so popping never shifts
-/// the vector.
+/// Up to [`CHUNK`] entries of one lane: `(time, seq)` keys and, at the
+/// same positions but apart from them, the events — so a whole chunk of
+/// events moves into a batch as one block. Chunks are chained by index,
+/// in a lane or in the pool; a chunk in a lane is never empty.
 #[derive(Debug)]
-struct Bucket {
-    items: Vec<Key>,
-    /// Entries before `head` have been popped.
-    head: usize,
-    /// Whether `items` is ascending by key. Kept `true` incrementally for
-    /// in-order appends; out-of-order appends to a future bucket just
-    /// clear it and the bucket is sorted once when the window arrives.
-    /// Invariant: a partially drained bucket (`head > 0`) is sorted.
-    sorted: bool,
+struct Chunk<E> {
+    keys: VecDeque<(Time, u64)>,
+    events: VecDeque<E>,
+    next: u32,
 }
 
-impl Bucket {
-    const fn new() -> Self {
-        Bucket { items: Vec::new(), head: 0, sorted: true }
-    }
+/// The events of one `(page, priority)`, in arrival order.
+#[derive(Debug, Clone, Copy)]
+struct Lane {
+    head: u32,
+    tail: u32,
+    /// Time of the entry that arrived last.
+    last_time: Time,
+    /// The lane holds more than one time, so only a prefix of it is a
+    /// group; otherwise every entry is of `last_time`.
+    mixed: bool,
+    /// An entry arrived with an earlier time than its predecessor: sort
+    /// before taking anything.
+    unsorted: bool,
+}
 
-    #[inline]
-    fn ensure_sorted(&mut self) {
-        if !self.sorted {
-            // `head > 0` implies sorted, so an unsorted bucket is undrained
-            // and the whole vector can be sorted. Keys are unique (seq), so
-            // an unstable sort yields the exact total order.
-            debug_assert_eq!(self.head, 0);
-            self.items.sort_unstable();
-            self.sorted = true;
-        }
-    }
+const EMPTY_LANE: Lane = Lane { head: NIL, tail: NIL, last_time: 0, mixed: false, unsorted: false };
+
+/// What a queue saw of its traffic: the facts the lane design rests on,
+/// counted instead of assumed.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct SchedCounters {
+    /// Groups drained by `pop_cycle` / `pop_group_seq`.
+    pub groups: u64,
+    /// Groups that were a strict prefix of their lane.
+    pub partial_groups: u64,
+    /// Lanes sorted because an earlier time arrived after a later one.
+    pub lane_sorts: u64,
+    /// Events scheduled beyond the near window.
+    pub overflow_events: u64,
+    /// Largest number of events pending when something was popped.
+    pub max_pending: u64,
+    /// Chunks taken from the allocator rather than the pool.
+    pub chunks_allocated: u64,
 }
 
 /// A time/priority-ordered event list with deterministic FIFO tie-breaking,
-/// organized as a two-level calendar queue (see the module docs).
-///
-/// Determinism matters: checkpointing (paper §III-E) and the verification
-/// of the cycle-accurate model against the functional model both rely on
-/// identical runs producing identical event orders.
+/// organized as a calendar queue of FIFO lanes (see the module docs).
+/// Checkpointing (paper §III-E) and the verification of the cycle-accurate
+/// model against the functional one rely on identical runs producing
+/// identical event orders.
 #[derive(Debug)]
 pub struct Scheduler<E> {
-    /// Ring of near-horizon buckets; page `p` lives at `p % N_BUCKETS`.
-    buckets: Vec<Bucket>,
+    /// Lane `(page, priority)` is `lanes[page % N_BUCKETS * N_PRI + priority]`.
+    lanes: Vec<Lane>,
+    /// One bit per lane, set while it has entries: pops skip idle pages a
+    /// word at a time.
+    occupied: [u64; LANE_WORDS],
+    /// Every chunk taken from the allocator so far.
+    chunks: Vec<Chunk<E>>,
+    /// Head of the pool of drained chunks.
+    free: u32,
     /// First page the near window covers; equals `now >> BUCKET_SHIFT`
     /// after every pop, so `schedule_at`'s `time >= now` assertion also
     /// guarantees no event lands before the window.
     cur_page: u64,
-    /// Events currently held in the near-horizon buckets.
+    /// Events currently held in lanes.
     near_pending: usize,
     /// Far-future events (page at or beyond `cur_page + N_BUCKETS`).
-    overflow: BinaryHeap<Reverse<Key>>,
-    payloads: Vec<Option<E>>,
-    free: Vec<u32>,
+    overflow: BTreeMap<(Time, Priority, u64), E>,
     now: Time,
     seq: u64,
     processed: u64,
+    /// Kept across [`clear`](Self::clear), zeroed by [`reset`](Self::reset).
+    pub counters: SchedCounters,
 }
 
 impl<E> Default for Scheduler<E> {
@@ -160,18 +177,20 @@ impl<E> Default for Scheduler<E> {
 }
 
 impl<E> Scheduler<E> {
-    /// An empty scheduler at time zero.
+    /// An empty scheduler at time zero; allocates the lane table only.
     pub fn new() -> Self {
         Scheduler {
-            buckets: (0..N_BUCKETS).map(|_| Bucket::new()).collect(),
+            lanes: vec![EMPTY_LANE; N_BUCKETS * N_PRI],
+            occupied: [0; LANE_WORDS],
+            chunks: Vec::new(),
+            free: NIL,
             cur_page: 0,
             near_pending: 0,
-            overflow: BinaryHeap::new(),
-            payloads: Vec::new(),
-            free: Vec::new(),
+            overflow: BTreeMap::new(),
             now: 0,
             seq: 0,
             processed: 0,
+            counters: SchedCounters::default(),
         }
     }
 
@@ -192,58 +211,56 @@ impl<E> Scheduler<E> {
         self.near_pending + self.overflow.len()
     }
 
-    #[inline]
-    fn alloc_slot(&mut self, event: E) -> u32 {
-        match self.free.pop() {
-            Some(s) => {
-                self.payloads[s as usize] = Some(event);
-                s
-            }
-            None => {
-                let s = u32::try_from(self.payloads.len()).expect("more than 2^32 pending events");
-                self.payloads.push(Some(event));
-                s
-            }
-        }
+    /// Chunk slots held, in use or pooled: the peak of
+    /// [`pending`](Self::pending) plus one part-filled chunk per lane in
+    /// use then — not the sum of every lane's own high-water mark.
+    pub fn retained_entries(&self) -> usize {
+        self.chunks.len() * CHUNK
     }
 
     #[inline]
-    fn take_payload(&mut self, slot: u32) -> E {
-        let ev = self.payloads[slot as usize].take().expect("event slot already taken");
-        self.free.push(slot);
-        ev
+    fn lane_index(page: u64, priority: Priority) -> usize {
+        (page % N_BUCKETS as u64) as usize * N_PRI + priority as usize
     }
 
-    /// Insert into the near-horizon bucket for `page`.
-    fn push_near(&mut self, page: u64, key: Key) {
-        let is_current = page == self.cur_page;
-        let b = &mut self.buckets[(page % N_BUCKETS as u64) as usize];
-        match b.items.last() {
-            None => {
-                b.head = 0;
-                b.sorted = true;
-                b.items.push(key);
-            }
-            // Common case: keys arrive in ascending order (monotone seq,
-            // same or later time) — O(1) append keeps the bucket sorted.
-            Some(&last) if b.sorted && last <= key => b.items.push(key),
-            _ if is_current => {
-                // Out-of-order arrival into the bucket being drained (e.g.
-                // a same-timestamp event of an earlier phase): a binary
-                // insert preserves the partially-drained sorted invariant
-                // without re-sorting.
-                b.ensure_sorted();
-                let pos = b.head + b.items[b.head..].partition_point(|&k| k < key);
-                b.items.insert(pos, key);
-            }
-            _ => {
-                // Future bucket: append now, sort once when the window
-                // reaches it.
-                b.items.push(key);
-                b.sorted = false;
-            }
+    /// A chunk from the pool, or a new one.
+    fn take_chunk(&mut self) -> u32 {
+        if let Some(chunk) = self.chunks.get_mut(self.free as usize) {
+            return std::mem::replace(&mut self.free, std::mem::replace(&mut chunk.next, NIL));
         }
+        let c = u32::try_from(self.chunks.len()).ok().filter(|&c| c != NIL);
+        self.counters.chunks_allocated += 1;
+        let (keys, events) = (VecDeque::with_capacity(CHUNK), VecDeque::with_capacity(CHUNK));
+        self.chunks.push(Chunk { keys, events, next: NIL });
+        c.expect("more than 2^32 event chunks")
+    }
+
+    /// Append to the lane of `(time, priority)`.
+    #[inline]
+    fn push_near(&mut self, time: Time, priority: Priority, seq: u64, event: E) {
         self.near_pending += 1;
+        let li = Self::lane_index(time >> BUCKET_SHIFT, priority);
+        let lane = &mut self.lanes[li];
+        let tail = lane.tail;
+        if time != lane.last_time {
+            lane.mixed = tail != NIL;
+            lane.unsorted |= lane.mixed && time < lane.last_time;
+            lane.last_time = time;
+        }
+        let mut c = tail;
+        if self.chunks.get(c as usize).is_none_or(|chunk| chunk.keys.len() == CHUNK) {
+            // The lane's first entry, or its last chunk is full: link one more.
+            c = self.take_chunk();
+            self.occupied[li / 64] |= 1 << (li % 64);
+            match self.chunks.get_mut(tail as usize) {
+                Some(chunk) => chunk.next = c,
+                None => self.lanes[li].head = c,
+            }
+            self.lanes[li].tail = c;
+        }
+        let chunk = &mut self.chunks[c as usize];
+        chunk.keys.push_back((time, seq));
+        chunk.events.push_back(event);
     }
 
     /// Schedule `event` at absolute time `time` with `priority`.
@@ -251,16 +268,7 @@ impl<E> Scheduler<E> {
     /// Scheduling in the past panics: actors may only schedule at or after
     /// the current time, exactly like the paper's DE scheduler.
     pub fn schedule_at(&mut self, time: Time, priority: Priority, event: E) {
-        assert!(time >= self.now, "event scheduled in the past: {time} < {}", self.now);
-        let slot = self.alloc_slot(event);
-        let key = Key { time, priority, seq: self.seq, slot };
-        self.seq += 1;
-        let page = time >> BUCKET_SHIFT;
-        if page >= self.cur_page + N_BUCKETS as u64 {
-            self.overflow.push(Reverse(key));
-        } else {
-            self.push_near(page, key);
-        }
+        self.schedule_at_seq(time, priority, self.seq, event);
     }
 
     /// Schedule `event` `delay` picoseconds from now with default priority.
@@ -273,22 +281,20 @@ impl<E> Scheduler<E> {
     /// The parallel engine runs one scheduler per shard but keeps a single
     /// *global* insertion counter, so the cross-shard merge of a
     /// `(time, priority)` group — ordered by these seqs — reproduces the
-    /// exact FIFO order a single sequential queue would have produced.
-    /// The caller must hand each scheduler strictly increasing seqs (a
-    /// shared monotone counter does this naturally); the internal counter
-    /// is bumped past `seq` so mixing in [`schedule_at`](Self::schedule_at)
-    /// calls later cannot collide.
+    /// FIFO order of a single sequential queue. Each scheduler must be
+    /// handed strictly increasing seqs; its own counter is bumped past
+    /// `seq`, so later [`schedule_at`](Self::schedule_at) calls cannot
+    /// collide.
     pub fn schedule_at_seq(&mut self, time: Time, priority: Priority, seq: u64, event: E) {
         assert!(time >= self.now, "event scheduled in the past: {time} < {}", self.now);
+        assert!((priority as usize) < N_PRI, "priority {priority} is not below N_PRI = {N_PRI}");
         debug_assert!(seq >= self.seq, "external seq must be monotone per scheduler");
-        let slot = self.alloc_slot(event);
-        let key = Key { time, priority, seq, slot };
         self.seq = seq + 1;
-        let page = time >> BUCKET_SHIFT;
-        if page >= self.cur_page + N_BUCKETS as u64 {
-            self.overflow.push(Reverse(key));
+        if time >> BUCKET_SHIFT >= self.cur_page + N_BUCKETS as u64 {
+            self.counters.overflow_events += 1;
+            self.overflow.insert((time, priority, seq), event);
         } else {
-            self.push_near(page, key);
+            self.push_near(time, priority, seq, event);
         }
     }
 
@@ -299,57 +305,164 @@ impl<E> Scheduler<E> {
         self.processed -= 1;
     }
 
-    /// Pull every overflow event that now fits into the near window.
+    /// Pull every overflow event that now fits into the near window. They
+    /// come in key order, and before anything is scheduled into their
+    /// pages directly, so their lanes start out ordered. Out of line, to
+    /// keep the map walk out of the pop path's registers.
+    #[inline(never)]
     fn refill_from_overflow(&mut self) {
         let limit = self.cur_page + N_BUCKETS as u64;
-        while let Some(&Reverse(key)) = self.overflow.peek() {
-            let page = key.time >> BUCKET_SHIFT;
-            if page >= limit {
-                break;
-            }
-            self.overflow.pop();
-            self.push_near(page, key);
+        while self.overflow.first_key_value().is_some_and(|(k, _)| k.0 >> BUCKET_SHIFT < limit) {
+            let ((time, priority, seq), event) = self.overflow.pop_first().expect("peeked");
+            self.push_near(time, priority, seq, event);
         }
     }
 
-    /// Find, pop, and return the globally smallest key, advancing the
-    /// window as needed. Does not touch `now`/`processed`.
-    fn pop_key(&mut self) -> Option<Key> {
+    /// The entries `(time, seq, event)` of lane `li`, in arrival order.
+    fn lane_entries(&self, li: usize) -> impl Iterator<Item = (Time, u64, &E)> {
+        let mut c = self.lanes[li].head;
+        std::iter::from_fn(move || {
+            let chunk = self.chunks.get(c as usize)?;
+            c = chunk.next;
+            Some(chunk.keys.iter().zip(&chunk.events).map(|(&(time, seq), e)| (time, seq, e)))
+        })
+        .flatten()
+    }
+
+    /// The earliest time in the non-empty lane `li`: its first entry's,
+    /// unless it awaits its sort.
+    #[inline(always)]
+    fn head_time(&self, li: usize) -> Time {
+        let lane = &self.lanes[li];
+        match (lane.mixed, lane.unsorted) {
+            (false, _) => lane.last_time,
+            (true, false) => self.chunks[lane.head as usize].keys[0].0,
+            (true, true) => self.lane_entries(li).map(|e| e.0).min().unwrap_or(lane.last_time),
+        }
+    }
+
+    /// The earliest pending near event: its page, time and lane.
+    /// `occupied` gives the first non-empty lane from `cur_page` on, going
+    /// round the ring; a later lane of the same page comes first only if
+    /// its head is strictly earlier (at equal times lower priority wins).
+    /// Always inlined: returned through memory, the triple is written in
+    /// words and read back wider, which stalls every pop.
+    #[inline(always)]
+    fn first_near(&self) -> Option<(u64, Time, usize)> {
         if self.near_pending == 0 {
-            // Near window exhausted: jump straight to the earliest
-            // far-future page (or report empty).
-            let &Reverse(key) = self.overflow.peek()?;
-            self.cur_page = key.time >> BUCKET_SHIFT;
+            return None;
+        }
+        let from = Self::lane_index(self.cur_page, 0);
+        let ahead = (0..=LANE_WORDS).find_map(|k| {
+            // The last round is the first word again, for the bits below `from`.
+            let mask = if k == 0 { !0 << (from % 64) } else { !0 };
+            let word = self.occupied[(from / 64 + k) % LANE_WORDS] & mask;
+            (word != 0).then(|| 64 * k + word.trailing_zeros() as usize - from % 64)
+        });
+        let ahead = ahead.expect("near events pending but no lane occupied");
+        let mut li = (from + ahead) % (N_BUCKETS * N_PRI);
+        let mut time = self.head_time(li);
+        for other in li + 1..li - li % N_PRI + N_PRI {
+            if self.lanes[other].head != NIL && self.head_time(other) < time {
+                (time, li) = (self.head_time(other), other);
+            }
+        }
+        Some((self.cur_page + (ahead / N_PRI) as u64, time, li))
+    }
+
+    /// Advance the window to the first pending event and return its time
+    /// and lane. Does not touch `now`/`processed`.
+    fn next_key(&mut self) -> Option<(Time, usize)> {
+        self.counters.max_pending = self.counters.max_pending.max(self.pending() as u64);
+        if self.near_pending == 0 {
+            // Near window exhausted: jump to the earliest far-future page.
+            self.cur_page = self.overflow.first_key_value()?.0 .0 >> BUCKET_SHIFT;
             self.refill_from_overflow();
         }
-        loop {
-            let idx = (self.cur_page % N_BUCKETS as u64) as usize;
-            if self.buckets[idx].items.is_empty() {
-                // Advancing one page extends the window by one page at the
-                // far end; any overflow events for it move in.
-                self.cur_page += 1;
+        let (page, time, li) = self.first_near()?;
+        if page != self.cur_page {
+            // The window grows at the far end: overflow events move in.
+            self.cur_page = page;
+            if !self.overflow.is_empty() {
                 self.refill_from_overflow();
-                continue;
             }
-            let b = &mut self.buckets[idx];
-            b.ensure_sorted();
-            let key = b.items[b.head];
-            b.head += 1;
-            if b.head == b.items.len() {
-                b.items.clear();
-                b.head = 0;
-            }
-            self.near_pending -= 1;
-            return Some(key);
         }
+        Some((time, li))
+    }
+
+    /// Restore `(time, seq)` order in a flagged lane: empty it and push
+    /// its entries again. Entries of one time are in seq order already,
+    /// so a stable sort by time is exact.
+    #[cold]
+    fn sort_lane(&mut self, li: usize) {
+        let mut all = Vec::new();
+        let mut c = std::mem::replace(&mut self.lanes[li], EMPTY_LANE).head;
+        while let Some(chunk) = self.chunks.get_mut(c as usize) {
+            all.extend(chunk.keys.drain(..).zip(chunk.events.drain(..)));
+            self.free = std::mem::replace(&mut c, std::mem::replace(&mut chunk.next, self.free));
+        }
+        self.near_pending -= all.len();
+        all.sort_by_key(|&((time, _), _)| time);
+        for ((time, seq), event) in all {
+            self.push_near(time, (li % N_PRI) as Priority, seq, event);
+        }
+        self.counters.lane_sorts += 1;
+    }
+
+    /// Take the events of `time` off the front of lane `li`, at most
+    /// `limit` of them: `take(chunk, n)` is to remove the first `n`
+    /// entries of `chunk`.
+    #[inline]
+    fn take_front(&mut self, time: Time, li: usize, limit: usize, mut take: impl FnMut(&mut Chunk<E>, usize)) {
+        if self.lanes[li].unsorted {
+            self.sort_lane(li);
+        }
+        let mixed = self.lanes[li].mixed;
+        let mut c = self.lanes[li].head;
+        let mut taken = 0;
+        while taken < limit {
+            let Some(chunk) = self.chunks.get_mut(c as usize) else { break };
+            let mut n = chunk.keys.len();
+            if n > limit - taken || (mixed && chunk.keys[n - 1].0 != time) {
+                // The group, or the caller's limit, ends inside this chunk.
+                n = chunk.keys.iter().take(limit - taken).take_while(|k| k.0 == time).count();
+                take(chunk, n);
+                taken += n;
+                break;
+            }
+            // The common case: the whole chunk goes, and back to the pool.
+            take(chunk, n);
+            taken += n;
+            self.free = std::mem::replace(&mut c, std::mem::replace(&mut chunk.next, self.free));
+        }
+        if c == NIL {
+            self.lanes[li] = EMPTY_LANE;
+            self.occupied[li / 64] &= !(1 << (li % 64));
+        } else {
+            self.lanes[li].head = c;
+        }
+        self.near_pending -= taken;
+        self.processed += taken as u64;
+    }
+
+    /// Drain the whole group of `time` at the front of lane `li`.
+    #[inline]
+    fn take_group(&mut self, time: Time, li: usize, take: impl FnMut(&mut Chunk<E>, usize)) {
+        self.take_front(time, li, usize::MAX, take);
+        self.counters.groups += 1;
+        self.counters.partial_groups += u64::from(self.lanes[li].head != NIL);
     }
 
     /// Pop the next event, advancing simulated time.
     pub fn pop(&mut self) -> Option<(Time, E)> {
-        let key = self.pop_key()?;
-        self.now = key.time;
-        self.processed += 1;
-        Some((key.time, self.take_payload(key.slot)))
+        let (time, li) = self.next_key()?;
+        self.now = time;
+        let mut event = None;
+        self.take_front(time, li, 1, |chunk, _| {
+            chunk.keys.pop_front();
+            event = chunk.events.pop_front();
+        });
+        Some((time, event.expect("next_key found an event")))
     }
 
     /// Batch-drain one `(time, priority)` group: pop *every* currently
@@ -357,66 +470,45 @@ impl<E> Scheduler<E> {
     /// `out` (cleared first), in FIFO order, advancing simulated time once.
     /// Returns the group's `(time, priority)`, or `None` when empty.
     ///
-    /// This is the macro-actor interface of the event list: the two-phase
-    /// negotiate/transfer cycle of the model pops one *group* per phase
-    /// instead of one event at a time, turning N heap pops per cycle into
-    /// one bucket walk. Events scheduled into the same group *while the
-    /// batch is being handled* are not lost — they have larger sequence
-    /// numbers than anything drained here, so the next call returns them,
-    /// exactly as repeated single pops would.
+    /// This is the macro-actor interface of the event list: the model's
+    /// two-phase cycle pops one *group* per phase — one lane walk instead
+    /// of N heap pops. Events scheduled into the group *while the batch is
+    /// being handled* have larger sequence numbers than anything drained
+    /// here, so the next call returns them, as repeated single pops would.
     pub fn pop_cycle(&mut self, out: &mut Vec<E>) -> Option<(Time, Priority)> {
         out.clear();
-        let key = self.pop_key()?;
-        self.now = key.time;
-        self.processed += 1;
-        let ev = self.take_payload(key.slot);
-        out.push(ev);
-        // The rest of the group is contiguous at the head of the current
-        // bucket: same time ⟹ same page, and the bucket is sorted.
-        let idx = (self.cur_page % N_BUCKETS as u64) as usize;
-        loop {
-            let b = &mut self.buckets[idx];
-            if b.items.is_empty() {
-                break;
+        let (time, li) = self.next_key()?;
+        self.now = time;
+        self.take_group(time, li, |chunk, n| {
+            if n < chunk.events.len() {
+                chunk.keys.drain(..n);
+                return out.extend(chunk.events.drain(..n));
             }
-            let k = b.items[b.head];
-            if k.time != key.time || k.priority != key.priority {
-                break;
+            // A whole chunk moves as one block, not event by event — or
+            // not at all: a group of one chunk swaps buffers with a caller
+            // whose own is no larger (the Master TCU's groups of one).
+            let mut events = Vec::from(std::mem::take(&mut chunk.events));
+            if out.is_empty() && out.capacity() <= CHUNK {
+                std::mem::swap(out, &mut events);
+            } else {
+                out.append(&mut events);
             }
-            b.head += 1;
-            if b.head == b.items.len() {
-                b.items.clear();
-                b.head = 0;
-            }
-            self.near_pending -= 1;
-            self.processed += 1;
-            let ev = self.take_payload(k.slot);
-            out.push(ev);
-        }
-        Some((key.time, key.priority))
+            chunk.events = events.into();
+            chunk.keys.clear();
+        });
+        Some((time, (li % N_PRI) as Priority))
     }
 
     /// Smallest pending `(time, priority)` without popping — the lock-step
     /// window bound: the parallel engine's coordinator takes the minimum
     /// of this across all shard schedulers to pick the next global group.
     pub fn peek_key(&self) -> Option<(Time, Priority)> {
-        let near = if self.near_pending > 0 {
-            let mut page = self.cur_page;
-            loop {
-                let b = &self.buckets[(page % N_BUCKETS as u64) as usize];
-                if !b.items.is_empty() {
-                    // First non-empty bucket holds the earliest event; the
-                    // bucket may be unsorted, so scan for the minimum key.
-                    break b.items[b.head..].iter().map(|k| (k.time, k.priority)).min();
-                }
-                page += 1;
-            }
-        } else {
-            None
-        };
-        // Overflow events live ≥ N_BUCKETS pages past `cur_page`, so any
-        // near event beats them; compare only when the near window is empty.
-        near.or_else(|| self.overflow.peek().map(|&Reverse(k)| (k.time, k.priority)))
+        // Overflow events live ≥ N_BUCKETS pages past `cur_page`, so they
+        // matter only when the near window is empty.
+        match self.first_near() {
+            Some((_, time, li)) => Some((time, (li % N_PRI) as Priority)),
+            None => self.overflow.first_key_value().map(|(k, _)| (k.0, k.1)),
+        }
     }
 
     /// Drain this scheduler's slice of the global `(time, priority)` group
@@ -426,55 +518,31 @@ impl<E> Scheduler<E> {
     /// past". The caller merges slices from all shards by seq.
     pub fn pop_group_seq(&mut self, time: Time, priority: Priority, out: &mut Vec<(u64, E)>) {
         self.now = self.now.max(time);
-        match self.peek_key() {
-            Some((t, p)) if t == time && p == priority => {}
-            _ => return,
-        }
-        let key = self.pop_key().expect("peeked a matching group");
-        debug_assert!(key.time == time && key.priority == priority);
-        self.processed += 1;
-        let ev = self.take_payload(key.slot);
-        out.push((key.seq, ev));
-        // As in `pop_cycle`: the rest of the group is contiguous at the
-        // head of the (sorted) current bucket.
-        let idx = (self.cur_page % N_BUCKETS as u64) as usize;
-        loop {
-            let b = &mut self.buckets[idx];
-            if b.items.is_empty() {
-                break;
-            }
-            let k = b.items[b.head];
-            if k.time != time || k.priority != priority {
-                break;
-            }
-            b.head += 1;
-            if b.head == b.items.len() {
-                b.items.clear();
-                b.head = 0;
-            }
-            self.near_pending -= 1;
-            self.processed += 1;
-            let ev = self.take_payload(k.slot);
-            out.push((k.seq, ev));
+        // Peek first: `next_key` may move the window only up to an event
+        // that is then popped, or `now` would fall behind `cur_page`.
+        if self.peek_key() == Some((time, priority)) {
+            let (_, li) = self.next_key().expect("peeked");
+            self.take_group(time, li, |chunk, n| {
+                out.extend(chunk.keys.drain(..n).map(|k| k.1).zip(chunk.events.drain(..n)));
+            });
         }
     }
 
-    /// Re-insert an event that was drained by [`pop_cycle`](Self::pop_cycle)
-    /// but not handled (the model hit a stop/checkpoint boundary mid-batch),
-    /// un-counting it from `processed`. Requeued events keep their relative
-    /// order when requeued in batch order; they are appended after any event
-    /// the already-handled part of the batch scheduled into the same group.
+    /// Re-insert an event that [`pop_cycle`](Self::pop_cycle) drained but
+    /// the model did not handle (a stop/checkpoint boundary mid-batch),
+    /// un-counting it from `processed`. Requeued in batch order, events
+    /// keep their relative order, behind anything the handled part of the
+    /// batch scheduled into the same group.
     pub fn requeue(&mut self, time: Time, priority: Priority, event: E) {
         self.schedule_at(time, priority, event);
         self.processed -= 1;
     }
 
     /// Snapshot every pending event as `(time, priority, payload)` in
-    /// exact pop order (ascending `(time, priority, seq)`), without
-    /// disturbing the queue. This is the checkpoint path for mid-flight
-    /// state: re-scheduling the snapshot into a fresh scheduler in this
-    /// order reproduces the pop order exactly, because newly assigned
-    /// sequence numbers are monotone in insertion order.
+    /// exact pop order, without disturbing the queue — the checkpoint path
+    /// for mid-flight state: re-scheduling the snapshot into a fresh
+    /// scheduler in this order reproduces the pop order, because newly
+    /// assigned sequence numbers are monotone in insertion order.
     pub fn pending_snapshot(&self) -> Vec<(Time, Priority, E)>
     where
         E: Clone,
@@ -489,70 +557,48 @@ impl<E> Scheduler<E> {
     where
         E: Clone,
     {
-        let mut keyed: Vec<Key> = Vec::with_capacity(self.pending());
-        for b in &self.buckets {
-            keyed.extend_from_slice(&b.items[b.head..]);
+        let mut all: Vec<(Time, Priority, u64, &E)> = Vec::with_capacity(self.pending());
+        for li in 0..self.lanes.len() {
+            let priority = (li % N_PRI) as Priority;
+            all.extend(self.lane_entries(li).map(|(time, seq, e)| (time, priority, seq, e)));
         }
-        keyed.extend(self.overflow.iter().map(|Reverse(k)| *k));
+        all.extend(self.overflow.iter().map(|(&(t, p, seq), e)| (t, p, seq, e)));
         // Keys are unique (seq), so an unstable sort is exact.
-        keyed.sort_unstable();
-        keyed
-            .into_iter()
-            .map(|k| {
-                let ev = self.payloads[k.slot as usize].as_ref().expect("pending slot has payload");
-                (k.time, k.priority, k.seq, ev.clone())
-            })
-            .collect()
+        all.sort_unstable_by_key(|&(t, p, seq, _)| (t, p, seq));
+        all.into_iter().map(|(t, p, seq, e)| (t, p, seq, e.clone())).collect()
     }
 
     /// Time of the next pending event without popping it.
     pub fn peek_time(&self) -> Option<Time> {
-        if self.near_pending > 0 {
-            let mut page = self.cur_page;
-            loop {
-                let b = &self.buckets[(page % N_BUCKETS as u64) as usize];
-                if !b.items.is_empty() {
-                    // The earliest event is in the first non-empty bucket;
-                    // the bucket may be unsorted, so scan for its minimum.
-                    return b.items[b.head..].iter().map(|k| k.time).min();
-                }
-                page += 1;
-            }
-        }
-        self.overflow.peek().map(|Reverse(k)| k.time)
+        self.peek_key().map(|(time, _)| time)
     }
 
-    /// Drop all pending events (used by the stop event and by phase
-    /// sampling's time skips). Keeps `now`, `seq` and `processed`: the
-    /// scheduler stays anchored at the current time and still refuses
-    /// events in the past. For rewinding time (checkpoint restore into a
-    /// fresh or reused scheduler), use [`reset`](Self::reset).
+    /// Drop all pending events (the stop event, phase sampling's time
+    /// skips) and the chunks that held them. Keeps `now`, `seq` and
+    /// `processed`: the scheduler stays anchored at the current time and
+    /// still refuses events in the past; [`reset`](Self::reset) rewinds.
     pub fn clear(&mut self) {
-        for b in &mut self.buckets {
-            b.items.clear();
-            b.head = 0;
-            b.sorted = true;
-        }
+        self.lanes.fill(EMPTY_LANE);
+        self.occupied = [0; LANE_WORDS];
+        self.chunks.clear();
+        self.free = NIL;
         self.cur_page = self.now >> BUCKET_SHIFT;
         self.near_pending = 0;
         self.overflow.clear();
-        self.payloads.clear();
-        self.free.clear();
     }
 
-    /// Return to the pristine time-zero state: everything [`clear`]
-    /// drops, plus `now`, `seq` and `processed`. This is the checkpoint-
-    /// restore entry point — a restored simulation may resume at a time
-    /// *earlier* than this scheduler has already reached, which `clear`
-    /// (deliberately) still treats as "scheduling in the past".
-    ///
-    /// [`clear`]: Self::clear
+    /// Return to the pristine time-zero state: everything
+    /// [`clear`](Self::clear) drops, plus `now`, `seq`, `processed` and the
+    /// counters. The checkpoint-restore entry point: a restored simulation
+    /// may resume *earlier* than this scheduler has already reached, which
+    /// `clear` (deliberately) still treats as scheduling in the past.
     pub fn reset(&mut self) {
         self.clear();
         self.now = 0;
         self.seq = 0;
         self.processed = 0;
         self.cur_page = 0;
+        self.counters = SchedCounters::default();
     }
 }
 
@@ -602,19 +648,57 @@ mod tests {
         s.schedule_at(5, PRI_DEFAULT, ());
     }
 
+    /// Chunks go back to the pool when drained and are linked into other
+    /// lanes later; an event must never come out of a stale chunk.
     #[test]
-    fn slot_reuse_does_not_corrupt_payloads() {
+    fn chunk_reuse_does_not_corrupt_events() {
         let mut s = Scheduler::new();
+        let mut batch = Vec::new();
         for round in 0..100u32 {
-            for k in 0..10u32 {
-                s.schedule_in((k as u64) + 1, round * 100 + k);
+            // Two lanes of several chunks each, drained by different paths.
+            for k in 0..3 * CHUNK as u32 {
+                s.schedule_in(1 + u64::from(k % 2) * BUCKET_WIDTH_PS, round * 1000 + k);
             }
-            for k in 0..10u32 {
-                let (_, v) = s.pop().unwrap();
-                assert_eq!(v, round * 100 + k);
-            }
+            let first: Vec<u32> = std::iter::from_fn(|| s.pop().map(|(_, v)| v))
+                .take(3 * CHUNK / 2)
+                .collect();
+            s.pop_cycle(&mut batch);
+            let want = |odd: u32| (0..3 * CHUNK as u32).filter(move |k| k % 2 == odd);
+            assert!(first.into_iter().eq(want(0).map(|k| round * 1000 + k)));
+            assert!(batch.iter().copied().eq(want(1).map(|k| round * 1000 + k)));
         }
         assert_eq!(s.pending(), 0);
+        // The pool served every round after the first.
+        assert_eq!(s.retained_entries(), 4 * CHUNK);
+        assert_eq!(s.counters.chunks_allocated, 4);
+    }
+
+    #[test]
+    #[should_panic(expected = "not below N_PRI")]
+    fn rejects_priorities_without_a_lane() {
+        Scheduler::new().schedule_at(10, N_PRI as Priority, ());
+    }
+
+    /// A page holding two timestamps: arrivals out of time order flag the
+    /// lane, it is sorted once when reached, and its first group is a
+    /// strict prefix of it.
+    #[test]
+    fn out_of_order_arrivals_sort_the_lane_once() {
+        let mut s = Scheduler::new();
+        let n = 2 * CHUNK + 3;
+        for k in 0..n {
+            s.schedule_at(1000, PRI_DEFAULT, (1000, k));
+            s.schedule_at(0, PRI_DEFAULT, (0, k));
+        }
+        assert_eq!(s.peek_key(), Some((0, PRI_DEFAULT)), "peeking scans the unsorted lane");
+        let mut batch = Vec::new();
+        for time in [0, 1000] {
+            assert_eq!(s.pop_cycle(&mut batch), Some((time, PRI_DEFAULT)));
+            assert!(batch.iter().copied().eq((0..n).map(|k| (time, k))));
+        }
+        let c = s.counters;
+        assert_eq!((c.lane_sorts, c.groups, c.partial_groups), (1, 2, 1));
+        assert_eq!(c.max_pending, 2 * n as u64);
     }
 
     #[test]
@@ -809,9 +893,9 @@ mod tests {
 
     #[test]
     fn interleaved_same_bucket_inserts_stay_ordered() {
-        // Insert into the bucket currently being drained, with an earlier
-        // priority than events still in it: the binary-insert path must
-        // keep the order exact.
+        // Insert into the page currently being drained, with an earlier
+        // priority than events still in it: the other lanes' heads must
+        // still be compared.
         let mut s = Scheduler::new();
         s.schedule_at(10, PRI_SAMPLE, "s1");
         s.schedule_at(10, PRI_TRANSFER, "t1");

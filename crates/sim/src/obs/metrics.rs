@@ -215,6 +215,12 @@ impl MetricsRegistry {
         self.gauge("host.memory_s", hp.memory_s);
         self.gauge("host.other_s", hp.other_s);
         self.gauge("host.sched_s", hp.sched_s);
+        self.counter("host.sched.groups", hp.sched.groups);
+        self.counter("host.sched.partial_groups", hp.sched.partial_groups);
+        self.counter("host.sched.lane_sorts", hp.sched.lane_sorts);
+        self.counter("host.sched.overflow_events", hp.sched.overflow_events);
+        self.counter("host.sched.max_pending", hp.sched.max_pending);
+        self.counter("host.sched.chunks_allocated", hp.sched.chunks_allocated);
         self.gauge("host.memory_fraction", hp.memory_fraction());
         self.counter("host.compute_events", hp.compute_events);
         self.counter("host.memory_events", hp.memory_events);

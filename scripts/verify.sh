@@ -85,6 +85,8 @@ referee() {
 # XMT_FUZZ_CASES lets a quick smoke tier dial the fuzz count down.
 export XMT_FUZZ_CASES="${XMT_FUZZ_CASES:-256}"
 
+# the event list's lanes vs the binary heap, on the cycle model's traffic
+referee xmtsim model_properties 'lanes_match_heap_on_model_traffic: ran [1-9][0-9]* cases'
 # determinism: bit-identical runs + quiescent and mid-flight checkpoints
 referee xmt-bench "checkpoint_resume checkpoint_inflight"
 # express ICN legs vs the per-hop walk

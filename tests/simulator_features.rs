@@ -163,3 +163,74 @@ fn dvfs_plugin_changes_simulated_timing_end_to_end() {
         base.time_ps
     );
 }
+
+/// The event list's own counters, read through the host profile: the
+/// traffic the lane design was built for is the traffic it gets. On the
+/// default 1000 ps clocks about one 1024 ps page in 42 holds two
+/// timestamps; only there can a group be a strict prefix of its lane,
+/// and only there can arrivals out of time order make a lane need its
+/// sort — both stay a few per cent of the groups drained.
+#[test]
+fn event_list_counters_confirm_the_lane_premise() {
+    use xmt_workloads::suite::{self, Variant};
+    let opts = Options::default();
+    let kernels = [
+        suite::bfs(300, 1200, 7, Variant::Parallel, &opts).unwrap().compiled,
+        suite::fft(256, 3, Variant::Parallel, &opts).unwrap().compiled,
+    ];
+    for compiled in &kernels {
+        for cfg in [XmtConfig::fpga64(), XmtConfig::chip1024()] {
+            let mut sim = compiled.simulator(&cfg);
+            sim.enable_host_profiling();
+            let summary = sim.run().unwrap();
+            let c = sim.host_profile().unwrap().sched;
+            assert!(c.groups > 1000 && c.groups <= summary.events, "{c:?}");
+            assert!(c.partial_groups * 20 < c.groups, "partial groups are not rare: {c:?}");
+            assert!(c.lane_sorts <= c.partial_groups, "a sort without a second timestamp: {c:?}");
+            assert!(c.max_pending >= 64 && c.chunks_allocated > 0, "{c:?}");
+            // The same numbers reach the metrics registry.
+            let reg = sim.metrics_registry();
+            for row in ["groups", "partial_groups", "lane_sorts", "overflow_events", "max_pending"] {
+                assert!(reg.get(&format!("host.sched.{row}")).is_some(), "host.sched.{row}");
+            }
+        }
+    }
+}
+
+/// The fallback is exercised, not assumed: self-timed switches with
+/// jitter spread timestamps over the pages and a DVFS retune re-times
+/// legs in flight, so lanes do get sorted — and the run still equals the
+/// per-hop oracle's in every observable.
+#[test]
+fn sorted_lanes_still_match_the_per_hop_oracle() {
+    use xmt_workloads::suite::{self, Variant};
+    use xmtsim::config::{ClockDomain, IcnTiming};
+    use xmtsim::IcnModel;
+    struct Retune(u32);
+    impl ActivityPlugin for Retune {
+        fn sample(&mut self, _s: &ActivitySample<'_>, ctl: &mut RuntimeCtl) {
+            self.0 += 1;
+            if self.0 == 3 {
+                ctl.scale_frequency(ClockDomain::Icn, 0.7);
+            }
+        }
+    }
+    let compiled = suite::bfs(300, 1200, 7, Variant::Parallel, &Options::default()).unwrap().compiled;
+    let run = |icn_model| {
+        let mut cfg = XmtConfig::fpga64();
+        cfg.icn_model = icn_model;
+        cfg.icn_timing = IcnTiming::Asynchronous { hop_ps: 700, jitter_ps: 450 };
+        let mut sim = compiled.simulator(&cfg);
+        sim.enable_host_profiling();
+        sim.add_activity(Box::new(Retune(0)), 500);
+        let summary = sim.run().unwrap();
+        let sorts = sim.host_profile().unwrap().sched.lane_sorts;
+        (summary.cycles, summary.time_ps, sim.stats.clone(), sim.machine.clone(), sorts)
+    };
+    let express = run(IcnModel::Express);
+    let per_hop = run(IcnModel::PerHop);
+    assert!(express.4 > 0 && per_hop.4 > 0, "no lane was ever sorted: {} / {}", express.4, per_hop.4);
+    assert_eq!((express.0, express.1), (per_hop.0, per_hop.1), "cycles / time");
+    assert!(express.2 == per_hop.2, "statistics differ");
+    assert!(express.3 == per_hop.3, "final machine state differs");
+}
