@@ -1,11 +1,15 @@
 //! Compute-burst issue (ISSUE 5): one scheduler event per straight-line
-//! instruction run vs the per-instruction oracle, on the paper's
-//! compute-bound and memory-bound parallel microbenchmarks at chip scale.
+//! instruction run vs the per-instruction oracle, on the paper's four
+//! Table I microbenchmarks — the parallel pair at chip scale, the serial
+//! pair on `fpga64` (the kernels and machine of `bench/e2e`'s
+//! `serial_master`, where the Master TCU's burst also folds private-FU
+//! ops, master-cache hits and whole round trips, DESIGN §15).
 //! The two issue models are bit-identical on simulated results (the
 //! `issue_burst_diff` suite proves it; the probe below is a live
-//! cross-check), so the entire gap is host-side step-event traffic: the
-//! per-instruction oracle pays one `TcuStep` event per issued
-//! instruction, while the burst path pays one per straight-line run.
+//! cross-check), so the entire gap is host-side event traffic: the
+//! per-instruction oracle pays one step event per issued instruction
+//! (and four memory events per master round trip), while the burst path
+//! pays one per run.
 //! Writes `BENCH_issue.json` and prints the host speedup plus the
 //! events-per-1k-instructions each model spends.
 
@@ -15,8 +19,7 @@ use xmtc::Options;
 use xmtsim::{IssueModel, XmtConfig};
 use xmt_workloads::micro::{build, MicroGroup, MicroParams};
 
-fn config(model: IssueModel) -> XmtConfig {
-    let mut cfg = XmtConfig::chip1024();
+fn config(mut cfg: XmtConfig, model: IssueModel) -> XmtConfig {
     cfg.issue_model = model;
     cfg
 }
@@ -40,16 +43,21 @@ fn median_of(benches: &[Json], name: &str) -> Option<u64> {
 }
 
 fn main() {
-    let params = MicroParams { threads: 1024, iters: 8, data_words: 1 << 14 };
+    let parallel = MicroParams { threads: 1024, iters: 8, data_words: 1 << 14 };
+    // Serial kernels run `threads * iters / 16` iterations in all.
+    let serial = MicroParams { threads: 16, iters: 1 << 12, data_words: 1 << 18 };
+    let (chip, fpga) = (XmtConfig::chip1024(), XmtConfig::fpga64());
     let groups = [
-        (MicroGroup::ParallelCompute, "parallel_compute"),
-        (MicroGroup::ParallelMemory, "parallel_memory"),
+        (MicroGroup::ParallelCompute, "parallel_compute", parallel, &chip, "chip1024"),
+        (MicroGroup::ParallelMemory, "parallel_memory", parallel, &chip, "chip1024"),
+        (MicroGroup::SerialCompute, "serial_compute", serial, &fpga, "fpga64"),
+        (MicroGroup::SerialMemory, "serial_memory", serial, &fpga, "fpga64"),
     ];
 
     let mut group = BenchGroup::new("issue");
     group.sample_size(10);
     let mut report = Vec::new();
-    for (micro, gname) in groups {
+    for (micro, gname, params, machine, mname) in groups {
         let compiled = build(micro, &params, &Options::default()).unwrap();
 
         // One run per model up front: simulated results must agree, and
@@ -57,7 +65,7 @@ fn main() {
         // report (plus the burst-length profile for the compute case).
         let mut probe = Vec::new();
         for model in [IssueModel::Burst, IssueModel::PerInstr] {
-            let mut sim = compiled.simulator(&config(model));
+            let mut sim = compiled.simulator(&config(machine.clone(), model));
             sim.enable_host_profiling();
             let s = sim.run().unwrap();
             let hp = sim.host_profile().unwrap().clone();
@@ -70,21 +78,24 @@ fn main() {
             (sp.cycles, sp.time_ps, sp.instructions),
             "{gname}: issue models diverged on simulated results"
         );
+        // A burst of L instructions is one step event instead of L, and
+        // a master round trip walked on the stack is none instead of four.
         assert_eq!(
-            sb.events + (hb.burst_instrs - hb.bursts),
+            sb.events + (hb.burst_instrs - hb.bursts) + 4 * hb.master_inline_trips,
             sp.events,
             "{gname}: event books out of balance"
         );
+        assert_eq!(hb.master_event_trips, 0, "{gname}: nothing clips an unsampled run");
 
         group.throughput_elements(sb.instructions);
         for (model, label) in [(IssueModel::Burst, "burst"), (IssueModel::PerInstr, "perinstr")] {
-            let cfg = config(model);
+            let cfg = config(machine.clone(), model);
             group.bench(&format!("{gname}/{label}"), || {
                 let mut sim = compiled.simulator(&cfg);
                 sim.run().unwrap()
             });
         }
-        report.push((gname, sb, sp, hb));
+        report.push((gname, mname, sb, sp, hb));
     }
     let path = group.finish();
 
@@ -97,28 +108,29 @@ fn main() {
         .find(|(k, _)| k == "benches")
         .and_then(|(_, v)| v.as_arr().ok())
         .expect("benches array");
-    for (gname, sb, sp, hb) in report {
+    for (gname, mname, sb, sp, hb) in report {
         let per_1k = |events: u64| events as f64 * 1000.0 / sb.instructions.max(1) as f64;
         if let (Some(b), Some(p)) = (
             median_of(benches, &format!("{gname}/burst")),
             median_of(benches, &format!("{gname}/perinstr")),
         ) {
             eprintln!(
-                "bench issue: chip1024 {gname}: burst {:.2}x vs per-instr \
-                 ({} vs {} ms median)",
+                "bench issue: {mname} {gname}: burst {:.2}x vs per-instr \
+                 ({:.1} vs {:.1} ms median)",
                 p as f64 / b.max(1) as f64,
-                b / 1_000_000,
-                p / 1_000_000,
+                b as f64 / 1e6,
+                p as f64 / 1e6,
             );
         }
         eprintln!(
             "bench issue: {gname}: events/1k-instr per-instr {:.0} vs burst {:.0} \
-             ({:.0} elided; {} bursts, mean len {:.1})",
+             ({:.0} elided; {} bursts, mean len {:.1}; {} master round trips inline)",
             per_1k(sp.events),
             per_1k(sb.events),
             per_1k(sp.events - sb.events),
             hb.bursts,
             hb.mean_burst_len(),
+            hb.master_inline_trips,
         );
     }
 }

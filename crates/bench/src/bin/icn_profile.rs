@@ -13,8 +13,9 @@
 //! A second table profiles the *issue* models the same way: for each
 //! workload under per-instruction stepping vs compute-burst issue, the
 //! share of events that are instruction-issue steps, the burst count and
-//! mean length, the straight-line-run length distribution, and which
-//! boundary broke each burst.
+//! mean length, the straight-line-run length distribution, which
+//! boundary broke each burst, and how many of the master's memory round
+//! trips were walked on the stack instead of through the event list.
 //!
 //! A third table profiles the *decode* modes: for each workload under the
 //! pre-decoded basic-block cache vs interpreted decode, how many blocks
@@ -158,7 +159,8 @@ fn main() {
     // does to it (burst count, mean straight-line-run length, the
     // floor-log2 length distribution, and the boundary that broke each
     // burst: a non-local instruction, a pending sample tick, a
-    // cycle/instruction/checkpoint boundary, or the hard cap).
+    // cycle/instruction/checkpoint boundary, the hard cap, or — master
+    // only — a round trip that became events, a non-empty spawn).
     let mut issue_rows = Vec::new();
     for (name, compiled) in workloads {
         for (model, label) in [
@@ -202,13 +204,16 @@ fn main() {
                     "-".to_string()
                 } else {
                     format!(
-                        "{}/{}/{}/{}",
+                        "{}/{}/{}/{}/{}/{}",
                         hp.burst_break_nonlocal,
                         hp.burst_break_sample,
                         hp.burst_break_boundary,
-                        hp.burst_break_cap
+                        hp.burst_break_cap,
+                        hp.burst_break_miss,
+                        hp.burst_break_spawn
                     )
                 },
+                format!("{} / {}", hp.master_inline_trips, hp.master_event_trips),
             ]);
         }
     }
@@ -224,14 +229,17 @@ fn main() {
                     "bursts",
                     "mean len",
                     "len hist 1/2-3/../128+",
-                    "breaks nonlocal/sample/boundary/cap",
+                    "breaks nonlocal/sample/boundary/cap/miss/spawn",
+                    "master trips inline / event",
                 ],
                 &issue_rows
             )
         );
         println!("(burst rows issue one scheduler event per straight-line run; the break");
-        println!(" columns say which boundary ended each run — identical simulated results");
-        println!(" are enforced by the issue_burst_diff differential suite)");
+        println!(" columns say which boundary ended each run, the last column how many of");
+        println!(" the master's round trips were walked on the stack vs. sent through the");
+        println!(" event list — identical simulated results are enforced by the");
+        println!(" issue_burst_diff differential suite)");
     }
 
     // Third table: the *decode*-mode profile — what the pre-decoded

@@ -10,6 +10,7 @@ use crate::instr::{Instr, Target};
 use crate::memmap::MemoryMap;
 use std::collections::BTreeMap;
 use std::fmt;
+use xmt_harness::json::{json_field, FromJson, Json, JsonError, ToJson};
 use xmt_harness::{json_enum, json_struct};
 
 /// One line of an assembly program.
@@ -132,13 +133,10 @@ impl AsmProgram {
             return Err(LinkError::DataOverrun(e.name.clone()));
         }
 
-        // Pass 2: resolve targets and match spawn/join.
+        // Pass 2: resolve targets, then match spawn/join.
         let mut text: Vec<Instr> = Vec::with_capacity(idx as usize);
-        let mut spawn_join: BTreeMap<u32, u32> = BTreeMap::new();
-        let mut open_spawn: Option<u32> = None;
         for item in &self.items {
             let AsmItem::Instr(ins) = item else { continue };
-            let here = text.len() as u32;
             let mut ins = ins.clone();
             if let Some(t) = ins.target_mut() {
                 if let Target::Label(name) = t {
@@ -148,29 +146,40 @@ impl AsmProgram {
                     *t = Target::Abs(abs);
                 }
             }
-            match ins {
-                Instr::Spawn { .. } => {
-                    if open_spawn.is_some() {
-                        return Err(LinkError::NestedSpawn(here));
-                    }
-                    open_spawn = Some(here);
-                }
-                Instr::Join => {
-                    let Some(s) = open_spawn.take() else {
-                        return Err(LinkError::UnmatchedJoin(here));
-                    };
-                    spawn_join.insert(s, here);
-                }
-                _ => {}
-            }
             text.push(ins);
         }
-        if let Some(s) = open_spawn {
-            return Err(LinkError::UnmatchedSpawn(s));
-        }
+        let spawn_join = pair_spawns(&text)?;
 
         let entry = labels.get("main").copied().unwrap_or(0);
         Ok(Executable { text, labels, spawn_join, entry, memmap })
+    }
+}
+
+/// Pair every `spawn` of `text` with the `join` that closes it.
+fn pair_spawns(text: &[Instr]) -> Result<BTreeMap<u32, u32>, LinkError> {
+    let mut spawn_join: BTreeMap<u32, u32> = BTreeMap::new();
+    let mut open_spawn: Option<u32> = None;
+    for (here, ins) in text.iter().enumerate() {
+        let here = here as u32;
+        match ins {
+            Instr::Spawn { .. } => {
+                if open_spawn.is_some() {
+                    return Err(LinkError::NestedSpawn(here));
+                }
+                open_spawn = Some(here);
+            }
+            Instr::Join => {
+                let Some(s) = open_spawn.take() else {
+                    return Err(LinkError::UnmatchedJoin(here));
+                };
+                spawn_join.insert(s, here);
+            }
+            _ => {}
+        }
+    }
+    match open_spawn {
+        Some(s) => Err(LinkError::UnmatchedSpawn(s)),
+        None => Ok(spawn_join),
     }
 }
 
@@ -189,7 +198,37 @@ pub struct Executable {
     pub memmap: MemoryMap,
 }
 
-json_struct!(Executable { text, labels, spawn_join, entry, memmap });
+impl ToJson for Executable {
+    fn to_json(&self) -> Json {
+        Json::Obj(vec![
+            ("text".to_string(), self.text.to_json()),
+            ("labels".to_string(), self.labels.to_json()),
+            ("spawn_join".to_string(), self.spawn_join.to_json()),
+            ("entry".to_string(), self.entry.to_json()),
+            ("memmap".to_string(), self.memmap.to_json()),
+        ])
+    }
+}
+
+/// An image read back is held to what [`AsmProgram::link`] guarantees
+/// the simulators: its spawn/join table is the one its text implies.
+impl FromJson for Executable {
+    fn from_json(v: &Json) -> Result<Self, JsonError> {
+        let bad = |e: &dyn fmt::Display| JsonError::new(format!("Executable: {e}"));
+        let m = v.as_obj().map_err(|e| bad(&e.message))?;
+        let exe = Executable {
+            text: json_field(m, "text")?,
+            labels: json_field(m, "labels")?,
+            spawn_join: json_field(m, "spawn_join")?,
+            entry: json_field(m, "entry")?,
+            memmap: json_field(m, "memmap")?,
+        };
+        if pair_spawns(&exe.text).map_err(|e| bad(&e))? != exe.spawn_join {
+            return Err(bad(&"spawn_join does not match the text"));
+        }
+        Ok(exe)
+    }
+}
 
 impl Executable {
     /// Number of instructions in the text segment.
@@ -307,6 +346,27 @@ mod tests {
             p.link(MemoryMap::default()),
             Err(LinkError::NestedSpawn(1))
         ));
+    }
+
+    #[test]
+    fn reading_an_image_checks_spawn_join_against_the_text() {
+        let (s, j) = spawn_pair();
+        let mut p = AsmProgram::new();
+        p.push(s);
+        p.push(j);
+        p.push(Instr::Halt);
+        let exe = p.link(MemoryMap::default()).unwrap();
+        assert_eq!(Executable::from_json_str(&exe.to_json_string()), Ok(exe.clone()));
+
+        let mut cleared = exe.clone();
+        cleared.spawn_join.clear();
+        let err = Executable::from_json_str(&cleared.to_json_string()).unwrap_err();
+        assert!(err.message.contains("spawn_join does not match"), "{err}");
+
+        let mut unjoined = exe;
+        unjoined.text[1] = Instr::Nop;
+        let err = Executable::from_json_str(&unjoined.to_json_string()).unwrap_err();
+        assert!(err.message.contains("never joined"), "{err}");
     }
 
     #[test]

@@ -51,7 +51,7 @@ use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::Arc;
 use xmt_harness::{json_enum, json_struct, IntMap};
-use xmt_isa::{Executable, Reg};
+use xmt_isa::{Executable, FuKind, Instr, Reg};
 
 /// Errors terminating a cycle-accurate run.
 #[derive(Debug, Clone, PartialEq)]
@@ -132,15 +132,15 @@ pub struct HostProfile {
     /// event-savings the closed-form leg buys over the per-hop walk).
     pub hops_elided: u64,
     /// Compute bursts issued under [`IssueModel::Burst`] — one per
-    /// `MasterStep`/`TcuStep` event that resolved to a pure local
+    /// `MasterStep`, and one per `TcuStep` that resolved to a pure local
     /// instruction (a burst of length 1 is a step that could not extend).
     pub bursts: u64,
     /// Instructions folded into those bursts (every burst instruction,
     /// including the first). `burst_instrs - bursts` is the number of
     /// step events the burst path elided versus per-instruction issue.
     pub burst_instrs: u64,
-    /// Bursts that stopped at a non-local instruction (memory op, shared
-    /// FU, `ps`/`chkid`/control, end of program).
+    /// Bursts that stopped at a non-local instruction (TCU: memory op,
+    /// shared FU, `ps`/`chkid`/control; master: `halt`, a trap).
     pub burst_break_nonlocal: u64,
     /// Bursts clipped at the next pending `Ev::Sample` time (which is
     /// also every DVFS `apply_periods` epoch).
@@ -150,6 +150,15 @@ pub struct HostProfile {
     pub burst_break_boundary: u64,
     /// Bursts that hit the length cap (`BURST_CAP`).
     pub burst_break_cap: u64,
+    /// Master bursts that ended on a miss or `psm` whose round trip (or
+    /// the rest of it) went through the event list.
+    pub burst_break_miss: u64,
+    /// Master bursts that ended on a non-empty `spawn`.
+    pub burst_break_spawn: u64,
+    /// Master round trips walked whole on the stack — no event.
+    pub master_inline_trips: u64,
+    /// Master round trips with at least one stage on the event list.
+    pub master_event_trips: u64,
     /// Burst length histogram, floor-log2 buckets: 1, 2–3, 4–7, 8–15,
     /// 16–31, 32–63, 64–127, 128+.
     pub burst_len_hist: [u64; 8],
@@ -208,6 +217,8 @@ impl HostProfile {
             BurstBreak::Sample => self.burst_break_sample += 1,
             BurstBreak::Boundary => self.burst_break_boundary += 1,
             BurstBreak::Cap => self.burst_break_cap += 1,
+            BurstBreak::Miss => self.burst_break_miss += 1,
+            BurstBreak::Spawn => self.burst_break_spawn += 1,
         }
         let bucket = (63 - len.max(1).leading_zeros() as u64).min(7) as usize;
         self.burst_len_hist[bucket] += 1;
@@ -228,6 +239,10 @@ enum BurstBreak {
     Boundary,
     /// The burst reached `BURST_CAP` instructions.
     Cap,
+    /// Master only: a miss or `psm` whose response arrives as an event.
+    Miss,
+    /// Master only: a non-empty `spawn` handed the machine to the TCUs.
+    Spawn,
 }
 
 /// Upper bound on instructions folded into one burst: keeps a single
@@ -1071,6 +1086,10 @@ impl CycleSim {
     /// are cached per destination (they are the same for every package to
     /// `addr`); any other timing has one delay for every stage.
     fn express_chain(&mut self, addr: u32, start: Time, inbound: bool) -> HopChain {
+        if let Some(hp) = self.host_profile.as_mut() {
+            hp.express_legs += 1;
+            hp.hops_elided += self.cfg.icn_oneway() as u64 - 1;
+        }
         match self.cfg.icn_timing {
             IcnTiming::Asynchronous { jitter_ps, .. } if jitter_ps != 0 => {
                 let offs = self.route_offsets(addr, inbound);
@@ -1114,19 +1133,18 @@ impl CycleSim {
         }
     }
 
-    /// Express-path replacement for the per-hop walk: compute the whole
-    /// leg analytically and schedule its single end event.
-    fn express_schedule(
+    /// Express-path replacement for the per-hop walk: put a leg whose
+    /// whole `chain` was computed analytically in flight and schedule its
+    /// single end event.
+    fn express_launch(
         &mut self,
         tcu: u32,
         req: MemRequest,
         value: u32,
         inbound: bool,
         issued_at: Time,
-        start: Time,
+        chain: HopChain,
     ) {
-        let chain = self.express_chain(req.addr, start, inbound);
-        let n = chain.len();
         let end = chain.end();
         let seq = self.leg_seq;
         self.leg_seq += 1;
@@ -1149,10 +1167,6 @@ impl CycleSim {
         self.express_legs[slot as usize].gen += 1;
         self.express_legs[slot as usize].leg = Some(leg);
         let gen = self.express_legs[slot as usize].gen;
-        if let Some(hp) = self.host_profile.as_mut() {
-            hp.express_legs += 1;
-            hp.hops_elided += n as u64 - 1;
-        }
         self.schedule_ev(end, PRI_NEGOTIATE, Ev::ExpressEnd { leg: slot, gen });
     }
 
@@ -1170,17 +1184,8 @@ impl CycleSim {
             self.arrive(now, leg.tcu, leg.req, leg.issued_at);
         } else {
             // Register writeback cycle at the TCU.
-            let cp = self.p(ClockDomain::Cluster);
-            self.schedule_ev(
-                now + cp,
-                PRI_DEFAULT,
-                Ev::Complete {
-                    tcu: leg.tcu,
-                    req: leg.req,
-                    value: leg.value,
-                    issued_at: leg.issued_at,
-                },
-            );
+            let done = now + self.p(ClockDomain::Cluster);
+            self.complete_at(done, leg.tcu, leg.req, leg.value, leg.issued_at);
         }
     }
 
@@ -1443,92 +1448,247 @@ impl CycleSim {
     // Master TCU
     // ---------------------------------------------------------------
 
+    /// The master issue loop. While no parallel section is open the Master
+    /// TCU is the only actor on the machine — spawn/join are full barriers
+    /// (join waits for `pending_total == 0`), its functional units, cache
+    /// and ICN port are its own, and its memory operations take functional
+    /// effect at issue — so under [`IssueModel::Burst`] one step runs to
+    /// the next point something *else* can observe: a non-empty `spawn`,
+    /// `halt`, a sampling tick, a run limit or checkpoint target,
+    /// `BURST_CAP`. An instruction is executed eagerly only when nothing
+    /// can observe its issue instant `at` — see the break conditions.
+    /// [`IssueModel::PerInstr`] is the same loop bounded at one
+    /// instruction.
     fn master_step(&mut self, now: Time) -> Result<(), SimError> {
         if self.instr_limit_reached(now, Ev::MasterStep) {
             return Ok(());
         }
-        let pc = self.master.pc;
-        let issued = exec::issue(&self.exe, &mut self.master, &mut self.machine, Mode::Master)?;
-        if let Some(tr) = &mut self.tracer {
-            tr.record(TraceEvent::Issue {
-                time: now,
-                tcu: None,
-                pc,
-            });
-        }
-        match issued {
-            Issued::Done(cost) => {
-                let fu = fu_of_cost(cost);
-                self.stats.count_instr(fu, None);
-                if matches!(cost, CostClass::Ps) {
-                    self.stats.ps_ops += 1;
-                }
-                for f in &mut self.filters {
-                    f.on_instr(pc, fu);
-                }
-                let mut done = now + self.master_cost(cost);
-                if self.burst_issue() {
-                    done = self.master_burst(done);
-                }
-                self.schedule_ev(done, PRI_DEFAULT, Ev::MasterStep);
+        let burst = self.burst_issue();
+        let cap = if burst { BURST_CAP } else { 1 };
+        let (mut at, mut len) = (now, 0u64);
+        // `parked`: an event (a response, the join) restarts the master.
+        let (reason, parked) = loop {
+            if burst {
+                (len, at) = self.replay(None, len, at);
             }
-            Issued::Mem(req) => {
-                self.stats.count_instr(xmt_isa::FuKind::Mem, None);
-                for f in &mut self.filters {
-                    f.on_mem(&req);
+            if len >= cap {
+                break (BurstBreak::Cap, false);
+            }
+            // The run loop made these checks for the step event itself.
+            if len > 0 {
+                if let Some(clip) = self.clip_at(at) {
+                    break (clip, false);
                 }
-                if req.kind == MemKind::Psm {
-                    self.stats.psm_ops += 1;
+                if self
+                    .max_instrs
+                    .is_some_and(|l| self.stats.instructions >= l)
+                    || (self.pending_total == 0
+                        && self.checkpoint_at.is_some_and(|c| self.cycles_at(at) >= c))
+                {
+                    break (BurstBreak::Boundary, false);
                 }
-                // The master is only active while no TCU is (spawn/join
-                // are full barriers), so its operations can take effect
-                // immediately; only the timing is modeled: master-cache
-                // hits are local, misses travel the master's own ICN port
-                // to the shared cache modules (paper Fig. 1).
-                let value = exec::perform(&mut self.machine, &req);
-                exec::complete(&mut self.master, &req, value);
-                let cp = self.p(ClockDomain::Cluster);
-                if req.kind == MemKind::Pref {
-                    // The master has no prefetch buffer; `pref` is a nop.
-                    self.schedule_ev(now + cp, PRI_DEFAULT, Ev::MasterStep);
-                } else if req.kind == MemKind::Psm || !self.master_cache.access(req.addr) {
-                    // psm must reach the shared module; so must misses.
-                    if req.kind != MemKind::Psm {
-                        self.stats.master_misses += 1;
+                // `halt` ends the run at its own issue instant.
+                if matches!(self.exe.instr(self.master.pc), Some(Instr::Halt)) {
+                    break (BurstBreak::NonLocal, false);
+                }
+            }
+            let pc = self.master.pc;
+            let issued = exec::issue(&self.exe, &mut self.master, &mut self.machine, Mode::Master);
+            let issued = match issued {
+                Ok(issued) => issued,
+                // A trap surfaces at the trapping instruction's own issue
+                // instant: `issue` moved nothing but the pc, so mid-burst
+                // put it back and let the step scheduled below trap.
+                Err(_) if len > 0 => {
+                    self.master.pc = pc;
+                    break (BurstBreak::NonLocal, false);
+                }
+                Err(trap) => return Err(trap.into()),
+            };
+            if let Some(tr) = &mut self.tracer {
+                tr.record(TraceEvent::Issue {
+                    time: at,
+                    tcu: None,
+                    pc,
+                });
+            }
+            len += 1;
+            let fu = match &issued {
+                Issued::Done(cost) => fu_of_cost(*cost),
+                Issued::Mem(_) => FuKind::Mem,
+                _ => FuKind::Ctl,
+            };
+            self.stats.count_instr(fu, None);
+            let next = match issued {
+                // Private functional units (paper Fig. 1): a pure latency.
+                Issued::Done(cost) => {
+                    if matches!(cost, CostClass::Ps) {
+                        self.stats.ps_ops += 1;
                     }
-                    let cluster_row = self.cfg.clusters; // master port row
-                    self.inject(now, MASTER_ID, cluster_row, req);
-                    // The master resumes when the response returns.
-                } else {
-                    self.stats.master_hits += 1;
-                    let done = now + self.cfg.master_hit_latency as Time * cp;
-                    self.schedule_ev(done, PRI_DEFAULT, Ev::MasterStep);
+                    for f in &mut self.filters {
+                        f.on_instr(pc, fu);
+                    }
+                    Ok(at + self.master_cost(cost))
                 }
-            }
-            Issued::Spawn { lo, hi, spawn_idx } => {
-                self.stats.count_instr(xmt_isa::FuKind::Ctl, None);
-                self.begin_spawn(now, lo, hi, spawn_idx);
-            }
-            Issued::Fence => {
-                self.stats.count_instr(xmt_isa::FuKind::Ctl, None);
+                Issued::Mem(req) => {
+                    for f in &mut self.filters {
+                        f.on_mem(&req);
+                    }
+                    self.master_mem(at, req, burst)
+                }
+                Issued::Spawn {
+                    lo,
+                    hi,
+                    spawn_idx,
+                    join_idx,
+                } => self.begin_spawn(at, lo, hi, spawn_idx, join_idx),
                 // Master memory ops are all blocking: nothing pending.
-                let done = now + self.p(ClockDomain::Cluster);
-                self.schedule_ev(done, PRI_DEFAULT, Ev::MasterStep);
-            }
-            Issued::Halt => {
-                self.stats.count_instr(xmt_isa::FuKind::Ctl, None);
+                Issued::Fence => Ok(at + self.p(ClockDomain::Cluster)),
                 // `machine.halted` terminates the main loop.
+                Issued::Halt => Err(BurstBreak::NonLocal),
+                Issued::ChkidBlocked => return Err(Trap::ChkidOutsideSpawn { pc }.into()),
+            };
+            match next {
+                Ok(t) => at = t,
+                Err(reason) => break (reason, true),
             }
-            Issued::ChkidBlocked => unreachable!("chkid traps in master mode"),
+        };
+        if let (true, Some(hp)) = (burst, self.host_profile.as_mut()) {
+            hp.record_burst(len, reason);
+        }
+        if !parked {
+            self.schedule_ev(at, PRI_DEFAULT, Ev::MasterStep);
         }
         Ok(())
+    }
+
+    /// A master memory operation issued at `now`. The master is only
+    /// active while no TCU is, so the operation takes effect immediately
+    /// and only its timing is modeled: `pref` is a nop (no prefetch
+    /// buffer), master-cache hits are local, `psm` and misses travel the
+    /// master's own ICN port to the shared cache modules (paper Fig. 1).
+    /// `Ok(t)`: the master issues again at `t`; `Err`: when the response
+    /// event arrives.
+    fn master_mem(&mut self, now: Time, req: MemRequest, burst: bool) -> Result<Time, BurstBreak> {
+        let value = exec::perform(&mut self.machine, &req);
+        exec::complete(&mut self.master, &req, value);
+        let cp = self.p(ClockDomain::Cluster);
+        if req.kind == MemKind::Pref {
+            return Ok(now + cp);
+        } else if req.kind == MemKind::Psm {
+            self.stats.psm_ops += 1;
+        } else if self.master_cache.access(req.addr) {
+            self.stats.master_hits += 1;
+            return Ok(now + self.cfg.master_hit_latency as Time * cp);
+        } else {
+            self.stats.master_misses += 1;
+        }
+        let send = self.inject_time(now, self.cfg.clusters, req.addr); // master port row
+        let back = if !burst || self.cfg.icn_model != IcnModel::Express {
+            self.send_leg(MASTER_ID, req, 0, true, now, send);
+            None
+        } else {
+            self.master_trip(now, send, req)
+        };
+        if let Some(hp) = self.host_profile.as_mut() {
+            match back {
+                Some(_) => hp.master_inline_trips += 1,
+                None => hp.master_event_trips += 1,
+            }
+        }
+        let back = back.ok_or(BurstBreak::Miss)?;
+        self.stats.mem_wait_ps += back - now;
+        Ok(back)
+    }
+
+    /// A master round trip entering the send network at `send`, walked on
+    /// the stack — burst issue over the express ICN — through the timing
+    /// code the events use, for as long as nothing can observe a stage's
+    /// time; the first stage something can is made the event the oracle
+    /// would have had (`None`), and the handlers take it from there.
+    fn master_trip(&mut self, now: Time, send: Time, req: MemRequest) -> Option<Time> {
+        let chain = self.express_chain(req.addr, send, true);
+        if self.clip_at(chain.end()).is_some() {
+            self.express_launch(MASTER_ID, req, 0, true, now, chain);
+            return None;
+        }
+        let done = self.arrive_time(chain.end(), MASTER_ID, &req, now);
+        if self.clip_at(done).is_some() {
+            let ev = Ev::Service {
+                tcu: MASTER_ID,
+                req,
+                done,
+                issued_at: now,
+            };
+            self.schedule_ev(done, PRI_TRANSFER, ev);
+            return None;
+        }
+        self.serviced(done, MASTER_ID, &req);
+        let chain = self.express_chain(req.addr, done, false);
+        if self.clip_at(chain.end()).is_some() {
+            self.express_launch(MASTER_ID, req, 0, false, now, chain);
+            return None;
+        }
+        let back = chain.end() + self.p(ClockDomain::Cluster); // writeback cycle
+        if self.clip_at(back).is_some() {
+            self.complete_at(back, MASTER_ID, req, 0, now);
+            return None;
+        }
+        Some(back)
+    }
+
+    /// Can something outside the issuing context observe time `t` — the
+    /// next sampling tick (also every DVFS `apply_periods` epoch), the
+    /// cycle limit, a mid-flight checkpoint target? Step and memory events
+    /// pop before a same-time tick (`PRI_SAMPLE` sorts last), so `t ==
+    /// tick` is still unobserved; only crossing it clips.
+    #[inline]
+    fn clip_at(&self, t: Time) -> Option<BurstBreak> {
+        if self.next_sample_at.is_some_and(|s| t > s) {
+            Some(BurstBreak::Sample)
+        } else if self.max_cycles.is_some_and(|l| self.cycles_at(t) > l)
+            || self
+                .checkpoint_any_at
+                .is_some_and(|c| self.cycles_at(t) >= c)
+        {
+            Some(BurstBreak::Boundary)
+        } else {
+            None
+        }
+    }
+
+    /// Fast-forward TCU `tcu` (`None`: the master) through pre-decoded
+    /// blocks from burst state `(len, done)`: replay applies the burst
+    /// loops' break conditions per constituent, so on return their own
+    /// checks reproduce the exact break. Filters observe every
+    /// instruction, so any filter drops the burst back to interpreted
+    /// issue (as the tracer drops it out of burst mode entirely).
+    #[inline]
+    fn replay(&mut self, tcu: Option<u32>, len: u64, done: Time) -> (u64, Time) {
+        let pc = tcu.map_or(self.master.pc, |t| self.tcus[t as usize].ctx.pc);
+        if !self.filters.is_empty() || !self.decode.as_ref().is_some_and(|dc| dc.replayable(pc)) {
+            return (len, done);
+        }
+        let env = self.replay_env(tcu.is_none());
+        let mut cur = Cursor::new(len, done);
+        let ctx = match tcu {
+            Some(t) => &mut self.tcus[t as usize].ctx,
+            None => &mut self.master,
+        };
+        if let Some(dc) = self.decode.as_mut() {
+            dc.replay(&self.exe, ctx, &env, &mut cur);
+        }
+        if cur.executed > 0 {
+            self.merge_replay(&cur, tcu.map(|t| self.cfg.cluster_of(t)));
+        }
+        (cur.len, cur.done)
     }
 
     /// The window-constant burst break conditions, packaged for decoded
     /// replay. Replay checks them per constituent instruction, so a
     /// replayed burst stops at exactly the instruction the interpreted
     /// loop would refuse. `master` selects the master loop's extra
-    /// quiescent-checkpoint clause ([`Self::master_burst`]); the TCU
+    /// quiescent-checkpoint clause ([`Self::master_step`]); the TCU
     /// loop has no `checkpoint_at` check.
     fn replay_env(&self, master: bool) -> ReplayEnv {
         ReplayEnv {
@@ -1553,7 +1713,6 @@ impl CycleSim {
     /// profile's decode counters.
     fn merge_replay(&mut self, cur: &Cursor, cluster: Option<u32>) {
         use crate::decode::{C_ALU, C_BR, C_CTL, C_SFT};
-        use xmt_isa::FuKind;
         self.stats
             .count_instr_bulk(FuKind::Alu, cluster, cur.counts[C_ALU]);
         self.stats
@@ -1575,100 +1734,13 @@ impl CycleSim {
         }
     }
 
-    /// Extend a just-issued master instruction into a compute burst
-    /// ([`IssueModel::Burst`]): keep executing pure local instructions
-    /// through `exec::issue`, accumulating latency, and return the
-    /// aggregate completion time for the single rescheduled step event.
-    /// A continuation instruction would issue at `done` in the
-    /// per-instruction model, so it is executed eagerly only while
-    /// nothing else can observe that instant — see the break conditions.
-    fn master_burst(&mut self, first_done: Time) -> Time {
-        let mut done = first_done;
-        let mut len = 1u64;
-        let reason = loop {
-            // Fast-forward through pre-decoded blocks first: replay
-            // applies these same break conditions per constituent, so
-            // on return the checks below reproduce the exact break.
-            // Filters observe every instruction, so any filter drops
-            // the burst back to interpreted issue (as the tracer
-            // already drops it out of burst mode entirely).
-            if self.filters.is_empty()
-                && self
-                    .decode
-                    .as_ref()
-                    .is_some_and(|dc| dc.replayable(self.master.pc))
-            {
-                let env = self.replay_env(true);
-                let mut cur = Cursor::new(len, done);
-                if let Some(dc) = self.decode.as_mut() {
-                    dc.replay(&self.exe, &mut self.master, &env, &mut cur);
-                }
-                if cur.executed > 0 {
-                    len = cur.len;
-                    done = cur.done;
-                    self.merge_replay(&cur, None);
-                }
-            }
-            if len >= BURST_CAP {
-                break BurstBreak::Cap;
-            }
-            // Step events pop before a same-time sampling tick
-            // (PRI_DEFAULT < PRI_SAMPLE), so `done == sample time` is
-            // still inside the burst; only crossing it breaks.
-            if self.next_sample_at.is_some_and(|s| done > s) {
-                break BurstBreak::Sample;
-            }
-            if self.max_cycles.is_some_and(|l| self.cycles_at(done) > l)
-                || self
-                    .max_instrs
-                    .is_some_and(|l| self.stats.instructions >= l)
-                || self
-                    .checkpoint_any_at
-                    .is_some_and(|c| self.cycles_at(done) >= c)
-                || (self.par.is_none()
-                    && self.pending_total == 0
-                    && self
-                        .checkpoint_at
-                        .is_some_and(|c| self.cycles_at(done) >= c))
-            {
-                break BurstBreak::Boundary;
-            }
-            if !exec::peek_burstable(&self.exe, self.master.pc) {
-                break BurstBreak::NonLocal;
-            }
-            let pc = self.master.pc;
-            let issued = exec::issue(&self.exe, &mut self.master, &mut self.machine, Mode::Master)
-                .expect("peeked instructions cannot trap");
-            let Issued::Done(cost) = issued else {
-                unreachable!("peeked instructions resolve to Done")
-            };
-            let fu = fu_of_cost(cost);
-            self.stats.count_instr(fu, None);
-            for f in &mut self.filters {
-                f.on_instr(pc, fu);
-            }
-            done += self.master_cost(cost);
-            len += 1;
-        };
-        if let Some(hp) = self.host_profile.as_mut() {
-            hp.record_burst(len, reason);
-        }
-        done
-    }
-
     /// Latency of an immediately-executed instruction on the master,
     /// which owns private functional units (paper Fig. 1).
     fn master_cost(&self, cost: CostClass) -> Time {
         let cp = self.p(ClockDomain::Cluster);
         let cycles = match cost {
             CostClass::Alu | CostClass::Sft | CostClass::Ctl | CostClass::Print => 1,
-            CostClass::Branch { taken } => {
-                if taken {
-                    2
-                } else {
-                    1
-                }
-            }
+            CostClass::Branch { taken } => 1 + taken as u32,
             CostClass::Mul => self.cfg.mul_latency,
             CostClass::Div => self.cfg.div_latency,
             CostClass::FpAdd => self.cfg.fpu_add_latency,
@@ -1684,19 +1756,22 @@ impl CycleSim {
     // Spawn / join
     // ---------------------------------------------------------------
 
-    fn begin_spawn(&mut self, now: Time, lo: i32, hi: i32, spawn_idx: u32) {
-        let join_idx = self
-            .exe
-            .join_of(spawn_idx)
-            .expect("linker guarantees every spawn has a join");
+    /// `Ok(t)`: the range was empty and the master issues again at `t`;
+    /// `Err`: the section is open and the join restarts the master.
+    fn begin_spawn(
+        &mut self,
+        now: Time,
+        lo: i32,
+        hi: i32,
+        spawn_idx: u32,
+        join_idx: u32,
+    ) -> Result<Time, BurstBreak> {
         self.stats.spawns += 1;
         let cp = self.p(ClockDomain::Cluster);
+        self.master.pc = join_idx + 1; // where the master resumes
         if lo > hi {
             // Empty range: no parallel section at all.
-            self.master.pc = join_idx + 1;
-            let done = now + self.cfg.spawn_overhead as Time * cp;
-            self.schedule_ev(done, PRI_DEFAULT, Ev::MasterStep);
-            return;
+            return Ok(now + self.cfg.spawn_overhead as Time * cp);
         }
         self.stats.virtual_threads += (hi as i64 - lo as i64 + 1) as u64;
         self.stats.spawn_records.push(crate::stats::SpawnRecord {
@@ -1711,8 +1786,7 @@ impl CycleSim {
             join_idx,
             parked: 0,
         });
-        self.master.pc = join_idx + 1; // where the master resumes
-                                       // Broadcast the spawn block to the TCUs over the broadcast bus.
+        // Broadcast the spawn block to the TCUs over the broadcast bus.
         let body_len = join_idx.saturating_sub(spawn_idx + 1);
         let bc_cycles =
             self.cfg.spawn_overhead as Time + body_len.div_ceil(self.cfg.broadcast_ipc) as Time;
@@ -1723,6 +1797,7 @@ impl CycleSim {
                 body_pc: spawn_idx + 1,
             },
         );
+        Err(BurstBreak::Spawn)
     }
 
     fn activate_tcus(&mut self, now: Time, body_pc: u32) {
@@ -1839,49 +1914,30 @@ impl CycleSim {
         Ok(())
     }
 
-    /// Extend a just-issued TCU instruction into a compute burst — the
-    /// TCU twin of [`Self::master_burst`]. Sound in open parallel
-    /// sections: burstable instructions touch only this TCU's private
+    /// Extend a just-issued TCU instruction into a compute burst
+    /// ([`IssueModel::Burst`]): keep executing pure local instructions,
+    /// accumulating latency, and return the aggregate completion time for
+    /// the single rescheduled step event — each executed eagerly only
+    /// while nothing can observe its issue instant `done`. Sound in open
+    /// parallel sections: burstable instructions touch only this TCU's private
     /// context, so concurrent events of other TCUs and the memory system
     /// cannot observe the eager execution (the canonical
     /// `order_default_batch` ordering covers the one exception, scheduler
     /// FIFO rank), and the section cannot close mid-burst because this
     /// TCU neither parks nor joins inside it.
     fn tcu_burst(&mut self, first_done: Time, t: u32, cluster: u32, hi: i32) -> Time {
-        let mut done = first_done;
-        let mut len = 1u64;
+        let (mut done, mut len) = (first_done, 1u64);
         let reason = loop {
-            // Decoded-replay fast-forward, as in `master_burst`.
-            if self.filters.is_empty()
-                && self
-                    .decode
-                    .as_ref()
-                    .is_some_and(|dc| dc.replayable(self.tcus[t as usize].ctx.pc))
-            {
-                let env = self.replay_env(false);
-                let mut cur = Cursor::new(len, done);
-                if let Some(dc) = self.decode.as_mut() {
-                    dc.replay(&self.exe, &mut self.tcus[t as usize].ctx, &env, &mut cur);
-                }
-                if cur.executed > 0 {
-                    len = cur.len;
-                    done = cur.done;
-                    self.merge_replay(&cur, Some(cluster));
-                }
-            }
+            (len, done) = self.replay(Some(t), len, done);
             if len >= BURST_CAP {
                 break BurstBreak::Cap;
             }
-            if self.next_sample_at.is_some_and(|s| done > s) {
-                break BurstBreak::Sample;
+            if let Some(clip) = self.clip_at(done) {
+                break clip;
             }
-            if self.max_cycles.is_some_and(|l| self.cycles_at(done) > l)
-                || self
-                    .max_instrs
-                    .is_some_and(|l| self.stats.instructions >= l)
-                || self
-                    .checkpoint_any_at
-                    .is_some_and(|c| self.cycles_at(done) >= c)
+            if self
+                .max_instrs
+                .is_some_and(|l| self.stats.instructions >= l)
             {
                 break BurstBreak::Boundary;
             }
@@ -1992,17 +2048,7 @@ impl CycleSim {
                 }
                 let done = (now + cp).max(ready);
                 let value = exec::perform(&mut self.machine, &req);
-                let issued_at = now;
-                self.schedule_ev(
-                    done,
-                    PRI_DEFAULT,
-                    Ev::Complete {
-                        tcu: t,
-                        req,
-                        value,
-                        issued_at,
-                    },
-                );
+                self.complete_at(done, t, req, value, now);
                 return;
             }
         }
@@ -2013,17 +2059,7 @@ impl CycleSim {
                 self.stats.ro_hits += 1;
                 let done = now + self.cfg.ro_hit_latency as Time * cp;
                 let value = exec::perform(&mut self.machine, &req);
-                let issued_at = now;
-                self.schedule_ev(
-                    done,
-                    PRI_DEFAULT,
-                    Ev::Complete {
-                        tcu: t,
-                        req,
-                        value,
-                        issued_at,
-                    },
-                );
+                self.complete_at(done, t, req, value, now);
                 return;
             }
             self.stats.ro_misses += 1;
@@ -2039,40 +2075,69 @@ impl CycleSim {
         self.inject(now, t, cluster, req);
     }
 
-    /// Send a package into the interconnection network: one LS-unit
-    /// cycle, then the per-(cluster, module) virtual channel (one package
-    /// per ICN cycle), then the send-network pipeline. Schedules the
-    /// `Arrive` event at the cache module.
+    /// Send a package into the interconnection network; it reaches its
+    /// cache module as an `arrive` call.
     fn inject(&mut self, now: Time, tcu: u32, cluster: u32, req: MemRequest) {
-        let cp = self.p(ClockDomain::Cluster);
+        let send = self.inject_time(now, cluster, req.addr);
+        self.send_leg(tcu, req, 0, true, now, send);
+    }
+
+    /// Book a package's way into the send network — one LS-unit cycle,
+    /// then the per-(cluster, module) virtual channel (one package per ICN
+    /// cycle) — and return when it enters the switch pipeline.
+    fn inject_time(&mut self, now: Time, cluster: u32, addr: u32) -> Time {
         self.stats.icn_packages += 2; // request + response
-        let m = self.cfg.module_of(req.addr);
-        let vc = (cluster * self.cfg.cache_modules + m) as usize;
-        let ready = now + cp;
-        let send = ready.max(self.vc_free[vc]);
-        let first_hop = self.hop_delay(req.addr, 0);
-        self.vc_free[vc] = send + first_hop;
-        let issued_at = now;
+        let vc = (cluster * self.cfg.cache_modules + self.cfg.module_of(addr)) as usize;
+        let send = (now + self.p(ClockDomain::Cluster)).max(self.vc_free[vc]);
+        self.vc_free[vc] = send + self.hop_delay(addr, 0);
+        send
+    }
+
+    /// Make an event of one network traversal entered at `start`: the
+    /// whole leg computed analytically ([`IcnModel::Express`]), or the
+    /// package walked through the switch pipeline one event per stage
+    /// (the paper's package-through-components model).
+    fn send_leg(
+        &mut self,
+        tcu: u32,
+        req: MemRequest,
+        value: u32,
+        inbound: bool,
+        issued_at: Time,
+        start: Time,
+    ) {
         match self.cfg.icn_model {
-            // Compute the whole send-network traversal analytically and
-            // schedule the module arrival directly.
-            IcnModel::Express => self.express_schedule(tcu, req, 0, true, issued_at, send),
-            // Walk the package through the send-network switch pipeline,
-            // one event per stage (the paper's package-through-components
-            // model).
-            IcnModel::PerHop => self.schedule_ev(
-                send + first_hop,
-                PRI_NEGOTIATE,
-                Ev::Hop {
-                    tcu,
-                    req,
-                    remaining: self.cfg.icn_oneway().saturating_sub(1),
-                    value: 0,
-                    inbound: true,
-                    issued_at,
-                },
-            ),
+            IcnModel::Express => {
+                let chain = self.express_chain(req.addr, start, inbound);
+                self.express_launch(tcu, req, value, inbound, issued_at, chain);
+            }
+            IcnModel::PerHop => {
+                let first_hop = self.hop_delay(req.addr, if inbound { 0 } else { u32::MAX });
+                self.schedule_ev(
+                    start + first_hop,
+                    PRI_NEGOTIATE,
+                    Ev::Hop {
+                        tcu,
+                        req,
+                        remaining: self.cfg.icn_oneway().saturating_sub(1),
+                        value,
+                        inbound,
+                        issued_at,
+                    },
+                );
+            }
         }
+    }
+
+    /// Schedule the arrival of a response back at its TCU.
+    fn complete_at(&mut self, at: Time, tcu: u32, req: MemRequest, value: u32, issued_at: Time) {
+        let ev = Ev::Complete {
+            tcu,
+            req,
+            value,
+            issued_at,
+        };
+        self.schedule_ev(at, PRI_DEFAULT, ev);
     }
 
     /// Advance a package one interconnect stage; deliver it at the end of
@@ -2093,17 +2158,8 @@ impl CycleSim {
                 self.arrive(now, tcu, req, issued_at);
             } else {
                 // Register writeback cycle at the TCU.
-                let cp = self.p(ClockDomain::Cluster);
-                self.schedule_ev(
-                    now + cp,
-                    PRI_DEFAULT,
-                    Ev::Complete {
-                        tcu,
-                        req,
-                        value,
-                        issued_at,
-                    },
-                );
+                let done = now + self.p(ClockDomain::Cluster);
+                self.complete_at(done, tcu, req, value, issued_at);
             }
             return;
         }
@@ -2122,9 +2178,22 @@ impl CycleSim {
         );
     }
 
-    /// A package arrives at its cache module. Requests are served in
-    /// arrival order: tag check, then (on a miss) a DRAM line fill.
+    /// A package arrives at its cache module and queues for service.
     fn arrive(&mut self, now: Time, tcu: u32, req: MemRequest, issued_at: Time) {
+        let done = self.arrive_time(now, tcu, &req, issued_at);
+        let ev = Ev::Service {
+            tcu,
+            req,
+            done,
+            issued_at,
+        };
+        self.schedule_ev(done, PRI_TRANSFER, ev);
+    }
+
+    /// Book a package arriving at its cache module at `now` and return
+    /// when its service completes. Requests are served in arrival order:
+    /// tag check, then (on a miss) a DRAM line fill.
+    fn arrive_time(&mut self, now: Time, tcu: u32, req: &MemRequest, issued_at: Time) -> Time {
         let gp = self.p(ClockDomain::Cache);
         let dp = self.p(ClockDomain::Dram);
         let m = self.cfg.module_of(req.addr) as usize;
@@ -2176,19 +2245,7 @@ impl CycleSim {
             svc_end = svc_end.max(busy);
         }
         self.line_busy.insert(line, svc_end);
-
-        // The response leaves through the return network after service.
-        let done = svc_end;
-        self.schedule_ev(
-            svc_end,
-            PRI_TRANSFER,
-            Ev::Service {
-                tcu,
-                req,
-                done,
-                issued_at,
-            },
-        );
+        svc_end
     }
 
     /// A request reaches its cache module's service point: apply it to
@@ -2196,6 +2253,12 @@ impl CycleSim {
     /// network.
     fn service(&mut self, now: Time, tcu: u32, req: MemRequest, done: Time, issued_at: Time) {
         debug_assert_eq!(done, now);
+        let value = self.serviced(now, tcu, &req);
+        self.send_leg(tcu, req, value, false, issued_at, now);
+    }
+
+    /// The effects of a service at `now`; returns the response value.
+    fn serviced(&mut self, now: Time, tcu: u32, req: &MemRequest) -> u32 {
         if let Some(o) = self.obs.as_deref_mut() {
             let m = self.cfg.module_of(req.addr);
             o.module_dequeue(m, now);
@@ -2210,28 +2273,10 @@ impl CycleSim {
         }
         // Master packages already took functional effect at issue (the
         // master is never concurrent with TCUs).
-        let value = if tcu == MASTER_ID {
+        if tcu == MASTER_ID {
             0
         } else {
-            exec::perform(&mut self.machine, &req)
-        };
-        match self.cfg.icn_model {
-            IcnModel::Express => self.express_schedule(tcu, req, value, false, issued_at, now),
-            IcnModel::PerHop => {
-                let first_hop = self.hop_delay(req.addr, u32::MAX);
-                self.schedule_ev(
-                    now + first_hop,
-                    PRI_NEGOTIATE,
-                    Ev::Hop {
-                        tcu,
-                        req,
-                        remaining: self.cfg.icn_oneway().saturating_sub(1),
-                        value,
-                        inbound: false,
-                        issued_at,
-                    },
-                );
-            }
+            exec::perform(&mut self.machine, req)
         }
     }
 
@@ -2267,16 +2312,7 @@ impl CycleSim {
                 if let Some(waiters) = self.pbuf_waiters.remove(&(tcu, req.addr & !3)) {
                     for (wreq, wissued) in waiters {
                         let value = exec::perform(&mut self.machine, &wreq);
-                        self.schedule_ev(
-                            now + cp,
-                            PRI_DEFAULT,
-                            Ev::Complete {
-                                tcu,
-                                req: wreq,
-                                value,
-                                issued_at: wissued,
-                            },
-                        );
+                        self.complete_at(now + cp, tcu, wreq, value, wissued);
                     }
                 }
             }
@@ -2638,16 +2674,7 @@ impl CycleSim {
                         value,
                         issued_at,
                         at,
-                    } => self.schedule_ev(
-                        at,
-                        PRI_DEFAULT,
-                        Ev::Complete {
-                            tcu,
-                            req,
-                            value,
-                            issued_at,
-                        },
-                    ),
+                    } => self.complete_at(at, tcu, req, value, issued_at),
                 }
             }
         }
@@ -2918,6 +2945,25 @@ mod tests {
         sim.run().unwrap();
         assert_eq!(sim.machine.output.ints(), vec![7]);
         assert_eq!(sim.stats.virtual_threads, 0);
+    }
+
+    /// An image whose spawn/join table lost an entry (only possible for
+    /// one built by hand: the linker and the JSON reader both pair every
+    /// spawn) traps at the spawn's own issue instant — under both issue
+    /// models — instead of panicking.
+    #[test]
+    fn spawn_without_join_entry_traps() {
+        let (p, mm) = parallel_increment_program(4);
+        let mut exe = p.link(mm).unwrap();
+        exe.spawn_join.clear();
+        for model in [IssueModel::Burst, IssueModel::PerInstr] {
+            let mut cfg = XmtConfig::tiny();
+            cfg.issue_model = model;
+            let mut sim = CycleSim::new(exe.clone(), cfg);
+            let err = sim.run().unwrap_err();
+            assert_eq!(err, SimError::Trap(Trap::UnmatchedSpawn { pc: 3 }));
+            assert_eq!((sim.cycles(), sim.stats.instructions), (3, 3), "{model:?}");
+        }
     }
 
     #[test]

@@ -137,8 +137,9 @@ pub enum Issued {
     /// Memory operation decoded; apply with [`perform`]/[`complete`].
     Mem(MemRequest),
     /// `spawn lo, hi` executed by the master; the runner starts the
-    /// parallel section. `spawn_idx` is the index of the spawn itself.
-    Spawn { lo: i32, hi: i32, spawn_idx: u32 },
+    /// parallel section. `spawn_idx` is the index of the spawn itself,
+    /// `join_idx` that of its `join`.
+    Spawn { lo: i32, hi: i32, spawn_idx: u32, join_idx: u32 },
     /// `chkid` found the id out of bounds: park this TCU.
     ChkidBlocked,
     /// `fence`: the context must wait until its pending memory operations
@@ -149,7 +150,7 @@ pub enum Issued {
 }
 
 json_enum!(Issued {
-    Done(CostClass), Mem(MemRequest), Spawn { lo, hi, spawn_idx },
+    Done(CostClass), Mem(MemRequest), Spawn { lo, hi, spawn_idx, join_idx },
     ChkidBlocked, Fence, Halt,
 });
 
@@ -385,7 +386,12 @@ pub fn issue(exe: &Executable, ctx: &mut ThreadCtx, m: &mut Machine, mode: Mode)
             if matches!(mode, Mode::Parallel { .. }) {
                 return Err(Trap::SpawnInParallel { pc });
             }
-            Issued::Spawn { lo: r.get_i(lo), hi: r.get_i(hi), spawn_idx: pc }
+            // The linker and the JSON reader pair every spawn; only an
+            // image assembled by hand can lack the entry.
+            let Some(join_idx) = exe.join_of(pc) else {
+                return Err(Trap::UnmatchedSpawn { pc });
+            };
+            Issued::Spawn { lo: r.get_i(lo), hi: r.get_i(hi), spawn_idx: pc, join_idx }
         }
         Join => {
             // Reached only by falling through: for a TCU that means the
@@ -644,6 +650,9 @@ pub fn issue_local(exe: &Executable, ctx: &mut ThreadCtx) -> Option<CostClass> {
 /// `chkid`/`spawn`/`join`/`fence`/`halt` are control boundaries. A `pc`
 /// outside the program also returns false, so the fetch trap surfaces
 /// through the per-instruction path at its exact per-instruction time.
+/// (This is a TCU's notion of "nobody can observe it"; the Master TCU,
+/// alone on the machine in serial mode, folds more — see
+/// `CycleSim::master_step`.)
 pub fn peek_burstable(exe: &Executable, pc: u32) -> bool {
     use Instr::*;
     matches!(

@@ -174,9 +174,9 @@ impl FunctionalSim {
                 Issued::Fence => {
                     self.stats.count_instr(xmt_isa::FuKind::Ctl, None);
                 }
-                Issued::Spawn { lo, hi, spawn_idx } => {
+                Issued::Spawn { lo, hi, spawn_idx, join_idx } => {
                     self.stats.count_instr(xmt_isa::FuKind::Ctl, None);
-                    executed += self.run_spawn_serialized(lo, hi, spawn_idx, executed)?;
+                    executed += self.run_spawn_serialized(lo, hi, spawn_idx, join_idx, executed)?;
                 }
                 Issued::Halt => {
                     self.stats.count_instr(xmt_isa::FuKind::Ctl, None);
@@ -194,12 +194,9 @@ impl FunctionalSim {
         lo: i32,
         hi: i32,
         spawn_idx: u32,
+        join_idx: u32,
         executed_so_far: u64,
     ) -> Result<u64, FuncError> {
-        let join_idx = self
-            .exe
-            .join_of(spawn_idx)
-            .expect("linker guarantees spawn/join pairing");
         self.stats.spawns += 1;
         self.master.pc = join_idx + 1;
         if lo > hi {
@@ -374,6 +371,17 @@ mod tests {
         p.push(Instr::Join);
         p.push(Instr::Halt);
         (p, mm)
+    }
+
+    /// An image whose spawn/join table lost an entry is a trap, not a
+    /// panic (the linker and the JSON reader both pair every spawn).
+    #[test]
+    fn spawn_without_join_entry_traps() {
+        let (p, mm) = compaction_like(4);
+        let mut exe = p.link(mm).unwrap();
+        exe.spawn_join.clear();
+        let err = FunctionalSim::new(exe).run().unwrap_err();
+        assert_eq!(err, FuncError::Trap(Trap::UnmatchedSpawn { pc: 3 }));
     }
 
     #[test]

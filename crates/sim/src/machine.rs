@@ -373,6 +373,9 @@ pub enum Trap {
     /// `join` reached by the master outside a spawn (linker should have
     /// rejected this program).
     StrayJoin { pc: u32 },
+    /// `spawn` with no `join` in the image's spawn/join table (the linker
+    /// and the image reader both reject such a program).
+    UnmatchedSpawn { pc: u32 },
 }
 
 json_enum!(Trap {
@@ -385,6 +388,7 @@ json_enum!(Trap {
     PsIncrementInvalid { pc, value },
     GrputInParallel { pc },
     StrayJoin { pc },
+    UnmatchedSpawn { pc },
 });
 
 impl fmt::Display for Trap {
@@ -413,6 +417,9 @@ impl fmt::Display for Trap {
                 write!(f, "`grput` executed by a TCU at instruction {pc}")
             }
             Trap::StrayJoin { pc } => write!(f, "stray `join` at instruction {pc}"),
+            Trap::UnmatchedSpawn { pc } => {
+                write!(f, "`spawn` without a matching `join` at instruction {pc}")
+            }
         }
     }
 }

@@ -234,6 +234,10 @@ impl MetricsRegistry {
         self.counter("host.burst_break_sample", hp.burst_break_sample);
         self.counter("host.burst_break_boundary", hp.burst_break_boundary);
         self.counter("host.burst_break_cap", hp.burst_break_cap);
+        self.counter("host.issue.burst_break_miss", hp.burst_break_miss);
+        self.counter("host.issue.burst_break_spawn", hp.burst_break_spawn);
+        self.counter("host.issue.master_inline_trips", hp.master_inline_trips);
+        self.counter("host.issue.master_event_trips", hp.master_event_trips);
         self.histogram("host.burst_len_hist", hp.burst_len_hist.to_vec());
         self.counter("host.blocks_decoded", hp.blocks_decoded);
         self.counter("host.block_replays", hp.block_replays);

@@ -130,8 +130,8 @@ impl CycleSim {
                     let v = exec::perform(&mut self.machine, &req);
                     exec::complete(&mut self.master, &req, v);
                 }
-                Issued::Spawn { lo, hi, spawn_idx } => {
-                    executed += self.ff_spawn(&exe, lo, hi, spawn_idx)?;
+                Issued::Spawn { lo, hi, spawn_idx, join_idx } => {
+                    executed += self.ff_spawn(&exe, lo, hi, spawn_idx, join_idx)?;
                 }
                 Issued::Halt => break,
                 Issued::ChkidBlocked => unreachable!("chkid traps in master mode"),
@@ -152,8 +152,8 @@ impl CycleSim {
         lo: i32,
         hi: i32,
         spawn_idx: u32,
+        join_idx: u32,
     ) -> Result<u64, SimError> {
-        let join_idx = exe.join_of(spawn_idx).expect("linked spawn");
         self.master.pc = join_idx + 1;
         if lo > hi {
             return Ok(0);

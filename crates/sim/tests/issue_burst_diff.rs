@@ -17,13 +17,22 @@
 //! topologies, both ICN models, activity-plug-in sampling with intervals
 //! short enough to land mid-run, mid-run DVFS retuning, and mid-flight
 //! checkpoint / JSON round-trip / resume at a random cycle.
+//!
+//! A second generator draws *serial sections* — what the Master TCU's
+//! burst folds (DESIGN §15): private-FU ops, `ps`/`grput`, prints, fences,
+//! `pref`, empty-range spawns, master-cache hits, and misses / `psm` whose
+//! round trip is walked on the stack — with sampling ticks shorter than a
+//! round trip and run limits aimed inside round trips and at folded ops.
 
 use xmt_harness::prop::{run, Config, Gen};
 use xmt_harness::ToJson;
-use xmt_isa::{AsmProgram, Executable, GlobalReg, Instr, MemoryMap, Reg, Target};
+use xmt_isa::instr::FCmpOp;
+use xmt_isa::{AsmProgram, Executable, FReg, FuKind, GlobalReg, Instr, MemoryMap, Reg, Target};
 use xmtsim::checkpoint::{Checkpoint, CheckpointOutcome};
 use xmtsim::config::{ClockDomain, IcnTiming, IssueModel, PrefetchPolicy};
+use xmtsim::cycle::{HostProfile, SimError};
 use xmtsim::stats::{ActivityPlugin, ActivitySample, RuntimeCtl};
+use xmtsim::trace::{TraceEvent, TraceLevel, Tracer};
 use xmtsim::{CycleSim, IcnModel, XmtConfig};
 
 /// A deterministic mid-run clock retune: at activity sample `at_sample`,
@@ -280,6 +289,383 @@ fn burst_matches_perinstr_oracle() {
             cfg.icn_model, cfg.icn_timing, spec
         );
     });
+}
+
+// ---------------------------------------------------------------------
+// Serial sections: what the master's burst folds
+// ---------------------------------------------------------------------
+
+/// Words of the strided array: 8 KB against the 1 KB master cache (and
+/// 1 KB cache modules) of `XmtConfig::tiny`, so strided accesses miss.
+const SERIAL_WORDS: usize = 2048;
+
+/// Emit `n` random master-side operations. Register roles: `S0`/`S1`/`S2`
+/// hold the bases of `A` (strided), `C` (`psm` scratch) and `F` (floats,
+/// written only by `fsw`, so `flw` never loads a NaN pattern); `T7` is the
+/// running byte offset into `A` and `T8` the last strided address; `T6`
+/// counts loops; `T3`–`T5` and `F1`–`F3` are the accumulators.
+fn serial_ops(p: &mut AsmProgram, g: &mut Gen, n: usize, top: bool, tag: &mut u32) {
+    use Instr::*;
+    for _ in 0..n {
+        match g.usize_in(0, 20) {
+            0 | 1 => {
+                let n = g.usize_in(1, 13);
+                straight_line(p, g, n);
+            }
+            2 => p.push(Mul { rd: Reg::T3, rs: Reg::T3, rt: Reg::T4 }),
+            3 => p.push(Div { rd: Reg::T4, rs: Reg::T3, rt: Reg::T5 }),
+            4 => p.push(Rem { rd: Reg::T5, rs: Reg::T3, rt: Reg::T4 }),
+            5 => match g.usize_in(0, 7) {
+                0 => p.push(Fadd { fd: FReg(1), fs: FReg(1), ft: FReg(2) }),
+                1 => p.push(Fmul { fd: FReg(3), fs: FReg(1), ft: FReg(2) }),
+                2 => p.push(Fdiv { fd: FReg(3), fs: FReg(1), ft: FReg(2) }),
+                3 => p.push(Fcvtsw { fd: FReg(1), rs: Reg::T6 }),
+                4 => p.push(Fcvtws { rd: Reg::T4, fs: FReg(3) }),
+                5 => p.push(Fcmp { op: FCmpOp::Lt, rd: Reg::T5, fs: FReg(1), ft: FReg(3) }),
+                _ => p.push(Fneg { fd: FReg(3), fs: FReg(3) }),
+            },
+            6 => {
+                p.push(Li { rt: Reg::T0, imm: g.int_in(0, 2) as i32 });
+                p.push(Ps { rt: Reg::T0, gr: GlobalReg(g.int_in(1, 8) as u8) });
+            }
+            7 => p.push(Grput { gr: GlobalReg(g.int_in(1, 8) as u8), rs: Reg::T3 }),
+            8 => match g.usize_in(0, 3) {
+                0 => p.push(Print { rs: Reg::T3 }),
+                1 => p.push(Printf { fs: FReg(3) }),
+                _ => {
+                    p.push(Andi { rt: Reg::T5, rs: Reg::T3, imm: 15 });
+                    p.push(Addi { rt: Reg::T5, rs: Reg::T5, imm: 97 });
+                    p.push(Printc { rs: Reg::T5 });
+                }
+            },
+            9 => p.push(Fence),
+            10 => p.push(Pref { base: Reg::T8, off: 0 }),
+            11 => {
+                // Empty range: the master skips to the join.
+                p.push(Li { rt: Reg::A0, imm: 5 });
+                p.push(Li { rt: Reg::A1, imm: g.int_in(0, 5) as i32 });
+                p.push(Spawn { lo: Reg::A0, hi: Reg::A1 });
+                p.push(Nop);
+                p.push(Join);
+            }
+            // Word accesses near the base: master-cache hits after the first.
+            12 => p.push(Lw { rt: Reg::T2, base: Reg::S0, off: 4 * g.int_in(0, 16) as i32 }),
+            13 => p.push(Sw { rt: Reg::T3, base: Reg::S0, off: 4 * g.int_in(0, 16) as i32 }),
+            14 | 15 => {
+                // A stride past the master cache: mostly misses.
+                let stride = 4 * g.int_in(9, 80) as i32;
+                p.push(Addi { rt: Reg::T7, rs: Reg::T7, imm: stride });
+                p.push(Andi { rt: Reg::T7, rs: Reg::T7, imm: (SERIAL_WORDS * 4 - 4) as u32 });
+                p.push(Add { rd: Reg::T8, rs: Reg::T7, rt: Reg::S0 });
+                match g.usize_in(0, 4) {
+                    0 => p.push(Sw { rt: Reg::T3, base: Reg::T8, off: 0 }),
+                    1 => p.push(Swnb { rt: Reg::T4, base: Reg::T8, off: 0 }),
+                    _ => {
+                        p.push(Lw { rt: Reg::T2, base: Reg::T8, off: 0 });
+                        p.push(Add { rd: Reg::T3, rs: Reg::T3, rt: Reg::T2 });
+                    }
+                }
+            }
+            16 => {
+                let off = g.int_in(0, 4) as i32;
+                match g.usize_in(0, 3) {
+                    0 => p.push(Lb { rt: Reg::T2, base: Reg::T8, off }),
+                    1 => p.push(Lbu { rt: Reg::T2, base: Reg::T8, off }),
+                    _ => p.push(Sb { rt: Reg::T3, base: Reg::T8, off }),
+                }
+            }
+            17 => {
+                let off = 4 * g.int_in(0, 16) as i32;
+                if g.bool_p(0.5) {
+                    p.push(Fsw { ft: FReg(3), base: Reg::S2, off });
+                } else {
+                    p.push(Flw { ft: FReg(1), base: Reg::S2, off });
+                }
+            }
+            18 => {
+                p.push(Li { rt: Reg::T4, imm: g.int_in(-3, 4) as i32 });
+                p.push(Psm { rt: Reg::T4, base: Reg::S1, off: 4 * g.int_in(0, 8) as i32 });
+            }
+            _ if top => {
+                // A countdown loop: long bursts through folded ops.
+                let l = format!("s{}", *tag);
+                *tag += 1;
+                p.push(Li { rt: Reg::T6, imm: g.int_in(1, 13) as i32 });
+                p.label(l.clone());
+                let n = g.usize_in(1, 5);
+                serial_ops(p, g, n, false, tag);
+                p.push(Addi { rt: Reg::T6, rs: Reg::T6, imm: -1 });
+                p.push(Bgtz { rs: Reg::T6, target: Target::label(l) });
+            }
+            _ => p.push(Nop),
+        }
+    }
+}
+
+/// A random program of 1–3 serial sections, optionally with short
+/// parallel sections between them (so a burst also starts at a join and
+/// ends on a spawn), optionally ending early in a trap.
+fn gen_serial_program(g: &mut Gen) -> Executable {
+    use Instr::*;
+    let mut mm = MemoryMap::new();
+    let a = mm.push("A", (0..SERIAL_WORDS as u32).collect());
+    let c = mm.push("C", vec![0u32; 8]);
+    let f = mm.push("F", vec![0u32; 16]);
+    let mut p = AsmProgram::new();
+    p.push(Li { rt: Reg::S0, imm: a as i32 });
+    p.push(Li { rt: Reg::S1, imm: c as i32 });
+    p.push(Li { rt: Reg::S2, imm: f as i32 });
+    p.push(Move { rd: Reg::T8, rs: Reg::S0 });
+    p.push(Li { rt: Reg::T3, imm: g.int_in(1, 100) as i32 });
+    p.push(Li { rt: Reg::T4, imm: g.int_in(1, 9) as i32 });
+    p.push(Li { rt: Reg::T5, imm: g.int_in(-9, 0) as i32 });
+    p.push(Fli { fd: FReg(1), imm: 0.5 });
+    p.push(Fli { fd: FReg(2), imm: 1.5 });
+    let mut tag = 0u32;
+    let sections = g.usize_in(1, 4);
+    let trap_in = g.bool_p(0.1).then(|| g.usize_in(0, sections));
+    for s in 0..sections {
+        let n = g.usize_in(3, 20);
+        serial_ops(&mut p, g, n, true, &mut tag);
+        if trap_in == Some(s) {
+            if g.bool_p(0.5) {
+                p.push(Lw { rt: Reg::T2, base: Reg::S0, off: 2 });
+            } else {
+                p.push(Li { rt: Reg::T0, imm: 2 });
+                p.push(Ps { rt: Reg::T0, gr: GlobalReg(1) });
+            }
+        }
+        if s + 1 < sections && g.bool_p(0.5) {
+            let vt = format!("vt{s}");
+            p.push(Li { rt: Reg::A0, imm: 0 });
+            p.push(Li { rt: Reg::A1, imm: g.int_in(0, 8) as i32 });
+            p.push(Spawn { lo: Reg::A0, hi: Reg::A1 });
+            p.label(vt.clone());
+            p.push(Li { rt: Reg::T0, imm: 1 });
+            p.push(Ps { rt: Reg::T0, gr: GlobalReg::THREAD_ALLOC });
+            p.push(Chkid { rt: Reg::T0 });
+            p.push(Sll { rd: Reg::T1, rt: Reg::T0, sh: 2 });
+            p.push(Add { rd: Reg::T1, rs: Reg::T1, rt: Reg::S0 });
+            p.push(Lw { rt: Reg::T2, base: Reg::T1, off: 0 });
+            p.push(Mul { rd: Reg::T2, rs: Reg::T2, rt: Reg::T0 });
+            p.push(Swnb { rt: Reg::T2, base: Reg::T1, off: 0 });
+            p.push(J { target: Target::label(vt) });
+            p.push(Join);
+        }
+    }
+    p.push(Print { rs: Reg::T3 });
+    p.push(Halt);
+    p.link(mm).unwrap()
+}
+
+#[derive(Debug, Clone, Copy)]
+enum Limit {
+    Cycles(u64),
+    Instrs(u64),
+}
+
+/// What a serial case exercises besides the issue model itself.
+#[derive(Debug, Clone, Copy)]
+struct SerialSpec {
+    dvfs: Option<DvfsSpec>,
+    /// Sampling tick interval (cycles), shorter than one round trip.
+    sampler: Option<u64>,
+    limit: Option<Limit>,
+    ckpt_at: Option<u64>,
+}
+
+/// Plug-ins and limits live outside the checkpoint: a resumed simulator
+/// is armed again, identically for both issue models.
+fn arm(sim: &mut CycleSim, spec: &SerialSpec) {
+    attach(sim, &CaseSpec { dvfs: spec.dvfs, sampler: spec.sampler, ckpt_at: None });
+    match spec.limit {
+        Some(Limit::Cycles(c)) => sim.set_cycle_limit(c),
+        Some(Limit::Instrs(n)) => sim.set_instr_limit(n),
+        None => {}
+    }
+    sim.enable_host_profiling();
+}
+
+/// The issue records `(time, pc, by the master?)` of an undisturbed
+/// per-instruction run, in issue order — where the folded ops and the
+/// round trips are.
+fn issue_times(exe: &Executable, cfg: &XmtConfig) -> Vec<(u64, u32, bool)> {
+    let mut cfg = cfg.clone();
+    cfg.issue_model = IssueModel::PerInstr;
+    let mut sim = CycleSim::new(exe.clone(), cfg);
+    sim.attach_tracer(Tracer::new(TraceLevel::Functional));
+    let _ = sim.run(); // a trap still leaves the records up to it
+    let records = sim.tracer.as_ref().expect("attached above").records();
+    records
+        .iter()
+        .filter_map(|r| match r {
+            TraceEvent::Issue { time, tcu, pc } => Some((*time, *pc, tcu.is_none())),
+            _ => None,
+        })
+        .collect()
+}
+
+/// Draw the case around the reference run: a run limit landing inside a
+/// round trip or exactly on a folded multi-cycle op, a sampling tick
+/// shorter than a round trip or a DVFS retune, a checkpoint cycle mid-run.
+fn gen_serial_spec(g: &mut Gen, exe: &Executable, cfg: &XmtConfig) -> SerialSpec {
+    let issues = issue_times(exe, cfg);
+    let cp = cfg.period_ps[ClockDomain::Cluster as usize];
+    let cycle_of = |i: usize| issues[i].0 / cp;
+    let n = issues.len();
+    let limit = (n >= 2 && g.bool_p(0.5)).then(|| {
+        let i = g.usize_in(0, n - 1);
+        // The first of each at or (cyclically) after a random instruction,
+        // the master's only: which TCU instructions an instruction limit
+        // cuts off inside a parallel section depends on the issue model.
+        let from_i = |k: usize| (i + k) % (n - 1);
+        let serial = |k: &usize| issues[*k].2 && issues[*k + 1].2;
+        let folded = (0..n - 1).map(from_i).filter(serial).find(|&k| {
+            let fu = exe.text[issues[k].1 as usize].fu_kind();
+            matches!(fu, FuKind::Mdu | FuKind::Fpu)
+        });
+        let trip = (0..n - 1)
+            .map(from_i)
+            .filter(serial)
+            .find(|&k| cycle_of(k + 1) > cycle_of(k) + 8);
+        match (g.usize_in(0, 4), folded, trip) {
+            // Stop with the folded op the next / the last instruction.
+            (0, Some(k), _) => Limit::Instrs(k as u64 + g.int_in(0, 2) as u64),
+            // The cycle limit trips on the folded op's own step.
+            (1, Some(k), _) => Limit::Cycles(cycle_of(k).saturating_sub(1)),
+            // … and somewhere inside a round trip.
+            (2, _, Some(k)) => {
+                Limit::Cycles(g.int_in(cycle_of(k) as i64, cycle_of(k + 1) as i64) as u64)
+            }
+            (3, _, Some(k)) => Limit::Instrs(k as u64 + 1),
+            _ => Limit::Cycles(cycle_of(i)),
+        }
+    });
+    let (dvfs, sampler) = match g.usize_in(0, 3) {
+        0 => (None, None),
+        1 => (None, Some(g.int_in(2, 40) as u64)),
+        _ => {
+            let mut d = gen_dvfs(g);
+            if let Some(d) = d.as_mut() {
+                d.interval_cycles = g.int_in(8, 128) as u64;
+            }
+            (d, None)
+        }
+    };
+    let last = issues.last().map_or(1, |r| r.0 / cp + 1);
+    SerialSpec {
+        dvfs,
+        sampler,
+        limit,
+        ckpt_at: g.bool_p(0.4).then(|| g.int_in(1, last as i64 + 1) as u64),
+    }
+}
+
+/// Everything two serial runs must agree on: outcome (summary without
+/// `events`, or the error value), where the clock stopped, statistics,
+/// machine and master state, and the checkpoint's bytes if one was taken.
+#[derive(Debug, PartialEq)]
+struct Observed {
+    outcome: Result<(u64, u64, u64), SimError>,
+    cycles: u64,
+    stats: String,
+    machine: String,
+    master: String,
+    checkpoint: Option<String>,
+}
+
+fn observe_serial(
+    exe: &Executable,
+    cfg: &XmtConfig,
+    model: IssueModel,
+    spec: &SerialSpec,
+) -> (Observed, u64, HostProfile) {
+    let mut cfg = cfg.clone();
+    cfg.issue_model = model;
+    let mut sim = CycleSim::new(exe.clone(), cfg.clone());
+    arm(&mut sim, spec);
+    let mut checkpoint = None;
+    let first = match spec.ckpt_at {
+        None => sim.run().map(Some),
+        Some(cycle) => sim.run_to_checkpoint_anytime(cycle).map(|o| match o {
+            CheckpointOutcome::Done(s) => Some(s),
+            CheckpointOutcome::Checkpoint(ck) => {
+                checkpoint = Some(ck.to_json());
+                None
+            }
+        }),
+    };
+    let result = match (first, &checkpoint) {
+        (Ok(None), Some(json)) => {
+            let round = Checkpoint::from_json(json).expect("checkpoint parses");
+            sim = CycleSim::resume(exe.clone(), cfg, round);
+            arm(&mut sim, spec);
+            sim.run()
+        }
+        (first, _) => first.map(|s| s.expect("no checkpoint was taken")),
+    };
+    let events = result.as_ref().map_or(0, |s| s.events);
+    let observed = Observed {
+        outcome: result.map(|s| (s.cycles, s.time_ps, s.instructions)),
+        cycles: sim.cycles(),
+        stats: sim.stats.to_json_string(),
+        machine: sim.machine.to_json_string(),
+        master: sim.master.to_json_string(),
+        checkpoint,
+    };
+    (observed, events, sim.host_profile().expect("armed").clone())
+}
+
+/// 256 random serial-section cases: the master's burst — folded ops,
+/// inline round trips, materialised stages — against the per-instruction
+/// oracle, bit for bit, and the event books balance.
+#[test]
+fn serial_sections_match_perinstr_oracle() {
+    let mut ran = 0u32;
+    let (mut inline, mut event, mut errors, mut checkpoints) = (0u64, 0u64, 0u32, 0u32);
+    run("serial_sections_match_perinstr_oracle", Config::default(), |g: &mut Gen| {
+        ran += 1;
+        let exe = gen_serial_program(g);
+        let mut cfg = gen_config(g);
+        cfg.master_hit_latency = g.int_in(1, 4) as u32;
+        let spec = gen_serial_spec(g, &exe, &cfg);
+        let (burst, burst_events, hb) = observe_serial(&exe, &cfg, IssueModel::Burst, &spec);
+        let (perinstr, perinstr_events, hp) =
+            observe_serial(&exe, &cfg, IssueModel::PerInstr, &spec);
+        assert_eq!(
+            burst, perinstr,
+            "burst/per-instr divergence under icn {:?} timing {:?} case {:?}",
+            cfg.icn_model, cfg.icn_timing, spec
+        );
+        assert_eq!(hp.master_inline_trips, 0, "the oracle makes an event of every stage");
+        let express = cfg.icn_model == IcnModel::Express;
+        assert!(express || hb.master_inline_trips == 0, "per-hop packages are walked by events");
+        // Each burst of L instructions replaces L step events with one,
+        // and a round trip walked whole on the stack elides its four
+        // memory events (two leg ends, the service, the completion). A
+        // trip cut short by a clip elides fewer, a resumed run counts
+        // from the checkpoint, an error leaves no summary.
+        let whole_trips = !express || hb.master_event_trips == 0;
+        if burst.outcome.is_ok() && burst.checkpoint.is_none() && whole_trips {
+            assert_eq!(
+                perinstr_events - burst_events,
+                hb.burst_instrs - hb.bursts + 4 * hb.master_inline_trips,
+                "event books must balance under {:?} case {:?}",
+                cfg.icn_model,
+                spec
+            );
+        }
+        inline += hb.master_inline_trips;
+        event += hb.master_event_trips;
+        errors += burst.outcome.is_err() as u32;
+        checkpoints += burst.checkpoint.is_some() as u32;
+    });
+    // scripts/verify.sh greps for this line to prove the suite really ran.
+    eprintln!(
+        "serial_sections: ran {ran} cases ({inline} inline + {event} event round trips under \
+         burst, {errors} ended in an error, {checkpoints} checkpointed mid-run)"
+    );
+    assert!(inline > 0 && event > 0 && errors > 0 && checkpoints > 0, "vacuous sweep");
 }
 
 /// The burst path does what it is for: on a compute-bound workload it

@@ -91,8 +91,9 @@ referee xmtsim model_properties 'lanes_match_heap_on_model_traffic: ran [1-9][0-
 referee xmt-bench "checkpoint_resume checkpoint_inflight"
 # express ICN legs vs the per-hop walk
 referee xmtsim icn_express_diff
-# compute bursts vs per-instruction issue (+ tracer/limit/sample clips)
-referee xmtsim "issue_burst_diff issue_model"
+# compute bursts vs per-instruction issue (+ tracer/limit/sample clips),
+# and the master's folded serial sections and inline round trips
+referee xmtsim "issue_burst_diff issue_model" 'serial_sections: ran [1-9][0-9]* cases'
 # decoded basic-block replay vs interpreted issue
 referee xmtsim decode_diff
 # sharded parallel engine vs the sequential engine

@@ -234,3 +234,55 @@ fn sorted_lanes_still_match_the_per_hop_oracle() {
     assert!(express.2 == per_hop.2, "statistics differ");
     assert!(express.3 == per_hop.3, "final machine state differs");
 }
+
+/// The master's burst, verified instead of guessed (DESIGN §15): a serial
+/// program on the default models sends no round trip through the event
+/// list and runs in bursts hundreds of instructions long; the
+/// per-instruction oracle walks none on the stack; and a sampling tick
+/// every 200 cycles — some three DRAM round trips — makes events of the
+/// trips it lands in while the results stay the oracle's.
+#[test]
+fn master_round_trips_are_walked_on_the_stack() {
+    use xmt_workloads::suite::{self, Variant};
+    use xmtsim::IssueModel;
+    struct Tick;
+    impl ActivityPlugin for Tick {
+        fn sample(&mut self, _s: &ActivitySample<'_>, _ctl: &mut RuntimeCtl) {}
+    }
+    let opts = Options::default();
+    let kernels = [
+        suite::bfs(300, 1200, 7, Variant::Serial, &opts).unwrap().compiled,
+        suite::matmul(16, 3, Variant::Serial, &opts).unwrap().compiled,
+    ];
+    for compiled in &kernels {
+        let run = |issue_model, sample: Option<u64>| {
+            let mut cfg = XmtConfig::fpga64();
+            cfg.issue_model = issue_model;
+            let mut sim = compiled.simulator(&cfg);
+            sim.enable_host_profiling();
+            if let Some(cycles) = sample {
+                sim.add_activity(Box::new(Tick), cycles);
+            }
+            let s = sim.run().unwrap();
+            let hp = sim.host_profile().unwrap().clone();
+            // The same numbers reach the metrics registry.
+            let reg = sim.metrics_registry();
+            for (row, n) in [("inline", hp.master_inline_trips), ("event", hp.master_event_trips)] {
+                let row = reg.get(&format!("host.issue.master_{row}_trips")).expect("row exported");
+                assert_eq!(row.value, xmtsim::obs::MetricValue::U(n));
+            }
+            (hp, (s.cycles, s.time_ps, sim.stats.clone(), sim.machine.clone()))
+        };
+        let (hp, _) = run(IssueModel::Burst, None);
+        assert!(hp.master_inline_trips > 50, "{hp:?}");
+        assert_eq!(hp.master_event_trips, 0, "{hp:?}");
+        assert!(hp.mean_burst_len() > 500.0, "mean burst {:.1}", hp.mean_burst_len());
+        let (hp, _) = run(IssueModel::PerInstr, None);
+        assert_eq!(hp.master_inline_trips, 0, "{hp:?}");
+        assert!(hp.master_event_trips > 50, "{hp:?}");
+        let (hp, sampled) = run(IssueModel::Burst, Some(200));
+        assert!(hp.master_inline_trips > 0 && hp.master_event_trips > 0, "{hp:?}");
+        let (_, oracle) = run(IssueModel::PerInstr, Some(200));
+        assert!(sampled == oracle, "sampled burst run differs from the oracle's");
+    }
+}
