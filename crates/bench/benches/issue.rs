@@ -72,17 +72,25 @@ fn main() {
             probe.push((s, hp));
         }
         let (sb, hb) = probe[0].clone();
-        let (sp, _) = probe[1].clone();
+        let (sp, hp) = probe[1].clone();
         assert_eq!(
             (sb.cycles, sb.time_ps, sb.instructions),
             (sp.cycles, sp.time_ps, sp.instructions),
             "{gname}: issue models diverged on simulated results"
         );
-        // A burst of L instructions is one step event instead of L, and
-        // a master round trip walked on the stack is none instead of four.
+        // A burst of L instructions is one step event instead of L, a
+        // step run in place by its completion or continued past a
+        // non-blocking first instruction one fewer, and a master round
+        // trip walked on the stack none instead of four; a return leg that
+        // ended in its completion is one fewer in either run (DESIGN §16).
         assert_eq!(
-            sb.events + (hb.burst_instrs - hb.bursts) + 4 * hb.master_inline_trips,
-            sp.events,
+            sb.events
+                + (hb.burst_instrs - hb.bursts)
+                + hb.completions_continued
+                + hb.issues_continued
+                + 4 * hb.master_inline_trips
+                + hb.legs_folded,
+            sp.events + hp.legs_folded,
             "{gname}: event books out of balance"
         );
         assert_eq!(hb.master_event_trips, 0, "{gname}: nothing clips an unsampled run");

@@ -14,8 +14,11 @@
 //! workload under per-instruction stepping vs compute-burst issue, the
 //! share of events that are instruction-issue steps, the burst count and
 //! mean length, the straight-line-run length distribution, which
-//! boundary broke each burst, and how many of the master's memory round
-//! trips were walked on the stack instead of through the event list.
+//! boundary broke each burst (and, for a TCU stopped by a non-local
+//! instruction, which kind), how many of the master's memory round trips
+//! were walked on the stack instead of through the event list, and how
+//! many TCU steps ran inside their blocking completion or on past a
+//! non-blocking first instruction instead of as events of their own.
 //!
 //! A third table profiles the *decode* modes: for each workload under the
 //! pre-decoded basic-block cache vs interpreted decode, how many blocks
@@ -103,9 +106,10 @@ fn main() {
                 ),
                 match model {
                     IcnModel::PerHop => "-".to_string(),
-                    IcnModel::Express => {
-                        format!("{} legs, {} hops elided", hp.express_legs, hp.hops_elided)
-                    }
+                    IcnModel::Express => format!(
+                        "{} legs ({} ended in their completion), {} hops elided",
+                        hp.express_legs, hp.legs_folded, hp.hops_elided
+                    ),
                 },
             ]);
         }
@@ -214,6 +218,8 @@ fn main() {
                     )
                 },
                 format!("{} / {}", hp.master_inline_trips, hp.master_event_trips),
+                hp.tcu_break_cause.map(|n| n.to_string()).join("/"),
+                format!("{} / {}", hp.completions_continued, hp.issues_continued),
             ]);
         }
     }
@@ -231,14 +237,18 @@ fn main() {
                     "len hist 1/2-3/../128+",
                     "breaks nonlocal/sample/boundary/cap/miss/spawn",
                     "master trips inline / event",
+                    "tcu nonlocal breaks mem/shared fu/ps/chkid/fence/other",
+                    "tcu steps continued by completion / past issue",
                 ],
                 &issue_rows
             )
         );
         println!("(burst rows issue one scheduler event per straight-line run; the break");
-        println!(" columns say which boundary ended each run, the last column how many of");
-        println!(" the master's round trips were walked on the stack vs. sent through the");
-        println!(" event list — identical simulated results are enforced by the");
+        println!(" columns say which boundary ended each run, the master column how many");
+        println!(" of its round trips were walked on the stack vs. sent through the event");
+        println!(" list, the last two which instruction stopped a TCU's run and how many");
+        println!(" TCU steps ran inside a blocking completion or on past a non-blocking");
+        println!(" first instruction — identical simulated results are enforced by the");
         println!(" issue_burst_diff differential suite)");
     }
 

@@ -257,14 +257,18 @@ fn main() -> ExitCode {
                         return ExitCode::FAILURE;
                     }
                 };
-                match xmtsim::checkpoint::Checkpoint::from_json(&json) {
-                    Ok(ckpt) => {
-                        eprintln!("resuming at t = {} ps", ckpt.time);
-                        xmtsim::CycleSim::resume(
-                            compiled.executable().clone(),
-                            args.config.clone(),
-                            ckpt,
-                        )
+                let ckpt = xmtsim::checkpoint::Checkpoint::from_json(&json)
+                    .map_err(|e| e.to_string())
+                    .and_then(|ckpt| {
+                        let time = ckpt.time;
+                        let exe = compiled.executable().clone();
+                        xmtsim::CycleSim::try_resume(exe, args.config.clone(), ckpt)
+                            .map(|sim| (sim, time))
+                    });
+                match ckpt {
+                    Ok((sim, time)) => {
+                        eprintln!("resuming at t = {time} ps");
+                        sim
                     }
                     Err(e) => {
                         eprintln!("xmtcc: {file}: {e}");

@@ -15,12 +15,15 @@
 //!   plain data too), along with the express-leg table and the
 //!   package-tracking side tables, in [`InflightState`].
 
+use crate::config::XmtConfig;
 use crate::cycle::cachesim::CacheTags;
 use crate::cycle::{CycleSim, InflightState, Outcome, RunSummary, SimError, TcuState};
 use crate::engine::Time;
 use crate::machine::{Machine, ThreadCtx};
 use crate::stats::Stats;
+use std::sync::Arc;
 use xmt_harness::{json_struct, FromJson, JsonError, ToJson};
+use xmt_isa::Executable;
 
 /// A serializable snapshot of a paused simulation.
 #[derive(Debug, Clone, PartialEq)]
@@ -68,6 +71,37 @@ impl Checkpoint {
     /// packages in flight).
     pub fn is_quiescent(&self) -> bool {
         self.inflight.is_quiescent()
+    }
+
+    /// Check that the checkpoint fits a machine configured as `cfg`: one
+    /// entry per TCU / cluster / cache module / DRAM channel where the
+    /// simulator indexes by them, clock periods it can divide by, and
+    /// in-flight records the machine can have.
+    fn validate(&self, cfg: &XmtConfig) -> Result<(), String> {
+        let (clusters, modules) = (cfg.clusters as usize, cfg.cache_modules as usize);
+        for (name, len, want) in [
+            ("tcus", self.tcus.len(), cfg.n_tcus() as usize),
+            ("vc_free", self.vc_free.len(), (clusters + 1) * modules),
+            ("module_free", self.module_free.len(), modules),
+            ("dram_free", self.dram_free.len(), cfg.dram_channels as usize),
+            ("mdu_free", self.mdu_free.len(), clusters),
+            ("fpu_free", self.fpu_free.len(), clusters),
+            ("modules", self.modules.len(), modules),
+            ("ro_caches", self.ro_caches.len(), clusters),
+            ("stats.per_cluster", self.stats.per_cluster.len(), clusters),
+            ("stats.module_accesses", self.stats.module_accesses.len(), modules),
+        ] {
+            if len != want {
+                return Err(format!("checkpoint has {len} `{name}` entries, the machine {want}"));
+            }
+        }
+        if self.period_ps.contains(&0) {
+            return Err("checkpoint clock periods must be nonzero".into());
+        }
+        if self.period_changed_at > self.time {
+            return Err("checkpoint periods changed after the checkpoint was taken".into());
+        }
+        self.inflight.validate(&self.tcus, self.time)
     }
 }
 
@@ -140,14 +174,26 @@ impl CycleSim {
     }
 
     /// Rebuild a simulator from a checkpoint (same executable and
-    /// configuration as the original run). Plug-ins and tracers must be
-    /// re-attached by the caller.
-    pub fn resume(
-        exe: impl Into<std::sync::Arc<xmt_isa::Executable>>,
-        cfg: crate::config::XmtConfig,
+    /// configuration as the original run), panicking on a configuration or
+    /// checkpoint [`Self::try_resume`] rejects. Plug-ins and tracers must
+    /// be re-attached by the caller.
+    pub fn resume(exe: impl Into<Arc<Executable>>, cfg: XmtConfig, ckpt: Checkpoint) -> CycleSim {
+        Self::try_resume(exe, cfg, ckpt).expect("checkpoint does not fit this simulator")
+    }
+
+    /// Rebuild a simulator from a checkpoint, reporting an invalid
+    /// configuration or a checkpoint that does not fit it — wrong-length
+    /// per-TCU, per-cluster or per-module tables, zero clock periods,
+    /// in-flight records naming a TCU, priority or state the machine
+    /// cannot have — as an error instead of a panic later in the run: the
+    /// entry point for checkpoints read from a file.
+    pub fn try_resume(
+        exe: impl Into<Arc<Executable>>,
+        cfg: XmtConfig,
         ckpt: Checkpoint,
-    ) -> CycleSim {
-        let mut sim = CycleSim::new(exe, cfg);
+    ) -> Result<CycleSim, String> {
+        let mut sim = CycleSim::try_new(exe, cfg)?;
+        ckpt.validate(sim.config())?;
         let time = ckpt.time;
         sim.restore_parts(
             ckpt.machine,
@@ -167,6 +213,6 @@ impl CycleSim {
             time,
             ckpt.inflight,
         );
-        sim
+        Ok(sim)
     }
 }

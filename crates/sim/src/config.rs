@@ -374,6 +374,29 @@ impl XmtConfig {
         (h >> 16) % self.cache_modules
     }
 
+    /// Whether every operation a TCU or the master can issue takes at
+    /// least one cycle (no FU, `ps`, RO-cache, master-cache or spawn
+    /// latency is zero), so that no context issues twice at one instant.
+    /// The cycle model's in-place resume of a completed TCU and its
+    /// instruction-limit headroom rest on it (DESIGN §16); the presets
+    /// all satisfy it.
+    pub fn one_issue_per_cycle(&self) -> bool {
+        [
+            self.mul_latency,
+            self.div_latency,
+            self.fpu_add_latency,
+            self.fpu_mul_latency,
+            self.fpu_div_latency,
+            self.fpu_misc_latency,
+            self.ps_latency,
+            self.ro_hit_latency,
+            self.master_hit_latency,
+            self.spawn_overhead,
+        ]
+        .iter()
+        .all(|&l| l > 0)
+    }
+
     /// Sanity-check structural invariants; call after hand-editing.
     pub fn validate(&self) -> Result<(), String> {
         if self.clusters == 0 || self.tcus_per_cluster == 0 {

@@ -29,6 +29,7 @@
 //!   before prefix-sums) restores the §IV-A partial order.
 
 pub mod cachesim;
+mod inflight;
 mod parallel;
 pub mod prefetch;
 
@@ -142,6 +143,9 @@ pub struct HostProfile {
     /// Bursts that stopped at a non-local instruction (TCU: memory op,
     /// shared FU, `ps`/`chkid`/control; master: `halt`, a trap).
     pub burst_break_nonlocal: u64,
+    /// The TCU share of `burst_break_nonlocal`, by the instruction the
+    /// burst stopped at ([`exec::NONLOCAL_CAUSES`] order).
+    pub tcu_break_cause: [u64; 6],
     /// Bursts clipped at the next pending `Ev::Sample` time (which is
     /// also every DVFS `apply_periods` epoch).
     pub burst_break_sample: u64,
@@ -159,6 +163,13 @@ pub struct HostProfile {
     pub master_inline_trips: u64,
     /// Master round trips with at least one stage on the event list.
     pub master_event_trips: u64,
+    /// Return legs folded into their completion (no `ExpressEnd`).
+    pub legs_folded: u64,
+    /// Blocking completions that ran their TCU's step in place.
+    pub completions_continued: u64,
+    /// TCU steps that continued into local instructions after a
+    /// non-blocking memory op or a free `fence`.
+    pub issues_continued: u64,
     /// Burst length histogram, floor-log2 buckets: 1, 2–3, 4–7, 8–15,
     /// 16–31, 32–63, 64–127, 128+.
     pub burst_len_hist: [u64; 8],
@@ -222,6 +233,14 @@ impl HostProfile {
         }
         let bucket = (63 - len.max(1).leading_zeros() as u64).min(7) as usize;
         self.burst_len_hist[bucket] += 1;
+    }
+
+    /// [`Self::record_burst`] for a TCU burst that stopped before `pc`.
+    fn record_tcu_burst(&mut self, len: u64, reason: BurstBreak, exe: &Executable, pc: u32) {
+        self.record_burst(len, reason);
+        if let BurstBreak::NonLocal = reason {
+            self.tcu_break_cause[exec::nonlocal_cause(exe, pc)] += 1;
+        }
     }
 }
 
@@ -891,7 +910,8 @@ impl CycleSim {
     /// have issued. The check sits at the top of every step handler, so
     /// the run stops with *exactly* `limit` instructions counted — under
     /// both issue models: a compute burst breaks before the instruction
-    /// that would exceed the limit.
+    /// that would exceed the limit. Raise the limit and `run` again to
+    /// continue from the stop.
     pub fn set_instr_limit(&mut self, limit: u64) {
         self.max_instrs = Some(limit);
     }
@@ -974,14 +994,29 @@ impl CycleSim {
     /// cleanly — with exactly `limit` instructions counted, under both
     /// issue models.
     fn instr_limit_reached(&mut self, now: Time, step: Ev) -> bool {
-        match self.max_instrs {
-            Some(limit) if self.stats.instructions >= limit => {
-                self.stop_requested = true;
-                self.schedule_ev(now, PRI_DEFAULT, step);
-                true
-            }
-            _ => false,
+        let reached = self.instrs_reached();
+        if reached {
+            self.stop_requested = true;
+            self.schedule_ev(now, PRI_DEFAULT, step);
         }
+        reached
+    }
+
+    /// Have the instructions issued so far reached the limit?
+    fn instrs_reached(&self) -> bool {
+        self.max_instrs.is_some_and(|l| self.stats.instructions >= l)
+    }
+
+    /// Might the instruction limit stop the run before `t`? Conservative:
+    /// until then every TCU and the master issue at most one instruction
+    /// per cycle, plus one `BURST_CAP` burst in hand each.
+    fn limit_before(&self, t: Time) -> bool {
+        self.max_instrs.is_some_and(|l| {
+            let per_actor = self.cycles_at(t).saturating_sub(self.cycles()) + 2 + BURST_CAP;
+            let actors = self.tcus.len() as u64 + 1;
+            let most = self.stats.instructions.checked_add(actors.saturating_mul(per_actor));
+            !self.cfg.one_issue_per_cycle() || most.is_none_or(|n| n >= l)
+        })
     }
 
     /// Elapsed cluster cycles at simulated time `now` (DVFS-aware).
@@ -1222,6 +1257,7 @@ impl CycleSim {
     /// the middle of a batch (stop request, checkpoint boundary, `halt`)
     /// requeue the unhandled tail so pending/processed counts stay exact.
     pub(crate) fn run_inner(&mut self) -> Result<Outcome, SimError> {
+        self.stop_requested = false; // a stop ends one call, not the run
         if self.shard_queues.is_empty() {
             self.run_inner_sequential()
         } else {
@@ -1399,7 +1435,7 @@ impl CycleSim {
     fn handle(&mut self, now: Time, ev: Ev) -> Result<(), SimError> {
         match ev {
             Ev::MasterStep => self.master_step(now),
-            Ev::TcuStep(t) => self.tcu_step(now, t),
+            Ev::TcuStep(t) => self.tcu_step(now, t, false),
             Ev::Hop {
                 tcu,
                 req,
@@ -1425,10 +1461,7 @@ impl CycleSim {
                 req,
                 value,
                 issued_at,
-            } => {
-                self.complete(now, tcu, req, value, issued_at);
-                Ok(())
-            }
+            } => self.complete(now, tcu, req, value, issued_at),
             Ev::BroadcastDone { body_pc } => {
                 self.activate_tcus(now, body_pc);
                 Ok(())
@@ -1479,9 +1512,7 @@ impl CycleSim {
                 if let Some(clip) = self.clip_at(at) {
                     break (clip, false);
                 }
-                if self
-                    .max_instrs
-                    .is_some_and(|l| self.stats.instructions >= l)
+                if self.instrs_reached()
                     || (self.pending_total == 0
                         && self.checkpoint_at.is_some_and(|c| self.cycles_at(at) >= c))
                 {
@@ -1838,23 +1869,39 @@ impl CycleSim {
     // TCUs
     // ---------------------------------------------------------------
 
-    fn tcu_step(&mut self, now: Time, t: u32) -> Result<(), SimError> {
-        if self.instr_limit_reached(now, Ev::TcuStep(t)) {
+    /// The TCU issue loop. A `TcuStep` enters it at `now`, and under burst
+    /// issue so does a blocking completion (`resumed`), in place of the
+    /// step it would schedule for the same instant (see `complete`). The
+    /// first instruction issues whatever it is. Unless it parks the TCU —
+    /// a blocking memory op, a failed `chkid`, a `fence` with operations
+    /// pending — [`IssueModel::Burst`] then keeps executing pure local
+    /// instructions, each only while nothing can observe its issue instant
+    /// `at`: they touch only this TCU's private context, so concurrent
+    /// events of other TCUs and the memory system cannot observe the eager
+    /// execution (the canonical `order_default_batch` ordering covers the
+    /// one exception, scheduler FIFO rank), and the section cannot close
+    /// mid-burst because this TCU neither parks nor joins inside it.
+    /// [`IssueModel::PerInstr`] is the loop bounded at one instruction.
+    fn tcu_step(&mut self, now: Time, t: u32, resumed: bool) -> Result<(), SimError> {
+        if !resumed && self.instr_limit_reached(now, Ev::TcuStep(t)) {
             return Ok(());
         }
-        let hi = self
-            .par
-            .as_ref()
-            .expect("TCU stepped outside a parallel section")
-            .hi;
+        // Only a section's TCUs step (`try_resume` rejects the rest).
+        let Some(hi) = self.par.map(|p| p.hi) else { return Ok(()) };
         let cluster = self.cfg.cluster_of(t);
         let pc = self.tcus[t as usize].ctx.pc;
-        let issued = exec::issue(
-            &self.exe,
-            &mut self.tcus[t as usize].ctx,
-            &mut self.machine,
-            Mode::Parallel { hi },
-        )?;
+        let ctx = &mut self.tcus[t as usize].ctx;
+        let issued = match exec::issue(&self.exe, ctx, &mut self.machine, Mode::Parallel { hi }) {
+            Ok(issued) => issued,
+            // A trap surfaces at the oracle's own step: `issue` moved
+            // nothing but the pc, so put it back and schedule that step.
+            Err(_) if resumed => {
+                self.tcus[t as usize].ctx.pc = pc;
+                self.schedule_ev(now, PRI_DEFAULT, Ev::TcuStep(t));
+                return Ok(());
+            }
+            Err(trap) => return Err(trap.into()),
+        };
         if let Some(tr) = &mut self.tracer {
             tr.record(TraceEvent::Issue {
                 time: now,
@@ -1862,31 +1909,46 @@ impl CycleSim {
                 pc,
             });
         }
-        match issued {
+        let fu = match &issued {
+            Issued::Done(cost) => fu_of_cost(*cost),
+            Issued::Mem(_) => FuKind::Mem,
+            Issued::ChkidBlocked => FuKind::Br,
+            _ => FuKind::Ctl,
+        };
+        self.stats.count_instr(fu, Some(cluster));
+        if let (true, Some(hp)) = (resumed, self.host_profile.as_mut()) {
+            hp.completions_continued += 1;
+        }
+        // The burst proper starts at a `Done` first instruction (as the
+        // host-profile books always had it), or else after it.
+        let first_done = matches!(issued, Issued::Done(_));
+        // When the TCU issues next, or `None` while it waits for an event.
+        let next = match issued {
             Issued::Done(cost) => {
-                let fu = fu_of_cost(cost);
-                self.stats.count_instr(fu, Some(cluster));
                 if matches!(cost, CostClass::Ps) {
                     self.stats.ps_ops += 1;
                 }
                 for f in &mut self.filters {
                     f.on_instr(pc, fu);
                 }
-                let mut done = self.tcu_cost(now, cluster, cost);
-                if self.burst_issue() {
-                    done = self.tcu_burst(done, t, cluster, hi);
-                }
-                self.schedule_ev(done, PRI_DEFAULT, Ev::TcuStep(t));
+                Some(self.tcu_cost(now, cluster, cost))
             }
             Issued::Mem(req) => {
-                self.stats.count_instr(xmt_isa::FuKind::Mem, Some(cluster));
                 for f in &mut self.filters {
                     f.on_mem(&req);
                 }
-                self.tcu_mem(now, t, cluster, req);
+                self.tcu_mem(now, t, cluster, req)
+            }
+            Issued::Fence if self.tcus[t as usize].pending == 0 => {
+                Some(now + self.p(ClockDomain::Cluster))
+            }
+            Issued::Fence => {
+                let tcu = &mut self.tcus[t as usize];
+                tcu.fence_wait = true;
+                tcu.fence_from = now;
+                None
             }
             Issued::ChkidBlocked => {
-                self.stats.count_instr(xmt_isa::FuKind::Br, Some(cluster));
                 self.tcus[t as usize].parked = true;
                 if let Some(par) = &mut self.par {
                     par.parked += 1;
@@ -1895,80 +1957,48 @@ impl CycleSim {
                     o.tcu_park(now, cluster, t);
                 }
                 self.maybe_join(now);
+                None
             }
-            Issued::Fence => {
-                self.stats.count_instr(xmt_isa::FuKind::Ctl, Some(cluster));
-                let tcu = &mut self.tcus[t as usize];
-                if tcu.pending == 0 {
-                    let done = now + self.p(ClockDomain::Cluster);
-                    self.schedule_ev(done, PRI_DEFAULT, Ev::TcuStep(t));
-                } else {
-                    tcu.fence_wait = true;
-                    tcu.fence_from = now;
-                }
-            }
-            Issued::Halt | Issued::Spawn { .. } => {
-                unreachable!("issue() traps on halt/spawn in parallel mode")
-            }
-        }
-        Ok(())
-    }
-
-    /// Extend a just-issued TCU instruction into a compute burst
-    /// ([`IssueModel::Burst`]): keep executing pure local instructions,
-    /// accumulating latency, and return the aggregate completion time for
-    /// the single rescheduled step event — each executed eagerly only
-    /// while nothing can observe its issue instant `done`. Sound in open
-    /// parallel sections: burstable instructions touch only this TCU's private
-    /// context, so concurrent events of other TCUs and the memory system
-    /// cannot observe the eager execution (the canonical
-    /// `order_default_batch` ordering covers the one exception, scheduler
-    /// FIFO rank), and the section cannot close mid-burst because this
-    /// TCU neither parks nor joins inside it.
-    fn tcu_burst(&mut self, first_done: Time, t: u32, cluster: u32, hi: i32) -> Time {
-        let (mut done, mut len) = (first_done, 1u64);
-        let reason = loop {
-            (len, done) = self.replay(Some(t), len, done);
-            if len >= BURST_CAP {
-                break BurstBreak::Cap;
-            }
-            if let Some(clip) = self.clip_at(done) {
-                break clip;
-            }
-            if self
-                .max_instrs
-                .is_some_and(|l| self.stats.instructions >= l)
-            {
-                break BurstBreak::Boundary;
-            }
-            if !exec::peek_burstable(&self.exe, self.tcus[t as usize].ctx.pc) {
-                break BurstBreak::NonLocal;
-            }
-            let pc = self.tcus[t as usize].ctx.pc;
-            let issued = exec::issue(
-                &self.exe,
-                &mut self.tcus[t as usize].ctx,
-                &mut self.machine,
-                Mode::Parallel { hi },
-            )
-            .expect("peeked instructions cannot trap");
-            let Issued::Done(cost) = issued else {
-                unreachable!("peeked instructions resolve to Done")
-            };
-            let fu = fu_of_cost(cost);
-            self.stats.count_instr(fu, Some(cluster));
-            for f in &mut self.filters {
-                f.on_instr(pc, fu);
-            }
-            // Burstable cost classes never touch the shared-FU
-            // timelines, so `tcu_cost` is a pure latency here.
-            done = self.tcu_cost(done, cluster, cost);
-            len += 1;
+            // `issue` traps on both in parallel mode.
+            Issued::Halt => return Err(Trap::HaltInParallel { pc }.into()),
+            Issued::Spawn { .. } => return Err(Trap::SpawnInParallel { pc }.into()),
         };
-        if let Some(hp) = self.host_profile.as_mut() {
-            hp.record_burst(len, reason);
+        let Some(mut at) = next else { return Ok(()) };
+        if self.burst_issue() {
+            let mut len = first_done as u64;
+            let reason = loop {
+                (len, at) = self.replay(Some(t), len, at);
+                if len >= BURST_CAP {
+                    break BurstBreak::Cap;
+                }
+                if let Some(clip) = self.clip_at(at) {
+                    break clip;
+                }
+                if self.instrs_reached() {
+                    break BurstBreak::Boundary;
+                }
+                let pc = self.tcus[t as usize].ctx.pc;
+                let Some(cost) = exec::issue_local(&self.exe, &mut self.tcus[t as usize].ctx)
+                else {
+                    break BurstBreak::NonLocal;
+                };
+                let fu = fu_of_cost(cost);
+                self.stats.count_instr(fu, Some(cluster));
+                for f in &mut self.filters {
+                    f.on_instr(pc, fu);
+                }
+                // Local cost classes never touch the shared-FU
+                // timelines, so `tcu_cost` is a pure latency here.
+                at = self.tcu_cost(at, cluster, cost);
+                len += 1;
+            };
+            if let (true, Some(hp)) = (len > 0, self.host_profile.as_mut()) {
+                hp.issues_continued += !first_done as u64;
+                hp.record_tcu_burst(len, reason, &self.exe, self.tcus[t as usize].ctx.pc);
+            }
         }
-        done
+        self.schedule_ev(at, PRI_DEFAULT, Ev::TcuStep(t));
+        Ok(())
     }
 
     /// Latency of an immediately-executed TCU instruction, arbitrating
@@ -2012,8 +2042,9 @@ impl CycleSim {
         }
     }
 
-    /// Route a TCU memory request.
-    fn tcu_mem(&mut self, now: Time, t: u32, cluster: u32, req: MemRequest) {
+    /// Route a TCU memory request issued at `now`: `Some(t)`, the TCU
+    /// issues again at `t`; `None`, it waits for the response.
+    fn tcu_mem(&mut self, now: Time, t: u32, cluster: u32, req: MemRequest) -> Option<Time> {
         let cp = self.p(ClockDomain::Cluster);
         if req.kind == MemKind::Psm {
             self.stats.psm_ops += 1;
@@ -2029,8 +2060,7 @@ impl CycleSim {
             self.tcus[t as usize].pending += 1;
             self.pending_total += 1;
             self.inject(now, t, cluster, req);
-            self.schedule_ev(now + cp, PRI_DEFAULT, Ev::TcuStep(t));
-            return;
+            return Some(now + cp);
         }
 
         // Loads may hit the TCU prefetch buffer and skip the ICN.
@@ -2044,12 +2074,12 @@ impl CycleSim {
                         .entry((t, req.addr & !3))
                         .or_default()
                         .push((req, now));
-                    return;
+                    return None;
                 }
                 let done = (now + cp).max(ready);
                 let value = exec::perform(&mut self.machine, &req);
                 self.complete_at(done, t, req, value, now);
-                return;
+                return None;
             }
         }
 
@@ -2060,19 +2090,20 @@ impl CycleSim {
                 let done = now + self.cfg.ro_hit_latency as Time * cp;
                 let value = exec::perform(&mut self.machine, &req);
                 self.complete_at(done, t, req, value, now);
-                return;
+                return None;
             }
             self.stats.ro_misses += 1;
             // Miss: falls through to the shared path (and the access
             // above already filled the tag for next time).
         }
 
-        if !req.kind.blocking() {
+        let blocking = req.kind.blocking();
+        if !blocking {
             self.tcus[t as usize].pending += 1;
             self.pending_total += 1;
-            self.schedule_ev(now + cp, PRI_DEFAULT, Ev::TcuStep(t));
         }
         self.inject(now, t, cluster, req);
+        (!blocking).then_some(now + cp)
     }
 
     /// Send a package into the interconnection network; it reaches its
@@ -2109,7 +2140,19 @@ impl CycleSim {
         match self.cfg.icn_model {
             IcnModel::Express => {
                 let chain = self.express_chain(req.addr, start, inbound);
-                self.express_launch(tcu, req, value, inbound, issued_at, chain);
+                let end = chain.end();
+                // A return leg's end only adds the writeback cycle, so it
+                // ends in its completion unless a clip or an instruction-
+                // limit stop could see the leg in flight (DESIGN §16).
+                if inbound || self.clip_at(end).is_some() || self.limit_before(end) {
+                    self.express_launch(tcu, req, value, inbound, issued_at, chain);
+                } else {
+                    if let Some(hp) = self.host_profile.as_mut() {
+                        hp.legs_folded += 1;
+                    }
+                    let back = end + self.p(ClockDomain::Cluster); // writeback cycle
+                    self.complete_at(back, tcu, req, value, issued_at);
+                }
             }
             IcnModel::PerHop => {
                 let first_hop = self.hop_delay(req.addr, if inbound { 0 } else { u32::MAX });
@@ -2281,7 +2324,14 @@ impl CycleSim {
     }
 
     /// A response arrives back at its TCU.
-    fn complete(&mut self, now: Time, tcu: u32, req: MemRequest, value: u32, issued_at: Time) {
+    fn complete(
+        &mut self,
+        now: Time,
+        tcu: u32,
+        req: MemRequest,
+        value: u32,
+        issued_at: Time,
+    ) -> Result<(), SimError> {
         if let Some(tr) = &mut self.tracer {
             tr.record(TraceEvent::Complete {
                 time: now,
@@ -2293,13 +2343,18 @@ impl CycleSim {
         if tcu == MASTER_ID {
             self.stats.mem_wait_ps += now - issued_at;
             self.schedule_ev(now, PRI_DEFAULT, Ev::MasterStep);
-            return;
+            return Ok(());
         }
-        let blocking = req.kind.blocking();
-        if blocking {
-            let state = &mut self.tcus[tcu as usize];
-            exec::complete(&mut state.ctx, &req, value);
+        if req.kind.blocking() {
+            exec::complete(&mut self.tcus[tcu as usize].ctx, &req, value);
             self.stats.mem_wait_ps += now - issued_at;
+            // The step scheduled here would run in the next same-instant
+            // group, after the rest of this one — other TCUs' completions
+            // only (steps sort first), whose effects commute with it — so
+            // under burst issue it runs in place (DESIGN §16).
+            if self.burst_issue() && self.cfg.one_issue_per_cycle() && !self.instrs_reached() {
+                return self.tcu_step(now, tcu, true);
+            }
             self.schedule_ev(now, PRI_DEFAULT, Ev::TcuStep(tcu));
         } else {
             self.tcus[tcu as usize].pending -= 1;
@@ -2325,6 +2380,7 @@ impl CycleSim {
             }
             self.maybe_join(now);
         }
+        Ok(())
     }
 
     // ---------------------------------------------------------------

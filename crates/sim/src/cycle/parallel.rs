@@ -58,7 +58,7 @@ use xmt_isa::{Executable, FuKind};
 /// exercise the offload path.
 const MIN_OFFLOAD_TASKS: usize = 2;
 
-/// Window-constant inputs a worker needs to replay `tcu_burst`'s break
+/// Window-constant inputs a worker needs to replay `tcu_step`'s burst break
 /// conditions exactly (the instruction-limit check is excluded by the
 /// offload headroom guard, which proves it false for the whole window).
 #[derive(Clone, Copy)]
@@ -192,7 +192,7 @@ fn count(counts: &mut [u64; 4], cost: CostClass) {
     counts[slot] += 1;
 }
 
-/// Replay `tcu_step`'s `Issued::Done` arm plus `tcu_burst` for one TCU,
+/// Replay `tcu_step` for one TCU whose first instruction is local,
 /// worker-side: same instructions (via the shared `exec` local path),
 /// same costs, same break conditions, no shared state touched.
 fn burst_local(
@@ -460,10 +460,11 @@ impl CycleSim {
     ///   instructions touch only their own TCU's private context;
     /// * burst issue in force (`IssueModel::Burst`, no tracer) and no
     ///   filter plug-ins: nothing records per-instruction side effects;
-    /// * instruction-limit headroom: the whole window can add at most
-    ///   `batch.len() * BURST_CAP` instructions, so if that cannot reach
-    ///   the limit, every mid-burst and top-of-handler limit check in the
-    ///   window is false and workers may skip them.
+    /// * instruction-limit headroom: one event issues at most one
+    ///   instruction and a `BURST_CAP` burst after it, so if the window's
+    ///   `batch.len() * (BURST_CAP + 1)` cannot reach the limit, every
+    ///   mid-burst and top-of-handler limit check in the window is false
+    ///   and workers may skip them.
     fn offload_phase_a(
         &mut self,
         now: Time,
@@ -481,7 +482,7 @@ impl CycleSim {
             if self
                 .stats
                 .instructions
-                .saturating_add(batch.len() as u64 * BURST_CAP)
+                .saturating_add(batch.len() as u64 * (BURST_CAP + 1))
                 >= l
             {
                 return;
@@ -595,7 +596,7 @@ impl CycleSim {
         self.stats
             .count_instr_bulk(FuKind::Ctl, Some(cluster), r.counts[3]);
         if let Some(hp) = self.host_profile.as_mut() {
-            hp.record_burst(r.len, r.reason);
+            hp.record_tcu_burst(r.len, r.reason, &self.exe, self.tcus[r.tcu as usize].ctx.pc);
             hp.block_replays += r.replays;
             hp.replay_instrs += r.replay_instrs;
             hp.fusions += r.fused;

@@ -99,7 +99,7 @@ pub struct DecodeCache {
 }
 
 /// Window-constant burst break conditions, mirroring the interpreted
-/// burst loops exactly (`CycleSim::master_step` / `tcu_burst` /
+/// burst loops exactly (`CycleSim::master_step` / `tcu_step` /
 /// `parallel::burst_local`). A field is `None` when the corresponding
 /// oracle loop has no such check (e.g. `checkpoint_at` outside the
 /// master's quiescent case, `max_instrs` under the parallel offload
@@ -145,7 +145,7 @@ impl ReplayEnv {
     /// Would the oracle burst loop break before executing the next
     /// instruction, given the burst length, completion time, and
     /// instruction count it would check? Condition-for-condition the
-    /// `master_step`/`tcu_burst`/`burst_local` loop heads.
+    /// `master_step`/`tcu_step`/`burst_local` loop heads.
     #[inline]
     fn slot_blocked(&self, len: u64, done: Time, instrs: u64) -> bool {
         len >= BURST_CAP

@@ -669,6 +669,29 @@ pub fn peek_burstable(exe: &Executable, pc: u32) -> bool {
     )
 }
 
+/// What the instruction at `pc` is when it fails [`peek_burstable`], as an
+/// index into [`NONLOCAL_CAUSES`] — the host profile's split of the
+/// bursts that stopped at a non-local instruction.
+pub fn nonlocal_cause(exe: &Executable, pc: u32) -> usize {
+    use Instr::*;
+    match exe.instr(pc) {
+        Some(Ps { .. } | Psm { .. }) => 2,
+        Some(Chkid { .. }) => 3,
+        Some(Fence) => 4,
+        Some(i) => match i.fu_kind() {
+            xmt_isa::FuKind::Mem => 0,
+            xmt_isa::FuKind::Mdu | xmt_isa::FuKind::Fpu => 1,
+            _ => 5,
+        },
+        None => 5,
+    }
+}
+
+/// Names of the [`nonlocal_cause`] classes: a memory op, a cluster-shared
+/// MDU/FPU op, `ps`/`psm`, `chkid`, `fence`, anything else (`print`, an
+/// instruction that traps in parallel mode, a pc outside the program).
+pub const NONLOCAL_CAUSES: [&str; 6] = ["mem", "shared_fu", "ps", "chkid", "fence", "other"];
+
 #[inline]
 fn ea(base: u32, off: i32) -> u32 {
     base.wrapping_add(off as u32)

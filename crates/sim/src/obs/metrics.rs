@@ -24,6 +24,7 @@
 //! build diff cleanly.
 
 use crate::cycle::{HostProfile, RunSummary};
+use crate::exec::NONLOCAL_CAUSES;
 use crate::stats::Stats;
 use xmt_harness::json::json_field;
 use xmt_harness::{FromJson, Json, JsonError, ToJson};
@@ -238,6 +239,12 @@ impl MetricsRegistry {
         self.counter("host.issue.burst_break_spawn", hp.burst_break_spawn);
         self.counter("host.issue.master_inline_trips", hp.master_inline_trips);
         self.counter("host.issue.master_event_trips", hp.master_event_trips);
+        self.counter("host.issue.completions_continued", hp.completions_continued);
+        self.counter("host.issue.issues_continued", hp.issues_continued);
+        for (name, n) in NONLOCAL_CAUSES.iter().zip(hp.tcu_break_cause) {
+            self.counter(&format!("host.issue.tcu_break_{name}"), n);
+        }
+        self.counter("host.mem.legs_folded", hp.legs_folded);
         self.histogram("host.burst_len_hist", hp.burst_len_hist.to_vec());
         self.counter("host.blocks_decoded", hp.blocks_decoded);
         self.counter("host.block_replays", hp.block_replays);

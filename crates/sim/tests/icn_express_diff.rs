@@ -292,7 +292,9 @@ fn prefetch_fill_and_evict_order_matches_perhop_oracle() {
 
 /// The express path does what it is for: on a memory-bound workload it
 /// processes far fewer events than the per-hop walk, while the paper's
-/// host-side leg counters account for every elided hop.
+/// host-side leg counters account for every elided hop — and
+/// `legs_folded` for every return leg that ended in its completion
+/// instead of an `ExpressEnd` (all of them: nothing clips this run).
 #[test]
 fn express_elides_hop_events() {
     let words = 256usize;
@@ -326,22 +328,24 @@ fn express_elides_hop_events() {
         sim.enable_host_profiling();
         let s = sim.run().unwrap();
         let hp = sim.host_profile().unwrap();
-        (s, hp.express_legs, hp.hops_elided, sim.stats.icn_packages)
+        (s, hp.express_legs, hp.hops_elided, sim.stats.icn_packages, hp.legs_folded)
     };
-    let (se, legs, elided, pkgs) = run_model(IcnModel::Express);
-    let (sp, legs_ph, elided_ph, _) = run_model(IcnModel::PerHop);
+    let (se, legs, elided, pkgs, folded) = run_model(IcnModel::Express);
+    let (sp, legs_ph, elided_ph, _, folded_ph) = run_model(IcnModel::PerHop);
 
     assert_eq!((se.cycles, se.time_ps, se.instructions), (sp.cycles, sp.time_ps, sp.instructions));
-    assert_eq!((legs_ph, elided_ph), (0, 0), "oracle takes the per-hop walk");
+    assert_eq!((legs_ph, elided_ph, folded_ph), (0, 0, 0), "oracle takes the per-hop walk");
     assert!(legs > 0, "express path handled the network legs");
     // Each one-way leg of h hops collapses to 1 event: h-1 hops elided.
     assert_eq!(elided, legs * (cfg.icn_oneway() as u64 - 1));
     assert_eq!(legs, pkgs, "one express leg per injected package");
+    assert_eq!(2 * folded, legs, "every return leg folds: half the legs");
     assert!(
-        se.events + elided == sp.events,
-        "event books must balance: express {} + elided {} != per-hop {}",
+        se.events + elided + folded == sp.events,
+        "event books must balance: express {} + elided {} + folded {} != per-hop {}",
         se.events,
         elided,
+        folded,
         sp.events
     );
 }

@@ -30,7 +30,7 @@ use xmt_isa::instr::FCmpOp;
 use xmt_isa::{AsmProgram, Executable, FReg, FuKind, GlobalReg, Instr, MemoryMap, Reg, Target};
 use xmtsim::checkpoint::{Checkpoint, CheckpointOutcome};
 use xmtsim::config::{ClockDomain, IcnTiming, IssueModel, PrefetchPolicy};
-use xmtsim::cycle::{HostProfile, SimError};
+use xmtsim::cycle::{HostProfile, RunSummary, SimError};
 use xmtsim::stats::{ActivityPlugin, ActivitySample, RuntimeCtl};
 use xmtsim::trace::{TraceEvent, TraceLevel, Tracer};
 use xmtsim::{CycleSim, IcnModel, XmtConfig};
@@ -640,16 +640,24 @@ fn serial_sections_match_perinstr_oracle() {
         assert_eq!(hp.master_inline_trips, 0, "the oracle makes an event of every stage");
         let express = cfg.icn_model == IcnModel::Express;
         assert!(express || hb.master_inline_trips == 0, "per-hop packages are walked by events");
+        assert_eq!((hp.completions_continued, hp.issues_continued), (0, 0), "oracle steps");
         // Each burst of L instructions replaces L step events with one,
-        // and a round trip walked whole on the stack elides its four
-        // memory events (two leg ends, the service, the completion). A
-        // trip cut short by a clip elides fewer, a resumed run counts
-        // from the checkpoint, an error leaves no summary.
+        // a step run in place by its completion or continued past a
+        // non-blocking first instruction elides one more, and a round
+        // trip walked whole on the stack elides its four memory events
+        // (two leg ends, the service, the completion). A return leg that
+        // ended in its completion elides its end in either run, so both
+        // sides count it back. A trip cut short by a clip elides fewer, a
+        // resumed run counts from the checkpoint, an error leaves no
+        // summary.
         let whole_trips = !express || hb.master_event_trips == 0;
         if burst.outcome.is_ok() && burst.checkpoint.is_none() && whole_trips {
             assert_eq!(
-                perinstr_events - burst_events,
-                hb.burst_instrs - hb.bursts + 4 * hb.master_inline_trips,
+                perinstr_events + hp.legs_folded - (burst_events + hb.legs_folded),
+                hb.burst_instrs - hb.bursts
+                    + hb.completions_continued
+                    + hb.issues_continued
+                    + 4 * hb.master_inline_trips,
                 "event books must balance under {:?} case {:?}",
                 cfg.icn_model,
                 spec
@@ -730,4 +738,398 @@ fn burst_elides_step_events() {
         sb.events
     );
     assert!(hb.mean_burst_len() > 4.0, "mean burst length {:.1}", hb.mean_burst_len());
+}
+
+// ---------------------------------------------------------------------
+// Fold boundaries: the TCU side's folds, aimed at where they could show
+// ---------------------------------------------------------------------
+
+/// A random program of 1–3 parallel sections whose threads mix what the
+/// TCU-side folds (DESIGN §16) touch: blocking loads (the completion runs
+/// the TCU's step in place), `swnb` and `pref` (their acknowledgement's
+/// return leg ends in its completion; the step continues past them), a
+/// load right behind its `pref` (a prefetch-buffer wait) or some way
+/// behind it (a hit), `lwro` (read-only cache hits), `psm`, `fence`, a
+/// shared-FU `mul` and ALU runs — with master loads between sections.
+fn gen_fold_program(g: &mut Gen) -> Executable {
+    use Instr::*;
+    let words = 1usize << g.usize_in(4, 7);
+    let mask = (words - 1) as u32;
+    let mut mm = MemoryMap::new();
+    let a = mm.push("A", (0..words as u32).collect());
+    let c = mm.push("C", vec![0u32; 8]);
+    let mut p = AsmProgram::new();
+    p.push(Li { rt: Reg::S0, imm: a as i32 });
+    p.push(Li { rt: Reg::S1, imm: c as i32 });
+    for s in 0..g.usize_in(1, 3) {
+        for _ in 0..g.usize_in(0, 3) {
+            p.push(Lw { rt: Reg::T2, base: Reg::S0, off: 4 * g.int_in(0, mask as i64) as i32 });
+            p.push(Add { rd: Reg::T3, rs: Reg::T3, rt: Reg::T2 });
+        }
+        p.push(Li { rt: Reg::A0, imm: 0 });
+        p.push(Li { rt: Reg::A1, imm: g.int_in(0, 15) as i32 });
+        p.push(Spawn { lo: Reg::A0, hi: Reg::A1 });
+        let vt = format!("vt{s}");
+        p.label(vt.clone());
+        p.push(Li { rt: Reg::T0, imm: 1 });
+        p.push(Ps { rt: Reg::T0, gr: GlobalReg::THREAD_ALLOC });
+        p.push(Chkid { rt: Reg::T0 });
+        p.push(Andi { rt: Reg::T1, rs: Reg::T0, imm: mask });
+        p.push(Sll { rd: Reg::T1, rt: Reg::T1, sh: 2 });
+        p.push(Add { rd: Reg::T1, rs: Reg::T1, rt: Reg::S0 });
+        for b in 0..g.usize_in(1, 5) {
+            match g.usize_in(0, 10) {
+                0 => {
+                    p.push(Lw { rt: Reg::T2, base: Reg::T1, off: 0 });
+                    p.push(Add { rd: Reg::T3, rs: Reg::T3, rt: Reg::T2 });
+                }
+                1 => p.push(Swnb { rt: Reg::T0, base: Reg::T1, off: 0 }),
+                2 => {
+                    p.push(Pref { base: Reg::T1, off: 0 });
+                    p.push(Lw { rt: Reg::T2, base: Reg::T1, off: 0 });
+                }
+                3 => {
+                    p.push(Pref { base: Reg::T1, off: 0 });
+                    let n = g.usize_in(3, 20);
+                    straight_line(&mut p, g, n);
+                    p.push(Lw { rt: Reg::T2, base: Reg::T1, off: 0 });
+                }
+                4 => p.push(Lwro { rt: Reg::T5, base: Reg::S0, off: 4 * g.int_in(0, 3) as i32 }),
+                5 => {
+                    p.push(Li { rt: Reg::T4, imm: 1 });
+                    p.push(Psm { rt: Reg::T4, base: Reg::S1, off: 4 * s as i32 });
+                }
+                6 => p.push(Fence),
+                7 => {
+                    for _ in 0..g.usize_in(1, 3) {
+                        p.push(Mul { rd: Reg::T3, rs: Reg::T3, rt: Reg::T0 });
+                    }
+                }
+                8 => {
+                    // `ps` order across TCUs shows in the values handed out.
+                    p.push(Li { rt: Reg::T4, imm: 1 });
+                    p.push(Ps { rt: Reg::T4, gr: GlobalReg(1) });
+                    p.push(Add { rd: Reg::T3, rs: Reg::T3, rt: Reg::T4 });
+                }
+                9 => {
+                    let n = g.usize_in(1, 20);
+                    straight_line(&mut p, g, n);
+                }
+                _ => {
+                    let l = format!("l{s}_{b}");
+                    p.push(Li { rt: Reg::T6, imm: g.int_in(1, 8) as i32 });
+                    p.label(l.clone());
+                    p.push(Addi { rt: Reg::T3, rs: Reg::T3, imm: 1 });
+                    p.push(Addi { rt: Reg::T6, rs: Reg::T6, imm: -1 });
+                    p.push(Bgtz { rs: Reg::T6, target: Target::label(l) });
+                }
+            }
+        }
+        p.push(Swnb { rt: Reg::T3, base: Reg::T1, off: 0 });
+        p.push(J { target: Target::label(vt) });
+        p.push(Join);
+    }
+    p.push(Print { rs: Reg::T3 });
+    p.push(Halt);
+    p.link(mm).unwrap()
+}
+
+/// A small machine; one case in four has a single TCU — the one shape
+/// where an instruction limit inside a parallel section stops both issue
+/// models at the same instructions (DESIGN §15), so the limit may land
+/// there, with `swnb` acknowledgements in flight.
+fn gen_fold_config(g: &mut Gen) -> XmtConfig {
+    let mut cfg = gen_config(g);
+    if g.bool_p(0.25) {
+        cfg.clusters = 1;
+        cfg.tcus_per_cluster = 1;
+    }
+    if g.bool_p(0.6) {
+        // Every instant a multiple of the 1 ns periods: ticks and limits
+        // can land exactly on a leg's end.
+        cfg.icn_timing = IcnTiming::Synchronous;
+    }
+    if g.bool_p(0.15) {
+        // Zero-cycle `ps`, `mul`, RO-cache hits: one TCU can issue twice
+        // at one instant, and the in-place resume must stand down.
+        cfg.ps_latency = 0;
+        cfg.mul_latency = 0;
+        cfg.ro_hit_latency = 0;
+    }
+    cfg
+}
+
+/// Where a case aims, drawn at an instant of the oracle's run.
+#[derive(Debug, Clone, Copy)]
+enum Aim {
+    /// A sampling tick every `iv` cycles — a do-nothing one, or one that
+    /// retunes `dom` at its first tick.
+    Tick { iv: u64, retune: Option<ClockDomain> },
+    /// `set_cycle_limit`.
+    Cycles(u64),
+    /// `run_to_checkpoint_anytime`, JSON round trip, resume.
+    Checkpoint(u64),
+}
+
+#[derive(Debug, Clone, Copy)]
+struct FoldSpec {
+    /// Stop at this instruction count first, then lift the limit and aim.
+    stop_at: Option<u64>,
+    aim: Aim,
+}
+
+/// Draw the case from the oracle's own trace: the instant of a TCU
+/// response's completion `c`, of its return leg's end `c − cp`, or of a
+/// blocking completion (where the TCU resumes), as a tick interval, a
+/// cycle limit tripping there or one cycle later, or a checkpoint target;
+/// and, one case in three, an instruction limit first — at a master
+/// instruction, or anywhere on a one-TCU machine. Also returns the
+/// program's instruction count.
+fn gen_fold_spec(g: &mut Gen, exe: &Executable, cfg: &XmtConfig) -> (FoldSpec, u64) {
+    let mut c = cfg.clone();
+    c.issue_model = IssueModel::PerInstr;
+    c.icn_model = IcnModel::PerHop;
+    let mut sim = CycleSim::new(exe.clone(), c);
+    sim.attach_tracer(Tracer::new(TraceLevel::CycleAccurate));
+    let _ = sim.run();
+    let records = sim.tracer.as_ref().expect("attached above").records();
+    let cp = cfg.period_ps[ClockDomain::Cluster as usize];
+    let mut instants = Vec::new();
+    let mut issues = Vec::new();
+    for r in records {
+        match *r {
+            TraceEvent::Complete { time, tcu, pc, .. } if tcu != u32::MAX => {
+                let ins = &exe.text[pc as usize];
+                let blocking = ins.is_mem_read() && !matches!(ins, Instr::Pref { .. });
+                instants.push(time - cp);
+                instants.push(time);
+                if blocking {
+                    instants.push(time);
+                }
+            }
+            TraceEvent::Issue { tcu, .. } => issues.push(tcu.is_none()),
+            _ => {}
+        }
+    }
+    let x = if instants.is_empty() { cp } else { *g.choose(&instants) };
+    let cycle = (x / cp).max(1);
+    let aim = match g.usize_in(0, 3) {
+        0 => Aim::Tick {
+            iv: cycle,
+            retune: g.bool_p(0.5).then(|| *g.choose(&[ClockDomain::Cluster, ClockDomain::Icn])),
+        },
+        1 => Aim::Cycles(cycle - g.usize_in(0, 1) as u64),
+        _ => Aim::Checkpoint(cycle + g.usize_in(0, 1) as u64),
+    };
+    let n = issues.len();
+    let one_tcu = cfg.n_tcus() == 1;
+    let stop_at = (n >= 2 && g.bool_p(0.35)).then(|| {
+        let from = g.usize_in(0, n - 2);
+        let ok = |k: &usize| one_tcu || (issues[*k] && issues[*k + 1]);
+        (from..n - 1).chain(0..from).find(ok).map(|k| k as u64 + 1)
+    });
+    (FoldSpec { stop_at: stop_at.flatten(), aim }, n as u64)
+}
+
+/// Everything a fold case must agree on: the first stop and the final
+/// outcome (summary without `events`, or the error), where the clock
+/// stopped, statistics, machine, master and the checkpoint's bytes.
+#[derive(Debug, PartialEq)]
+struct FoldObserved {
+    stop: Option<Result<(u64, u64, u64), SimError>>,
+    outcome: Result<(u64, u64, u64), SimError>,
+    cycles: u64,
+    stats: String,
+    machine: String,
+    master: String,
+    checkpoint: Option<String>,
+}
+
+/// Run a fold case under `model`. `lift` is the instruction limit in force
+/// whenever the case sets none: `u64::MAX`, or — for the same-network
+/// oracle — one just past the program's end, which never stops the run
+/// but leaves no instruction-limit headroom, so no return leg folds.
+fn observe_fold(
+    exe: &Executable,
+    cfg: &XmtConfig,
+    (issue, icn): (IssueModel, IcnModel),
+    spec: &FoldSpec,
+    lift: u64,
+) -> (FoldObserved, HostProfile) {
+    let mut cfg = cfg.clone();
+    cfg.issue_model = issue;
+    cfg.icn_model = icn;
+    let triple = |s: RunSummary| (s.cycles, s.time_ps, s.instructions);
+    let mut sim = CycleSim::new(exe.clone(), cfg.clone());
+    sim.enable_host_profiling();
+    sim.set_instr_limit(lift);
+    if let Aim::Tick { iv, retune } = spec.aim {
+        match retune {
+            Some(dom) => {
+                let dvfs = DvfsSpec { at_sample: 1, dom, factor_pct: 50, interval_cycles: iv };
+                sim.add_activity(Box::new(Retune { spec: dvfs, seen: 0, fired: false }), iv)
+            }
+            None => sim.add_activity(Box::new(Tick), iv),
+        }
+    }
+    let stop = spec.stop_at.map(|n| {
+        sim.set_instr_limit(n);
+        let stop = sim.run().map(triple);
+        sim.set_instr_limit(lift);
+        stop
+    });
+    let mut checkpoint = None;
+    let outcome = match spec.aim {
+        Aim::Cycles(limit) => {
+            sim.set_cycle_limit(limit);
+            sim.run()
+        }
+        Aim::Checkpoint(target) => match sim.run_to_checkpoint_anytime(target) {
+            Ok(CheckpointOutcome::Checkpoint(ck)) => {
+                let json = ck.to_json();
+                let round = Checkpoint::from_json(&json).expect("checkpoint parses");
+                checkpoint = Some(json);
+                sim = CycleSim::resume(exe.clone(), cfg, round);
+                sim.enable_host_profiling();
+                sim.set_instr_limit(lift);
+                sim.run()
+            }
+            Ok(CheckpointOutcome::Done(s)) => Ok(s),
+            Err(e) => Err(e),
+        },
+        Aim::Tick { .. } => sim.run(),
+    };
+    let observed = FoldObserved {
+        stop,
+        outcome: outcome.map(triple),
+        cycles: sim.cycles(),
+        stats: sim.stats.to_json_string(),
+        machine: sim.machine.to_json_string(),
+        master: sim.master.to_json_string(),
+        checkpoint,
+    };
+    (observed, sim.host_profile().expect("enabled").clone())
+}
+
+/// 256 random cases aimed at the TCU-side folds' boundaries (DESIGN §16):
+/// sampling ticks, DVFS retunes, cycle limits and mid-flight checkpoint
+/// targets on a return leg's end, one cycle later, or a blocking
+/// completion's instant, and the re-targeting sequence — an instruction-
+/// limit stop, then a cycle limit or a checkpoint target, then the rest of
+/// the run.
+///
+/// Burst issue over the express network must match, on everything
+/// observable including the error and the checkpoint's bytes, the
+/// per-instruction oracle on the same network with no return leg folded
+/// (an instruction limit just past the program's end takes the fold's
+/// headroom away without ever stopping the run). Against the per-hop
+/// oracle it must match wherever the run goes on to the end; where a
+/// cycle limit or a checkpoint target cuts it, the express network
+/// already differed from the per-hop walk at the parent (its elided hop
+/// groups are instants the run loop's checks could fire at).
+#[test]
+fn fold_boundaries_match_the_oracle() {
+    let (mut ran, mut folded, mut resumed, mut continued) = (0u32, 0u64, 0u64, 0u64);
+    let (mut checkpoints, mut stops, mut errors) = (0u32, 0u32, 0u32);
+    run("fold_boundaries_match_the_oracle", Config::default(), |g: &mut Gen| {
+        ran += 1;
+        let exe = gen_fold_program(g);
+        let cfg = gen_fold_config(g);
+        let (spec, total) = gen_fold_spec(g, &exe, &cfg);
+        let (fast, hp) =
+            observe_fold(&exe, &cfg, (IssueModel::Burst, IcnModel::Express), &spec, u64::MAX);
+        let (oracle, ho) =
+            observe_fold(&exe, &cfg, (IssueModel::PerInstr, IcnModel::Express), &spec, total + 1);
+        assert_eq!(ho.legs_folded, 0, "the same-network oracle folds no leg");
+        assert_eq!(
+            fast, oracle,
+            "burst × express / per-instr × express divergence under timing {:?} case {:?}",
+            cfg.icn_timing, spec
+        );
+        if !matches!(spec.aim, Aim::Cycles(_)) {
+            let (per_hop, _) =
+                observe_fold(&exe, &cfg, (IssueModel::PerInstr, IcnModel::PerHop), &spec, u64::MAX);
+            let end = |o: FoldObserved| (o.stop, o.outcome, o.cycles, o.stats, o.machine, o.master);
+            assert!(
+                end(fast) == end(per_hop),
+                "burst × express / per-instr × per-hop divergence under timing {:?} case {:?}",
+                cfg.icn_timing,
+                spec
+            );
+        }
+        folded += hp.legs_folded;
+        resumed += hp.completions_continued;
+        continued += hp.issues_continued;
+        checkpoints += oracle.checkpoint.is_some() as u32;
+        stops += oracle.stop.is_some() as u32;
+        errors += oracle.outcome.is_err() as u32;
+    });
+    // scripts/verify.sh greps for this line to prove the suite really ran.
+    eprintln!(
+        "fold_boundaries: ran {ran} cases ({folded} legs folded, {resumed} completions and \
+         {continued} issues continued under burst × express; {checkpoints} checkpointed \
+         mid-run, {stops} stopped at an instruction limit first, {errors} ended in an error)"
+    );
+    assert!(
+        folded > 0 && resumed > 0 && continued > 0 && checkpoints > 0 && stops > 0 && errors > 0,
+        "vacuous sweep"
+    );
+}
+
+/// Why the in-place resume stands down on a machine with a zero-cycle
+/// operation: there a TCU can schedule its own next step for the instant
+/// it is at, into the same group as the step a completion makes — and
+/// that group runs in TCU order. Thread 0 issues two zero-latency `ps` at
+/// some instant, thread 1's load completes at it and its `ps` follows;
+/// the per-instruction oracle hands out thread 0's second value before
+/// thread 1's. Every padding (hence every alignment of the two) must
+/// match it.
+#[test]
+fn zero_latency_ps_keeps_the_resumed_step_in_its_group() {
+    use Instr::*;
+    let mut cfg = XmtConfig::tiny();
+    (cfg.clusters, cfg.tcus_per_cluster, cfg.ps_latency) = (1, 2, 0);
+    for pad in 0..120 {
+        let mut mm = MemoryMap::new();
+        let a = mm.push("A", vec![1]);
+        let b = mm.push("B", vec![0; 3]);
+        let mut p = AsmProgram::new();
+        p.push(Li { rt: Reg::A0, imm: 0 });
+        p.push(Li { rt: Reg::A1, imm: 1 });
+        p.push(Li { rt: Reg::S0, imm: a as i32 });
+        p.push(Li { rt: Reg::S1, imm: b as i32 });
+        p.push(Spawn { lo: Reg::A0, hi: Reg::A1 });
+        p.label("vt");
+        p.push(Li { rt: Reg::T0, imm: 1 });
+        p.push(Ps { rt: Reg::T0, gr: GlobalReg::THREAD_ALLOC });
+        p.push(Chkid { rt: Reg::T0 });
+        p.push(Bne { rs: Reg::T0, rt: Reg::Zero, target: Target::label("one") });
+        for _ in 0..pad {
+            p.push(Addi { rt: Reg::T5, rs: Reg::T5, imm: 1 });
+        }
+        p.push(Li { rt: Reg::T4, imm: 1 });
+        p.push(Li { rt: Reg::T6, imm: 1 });
+        p.push(Ps { rt: Reg::T4, gr: GlobalReg(1) });
+        p.push(Ps { rt: Reg::T6, gr: GlobalReg(1) });
+        p.push(Swnb { rt: Reg::T4, base: Reg::S1, off: 0 });
+        p.push(Swnb { rt: Reg::T6, base: Reg::S1, off: 4 });
+        p.push(J { target: Target::label("vt") });
+        p.label("one");
+        p.push(Lw { rt: Reg::T2, base: Reg::S0, off: 0 });
+        p.push(Ps { rt: Reg::T2, gr: GlobalReg(1) });
+        p.push(Swnb { rt: Reg::T2, base: Reg::S1, off: 8 });
+        p.push(J { target: Target::label("vt") });
+        p.push(Join);
+        p.push(Halt);
+        let exe = p.link(mm).unwrap();
+        let run = |model: IssueModel| {
+            let mut c = cfg.clone();
+            c.issue_model = model;
+            let mut sim = CycleSim::new(exe.clone(), c);
+            let s = sim.run().unwrap();
+            let handed = sim.machine.read_symbol(sim.executable(), "B", 3).unwrap();
+            ((s.cycles, s.instructions), handed, sim.stats.to_json_string())
+        };
+        assert_eq!(run(IssueModel::Burst), run(IssueModel::PerInstr), "padding {pad}");
+    }
 }

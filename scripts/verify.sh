@@ -45,16 +45,16 @@ echo "==> differential referees"
 # a filter typo, a renamed test or a harness change that silently skips
 # it has to fail the gate, not pass it.
 #
-# referee <package> "<test> [<test>…]" [<must-print-regex>]
+# referee <package> "<test> [<test>…]" [<must-print-regex>…]
 #   runs the named integration-test targets of <package> (which may
 #   carry extra cargo flags, e.g. "xmt-workloads --release"), requires
-#   every target to report at least one passed test, and — when given —
-#   requires the output to contain a line matching <must-print-regex>
-#   (the suites' "ran N cases" lines), which is then echoed.
+#   every target to report at least one passed test, and requires the
+#   output to contain a line matching each <must-print-regex> (the
+#   suites' "ran N cases" lines), which is then echoed.
 referee() {
     pkg=$1
     tests=$2
-    must_print=${3:-}
+    shift 2
     targets=""
     want=0
     for t in $tests; do
@@ -73,13 +73,13 @@ referee() {
         echo "$out" >&2
         exit 1
     }
-    if [ -n "$must_print" ]; then
+    for must_print in "$@"; do
         echo "$out" | grep -E "$must_print" || {
             echo "$tests: did not report its case count (/$must_print/):" >&2
             echo "$out" >&2
             exit 1
         }
-    fi
+    done
 }
 
 # XMT_FUZZ_CASES lets a quick smoke tier dial the fuzz count down.
@@ -92,8 +92,10 @@ referee xmt-bench "checkpoint_resume checkpoint_inflight"
 # express ICN legs vs the per-hop walk
 referee xmtsim icn_express_diff
 # compute bursts vs per-instruction issue (+ tracer/limit/sample clips),
-# and the master's folded serial sections and inline round trips
-referee xmtsim "issue_burst_diff issue_model" 'serial_sections: ran [1-9][0-9]* cases'
+# the master's folded serial sections and inline round trips, and the
+# TCU side's folded return legs and continued steps at their boundaries
+referee xmtsim "issue_burst_diff issue_model" \
+    'serial_sections: ran [1-9][0-9]* cases' 'fold_boundaries: ran [1-9][0-9]* cases'
 # decoded basic-block replay vs interpreted issue
 referee xmtsim decode_diff
 # sharded parallel engine vs the sequential engine

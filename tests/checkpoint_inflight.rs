@@ -336,3 +336,76 @@ fn parent_written_checkpoint_is_read_rewritten_and_resumed() {
     assert_eq!(resumed.stats.to_json_string(), field("stats").encode(), "stats JSON");
     assert_eq!(resumed.machine.to_json_string(), field("machine").encode(), "machine image");
 }
+
+/// The member at dotted `path` (object keys, array indices) of `j`.
+fn at<'a>(j: &'a mut Json, path: &str) -> &'a mut Json {
+    path.split('.').fold(j, |cur, key| match cur {
+        Json::Obj(members) => {
+            let member = members.iter_mut().find(|(k, _)| k == key);
+            &mut member.unwrap_or_else(|| panic!("no `{key}`")).1
+        }
+        Json::Arr(items) => &mut items[key.parse::<usize>().unwrap()],
+        other => panic!("`{key}` of {other:?}"),
+    })
+}
+
+/// A checkpoint that does not fit the machine is an `Err` from
+/// `try_resume` — one line naming what is wrong — not a panic in the run
+/// loop: one mutation of the parent-written fixture per rule.
+#[test]
+fn hostile_checkpoints_are_rejected_by_try_resume() {
+    const CKPT: &str = include_str!("fixtures/parent_inflight_checkpoint.json");
+    let exe = xmt_isa::asm::parse(FIXTURE_ASM).unwrap().link(fixture_memmap()).unwrap();
+    let cfg = XmtConfig::tiny();
+    let fixture = Json::parse(CKPT).unwrap();
+    let Json::I(time) = *at(&mut fixture.clone(), "time") else { panic!("time") };
+    let pop = |j: &mut Json, path: &str| match at(j, path) {
+        Json::Arr(items) => drop(items.pop()),
+        other => panic!("{path} is {other:?}"),
+    };
+    let set = |j: &mut Json, path: &str, v: &str| *at(j, path) = Json::parse(v).unwrap();
+    let set_time = |j: &mut Json, path: &str, t: i64| *at(j, path) = Json::I(t);
+    let service = format!(
+        r#"{{"Service":{{"tcu":0,"req":{},"done":{},"issued_at":0}}}}"#,
+        at(&mut fixture.clone(), "inflight.mem_ops.0.Done.req").encode(),
+        time + 5
+    );
+    const LEG_END: &str = r#"{"ExpressEnd":{"leg":0,"gen":1}}"#;
+    const WAITER: &str = r#"[{"tcu":9,"addr":0,"waiters":[]}]"#;
+    type Mutation<'a> = (&'a str, Box<dyn Fn(&mut Json) + 'a>);
+    let mutations: Vec<Mutation> = vec![
+        ("`tcus` entries", Box::new(|j| pop(j, "tcus"))),
+        ("`vc_free` entries", Box::new(|j| pop(j, "vc_free"))),
+        ("`module_free` entries", Box::new(|j| pop(j, "module_free"))),
+        ("`dram_free` entries", Box::new(|j| pop(j, "dram_free"))),
+        ("`mdu_free` entries", Box::new(|j| pop(j, "mdu_free"))),
+        ("`fpu_free` entries", Box::new(|j| pop(j, "fpu_free"))),
+        ("`modules` entries", Box::new(|j| pop(j, "modules"))),
+        ("`ro_caches` entries", Box::new(|j| pop(j, "ro_caches"))),
+        ("`stats.per_cluster`", Box::new(|j| pop(j, "stats.per_cluster"))),
+        ("`stats.module_accesses`", Box::new(|j| pop(j, "stats.module_accesses"))),
+        ("periods must be nonzero", Box::new(|j| set(j, "period_ps.2", "0"))),
+        ("periods changed after", Box::new(|j| set_time(j, "period_changed_at", time + 1))),
+        ("priority 4 is not below 4", Box::new(|j| set(j, "inflight.events.0.pri", "4"))),
+        ("before the checkpoint", Box::new(|j| set_time(j, "inflight.events.1.time", time - 1))),
+        ("names TCU 4 of 4", Box::new(|j| set(j, "inflight.events.2.ev", r#"{"TcuStep":4}"#))),
+        ("a service done at", Box::new(|j| set(j, "inflight.events.0.ev", &service))),
+        ("express leg end", Box::new(|j| set(j, "inflight.events.0.ev", LEG_END))),
+        ("empty chain", Box::new(|j| set(j, "inflight.mem_ops.1.Flight.chain", "[]"))),
+        ("due at", Box::new(|j| set_time(j, "inflight.mem_ops.0.Done.at", time - 1))),
+        ("outside a parallel section", Box::new(|j| set(j, "inflight.par", "null"))),
+        ("names TCU 9 of 4", Box::new(|j| set(j, "inflight.pbuf_waiters", WAITER))),
+        ("TCU 1 counts 1 pending", Box::new(|j| set(j, "tcus.1.pending", "1"))),
+        ("3 pending operations counted", Box::new(|j| set(j, "inflight.pending_total", "3"))),
+    ];
+    let parent = Checkpoint::from_json(CKPT).unwrap();
+    assert!(CycleSim::try_resume(exe.clone(), cfg.clone(), parent).is_ok(), "the fixture fits");
+    for (want, mutate) in &mutations {
+        let mut j = fixture.clone();
+        mutate(&mut j);
+        let ckpt = Checkpoint::from_json(&j.encode()).expect("mutated checkpoint still parses");
+        let err = CycleSim::try_resume(exe.clone(), cfg.clone(), ckpt).err();
+        let err = err.unwrap_or_else(|| panic!("mutation `{want}` was accepted"));
+        assert!(err.contains(want) && !err.contains('\n'), "mutation `{want}`: {err}");
+    }
+}

@@ -286,3 +286,81 @@ fn master_round_trips_are_walked_on_the_stack() {
         assert!(sampled == oracle, "sampled burst run differs from the oracle's");
     }
 }
+
+/// The TCU side's folds, counted instead of guessed (DESIGN §16): on
+/// `chip1024` defaults every return leg of a TCU package ends in its
+/// completion (the master's trips are walked on the stack), blocking
+/// completions run their TCU's step and steps continue past non-blocking
+/// issues; the per-hop network folds no leg and per-instruction issue
+/// continues no step; the event books against per-instruction issue
+/// balance; and a sampling tick every 2 cycles, shorter than any
+/// leg, clips the folds away while the results stay the oracle's.
+#[test]
+fn tcu_folds_are_counted_and_clip_at_samples() {
+    use xmt_workloads::suite::{self, Variant};
+    use xmtsim::{IcnModel, IssueModel};
+    struct Tick;
+    impl ActivityPlugin for Tick {
+        fn sample(&mut self, _s: &ActivitySample<'_>, _ctl: &mut RuntimeCtl) {}
+    }
+    let opts = Options::default();
+    let kernels = [
+        suite::bfs(300, 1200, 7, Variant::Parallel, &opts).unwrap().compiled,
+        suite::histogram(2000, 16, 7, Variant::Parallel, &opts).unwrap().compiled,
+    ];
+    let (mut continued, mut continued_sampled) = (0, 0);
+    for compiled in &kernels {
+        let run = |issue_model, icn_model, sample: Option<u64>| {
+            let mut cfg = XmtConfig::chip1024();
+            (cfg.issue_model, cfg.icn_model) = (issue_model, icn_model);
+            let mut sim = compiled.simulator(&cfg);
+            sim.enable_host_profiling();
+            if let Some(cycles) = sample {
+                sim.add_activity(Box::new(Tick), cycles);
+            }
+            let s = sim.run().unwrap();
+            let hp = sim.host_profile().unwrap().clone();
+            // The same numbers reach the metrics registry.
+            let reg = sim.metrics_registry();
+            for (row, n) in [
+                ("mem.legs_folded", hp.legs_folded),
+                ("issue.completions_continued", hp.completions_continued),
+                ("issue.issues_continued", hp.issues_continued),
+                ("issue.tcu_break_mem", hp.tcu_break_cause[0]),
+            ] {
+                let row = reg.get(&format!("host.{row}")).expect("row exported");
+                assert_eq!(row.value, xmtsim::obs::MetricValue::U(n));
+            }
+            (hp, s.events, (s.cycles, s.time_ps, sim.stats.clone(), sim.machine.clone()))
+        };
+        let (hp, events, _) = run(IssueModel::Burst, IcnModel::Express, None);
+        assert!(hp.legs_folded > 100, "{hp:?}");
+        assert_eq!(2 * (hp.legs_folded + hp.master_inline_trips), hp.express_legs, "{hp:?}");
+        assert!(hp.completions_continued > 100, "{hp:?}");
+        let breaks: u64 = hp.tcu_break_cause.iter().sum();
+        assert!(breaks > 0 && breaks <= hp.burst_break_nonlocal, "{hp:?}");
+        let (per_hop, _, _) = run(IssueModel::Burst, IcnModel::PerHop, None);
+        assert_eq!(per_hop.legs_folded, 0, "{per_hop:?}");
+        let (per_instr, per_instr_events, _) = run(IssueModel::PerInstr, IcnModel::Express, None);
+        assert_eq!((per_instr.completions_continued, per_instr.issues_continued), (0, 0));
+        // Every elided event is on exactly one counter; a folded return leg
+        // is one event fewer in either run.
+        assert_eq!(
+            per_instr_events + per_instr.legs_folded - (events + hp.legs_folded),
+            hp.burst_instrs - hp.bursts
+                + hp.completions_continued
+                + hp.issues_continued
+                + 4 * hp.master_inline_trips,
+            "event books out of balance"
+        );
+        let (sampled, _, result) = run(IssueModel::Burst, IcnModel::Express, Some(2));
+        assert!(sampled.legs_folded < hp.legs_folded, "{sampled:?}");
+        assert!(sampled.issues_continued <= hp.issues_continued, "{sampled:?}");
+        let (_, _, oracle) = run(IssueModel::PerInstr, IcnModel::PerHop, Some(2));
+        assert!(result == oracle, "sampled burst × express run differs from the oracle's");
+        continued += hp.issues_continued;
+        continued_sampled += sampled.issues_continued;
+    }
+    // `bfs` stores with `swnb` and carries on; `histogram` fences its `psm`s.
+    assert!(continued > 0 && continued_sampled < continued, "{continued} / {continued_sampled}");
+}
