@@ -82,13 +82,17 @@ fn main() {
         // step run in place by its completion or continued past a
         // non-blocking first instruction one fewer, and a master round
         // trip walked on the stack none instead of four; a return leg that
-        // ended in its completion is one fewer in either run (DESIGN §16).
+        // ended in its completion is one fewer in either run (DESIGN §16);
+        // a TCU's first round taken in closed form is one fewer, and an
+        // idle TCU's `chkid` step another (DESIGN §17).
         assert_eq!(
             sb.events
                 + (hb.burst_instrs - hb.bursts)
                 + hb.completions_continued
                 + hb.issues_continued
                 + 4 * hb.master_inline_trips
+                + hb.first_rounds
+                + hb.idle_parked
                 + hb.legs_folded,
             sp.events + hp.legs_folded,
             "{gname}: event books out of balance"

@@ -18,7 +18,9 @@
 //! instruction, which kind), how many of the master's memory round trips
 //! were walked on the stack instead of through the event list, and how
 //! many TCU steps ran inside their blocking completion or on past a
-//! non-blocking first instruction instead of as events of their own.
+//! non-blocking first instruction instead of as events of their own, and
+//! how many TCUs took a section's first allocation round in closed form
+//! (and of those, how many got no thread and parked without an event).
 //!
 //! A third table profiles the *decode* modes: for each workload under the
 //! pre-decoded basic-block cache vs interpreted decode, how many blocks
@@ -220,6 +222,7 @@ fn main() {
                 format!("{} / {}", hp.master_inline_trips, hp.master_event_trips),
                 hp.tcu_break_cause.map(|n| n.to_string()).join("/"),
                 format!("{} / {}", hp.completions_continued, hp.issues_continued),
+                format!("{} / {}", hp.first_rounds, hp.idle_parked),
             ]);
         }
     }
@@ -239,6 +242,7 @@ fn main() {
                     "master trips inline / event",
                     "tcu nonlocal breaks mem/shared fu/ps/chkid/fence/other",
                     "tcu steps continued by completion / past issue",
+                    "tcu first rounds in closed form / idle parked",
                 ],
                 &issue_rows
             )
@@ -248,8 +252,9 @@ fn main() {
         println!(" of its round trips were walked on the stack vs. sent through the event");
         println!(" list, the last two which instruction stopped a TCU's run and how many");
         println!(" TCU steps ran inside a blocking completion or on past a non-blocking");
-        println!(" first instruction — identical simulated results are enforced by the");
-        println!(" issue_burst_diff differential suite)");
+        println!(" first instruction, the last how many TCUs took a section's first");
+        println!(" allocation round without an event and how many of those got no thread —");
+        println!(" identical simulated results are enforced by the issue_burst_diff suite)");
     }
 
     // Third table: the *decode*-mode profile — what the pre-decoded

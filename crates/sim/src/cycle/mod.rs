@@ -32,6 +32,7 @@ pub mod cachesim;
 mod inflight;
 mod parallel;
 pub mod prefetch;
+mod spawn;
 
 use crate::config::{
     ClockDomain, DecodeMode, EngineMode, IcnModel, IcnTiming, IssueModel, ObsDetail, XmtConfig,
@@ -170,6 +171,11 @@ pub struct HostProfile {
     /// TCU steps that continued into local instructions after a
     /// non-blocking memory op or a free `fence`.
     pub issues_continued: u64,
+    /// TCUs whose first allocation round of a section ran in closed form,
+    /// each one the step event its prefix-and-`ps` burst was (DESIGN §17).
+    pub first_rounds: u64,
+    /// Those of them that got no thread and parked without an event.
+    pub idle_parked: u64,
     /// Burst length histogram, floor-log2 buckets: 1, 2–3, 4–7, 8–15,
     /// 16–31, 32–63, 64–127, 128+.
     pub burst_len_hist: [u64; 8],
@@ -783,6 +789,11 @@ impl CycleSim {
         &self.exe
     }
 
+    /// The TCUs' states, in TCU order.
+    pub fn tcus(&self) -> &[TcuState] {
+        &self.tcus
+    }
+
     // ---------------------------------------------------------------
     // Event routing (sequential vs. sharded parallel)
     // ---------------------------------------------------------------
@@ -1007,16 +1018,23 @@ impl CycleSim {
         self.max_instrs.is_some_and(|l| self.stats.instructions >= l)
     }
 
-    /// Might the instruction limit stop the run before `t`? Conservative:
-    /// until then every TCU and the master issue at most one instruction
-    /// per cycle, plus one `BURST_CAP` burst in hand each.
+    /// Might the instruction limit stop the run before `t`?
     fn limit_before(&self, t: Time) -> bool {
-        self.max_instrs.is_some_and(|l| {
-            let per_actor = self.cycles_at(t).saturating_sub(self.cycles()) + 2 + BURST_CAP;
-            let actors = self.tcus.len() as u64 + 1;
-            let most = self.stats.instructions.checked_add(actors.saturating_mul(per_actor));
-            !self.cfg.one_issue_per_cycle() || most.is_none_or(|n| n >= l)
-        })
+        self.limit_horizon().is_some_and(|c| self.cycles_at(t) >= c)
+    }
+
+    /// The first cycle by which the instruction limit might stop the run,
+    /// if every TCU and the master issue at most one instruction per cycle
+    /// — as `one_issue_per_cycle()` ensures — plus one `BURST_CAP` burst in
+    /// hand each; `None` without a limit.
+    fn limit_horizon(&self) -> Option<u64> {
+        let actors = self.tcus.len() as u64 + 1;
+        // Each actor's share of what is left, less the slack, in cycles.
+        let room = self.max_instrs?.saturating_sub(self.stats.instructions).div_ceil(actors);
+        match room.checked_sub(2 + BURST_CAP) {
+            Some(c) if self.cfg.one_issue_per_cycle() => Some(self.cycles().saturating_add(c)),
+            _ => Some(0),
+        }
     }
 
     /// Elapsed cluster cycles at simulated time `now` (DVFS-aware).
@@ -1502,7 +1520,7 @@ impl CycleSim {
         // `parked`: an event (a response, the join) restarts the master.
         let (reason, parked) = loop {
             if burst {
-                (len, at) = self.replay(None, len, at);
+                (len, at) = self.replay(None, len, at, None);
             }
             if len >= cap {
                 break (BurstBreak::Cap, false);
@@ -1689,18 +1707,18 @@ impl CycleSim {
     }
 
     /// Fast-forward TCU `tcu` (`None`: the master) through pre-decoded
-    /// blocks from burst state `(len, done)`: replay applies the burst
-    /// loops' break conditions per constituent, so on return their own
-    /// checks reproduce the exact break. Filters observe every
-    /// instruction, so any filter drops the burst back to interpreted
+    /// blocks from burst state `(len, done)` up to cycle `stop`: replay
+    /// applies the burst loops' break conditions per constituent, so on
+    /// return their own checks reproduce the exact break. Filters observe
+    /// every instruction, so any filter drops the burst back to interpreted
     /// issue (as the tracer drops it out of burst mode entirely).
     #[inline]
-    fn replay(&mut self, tcu: Option<u32>, len: u64, done: Time) -> (u64, Time) {
+    fn replay(&mut self, tcu: Option<u32>, len: u64, done: Time, stop: Option<u64>) -> (u64, Time) {
         let pc = tcu.map_or(self.master.pc, |t| self.tcus[t as usize].ctx.pc);
         if !self.filters.is_empty() || !self.decode.as_ref().is_some_and(|dc| dc.replayable(pc)) {
             return (len, done);
         }
-        let env = self.replay_env(tcu.is_none());
+        let env = self.replay_env(tcu.is_none(), stop);
         let mut cur = Cursor::new(len, done);
         let ctx = match tcu {
             Some(t) => &mut self.tcus[t as usize].ctx,
@@ -1720,18 +1738,18 @@ impl CycleSim {
     /// replayed burst stops at exactly the instruction the interpreted
     /// loop would refuse. `master` selects the master loop's extra
     /// quiescent-checkpoint clause ([`Self::master_step`]); the TCU
-    /// loop has no `checkpoint_at` check.
-    fn replay_env(&self, master: bool) -> ReplayEnv {
+    /// loop stops at its instruction-limit `horizon` instead.
+    fn replay_env(&self, master: bool, horizon: Option<u64>) -> ReplayEnv {
         ReplayEnv {
             cp: self.p(ClockDomain::Cluster),
             next_sample_at: self.next_sample_at,
             max_cycles: self.max_cycles,
             max_instrs: self.max_instrs,
             checkpoint_any_at: self.checkpoint_any_at,
-            checkpoint_at: if master && self.par.is_none() && self.pending_total == 0 {
-                self.checkpoint_at
+            stop_cycle: if master {
+                self.checkpoint_at.filter(|_| self.par.is_none() && self.pending_total == 0)
             } else {
-                None
+                horizon
             },
             cycles_base: self.cycles_base,
             period_changed_at: self.period_changed_at,
@@ -1781,88 +1799,6 @@ impl CycleSim {
             CostClass::Ps => self.cfg.ps_latency,
         };
         cycles as Time * cp
-    }
-
-    // ---------------------------------------------------------------
-    // Spawn / join
-    // ---------------------------------------------------------------
-
-    /// `Ok(t)`: the range was empty and the master issues again at `t`;
-    /// `Err`: the section is open and the join restarts the master.
-    fn begin_spawn(
-        &mut self,
-        now: Time,
-        lo: i32,
-        hi: i32,
-        spawn_idx: u32,
-        join_idx: u32,
-    ) -> Result<Time, BurstBreak> {
-        self.stats.spawns += 1;
-        let cp = self.p(ClockDomain::Cluster);
-        self.master.pc = join_idx + 1; // where the master resumes
-        if lo > hi {
-            // Empty range: no parallel section at all.
-            return Ok(now + self.cfg.spawn_overhead as Time * cp);
-        }
-        self.stats.virtual_threads += (hi as i64 - lo as i64 + 1) as u64;
-        self.stats.spawn_records.push(crate::stats::SpawnRecord {
-            threads: (hi as i64 - lo as i64 + 1) as u64,
-            start_ps: now,
-            end_ps: 0,
-        });
-        // Seed the thread-allocation counter and open the section.
-        self.machine.gregs[0] = lo as u32;
-        self.par = Some(ParState {
-            hi,
-            join_idx,
-            parked: 0,
-        });
-        // Broadcast the spawn block to the TCUs over the broadcast bus.
-        let body_len = join_idx.saturating_sub(spawn_idx + 1);
-        let bc_cycles =
-            self.cfg.spawn_overhead as Time + body_len.div_ceil(self.cfg.broadcast_ipc) as Time;
-        self.schedule_ev(
-            now + bc_cycles * cp,
-            PRI_TRANSFER,
-            Ev::BroadcastDone {
-                body_pc: spawn_idx + 1,
-            },
-        );
-        Err(BurstBreak::Spawn)
-    }
-
-    fn activate_tcus(&mut self, now: Time, body_pc: u32) {
-        // Broadcast the master register file to every TCU and start them
-        // at the top of the spawn block (the paper's chosen fix for
-        // master-register values live into the spawn block, §IV-B).
-        let regs = self.master.regs.clone();
-        for t in 0..self.tcus.len() {
-            let tcu = &mut self.tcus[t];
-            tcu.ctx.regs = regs.clone();
-            tcu.ctx.pc = body_pc;
-            tcu.parked = false;
-            tcu.fence_wait = false;
-            tcu.pbuf.clear();
-            if let Some(o) = self.obs.as_deref_mut() {
-                o.tcu_activate(now, self.cfg.cluster_of(t as u32), t as u32);
-            }
-            self.schedule_ev(now, PRI_DEFAULT, Ev::TcuStep(t as u32));
-        }
-    }
-
-    fn maybe_join(&mut self, now: Time) {
-        let Some(par) = self.par else { return };
-        if par.parked == self.tcus.len() as u32 && self.pending_total == 0 {
-            self.par = None;
-            let done = now + self.cfg.spawn_overhead as Time * self.p(ClockDomain::Cluster);
-            if let Some(rec) = self.stats.spawn_records.last_mut() {
-                rec.end_ps = done;
-                if let Some(o) = self.obs.as_deref_mut() {
-                    o.spawn_section(rec.threads, rec.start_ps, done);
-                }
-            }
-            self.schedule_ev(done, PRI_DEFAULT, Ev::MasterStep);
-        }
     }
 
     // ---------------------------------------------------------------
@@ -1965,16 +1901,18 @@ impl CycleSim {
         };
         let Some(mut at) = next else { return Ok(()) };
         if self.burst_issue() {
+            // Past the horizon the oracle might stop before an eager issue.
+            let horizon = self.limit_horizon();
             let mut len = first_done as u64;
             let reason = loop {
-                (len, at) = self.replay(Some(t), len, at);
+                (len, at) = self.replay(Some(t), len, at, horizon);
                 if len >= BURST_CAP {
                     break BurstBreak::Cap;
                 }
                 if let Some(clip) = self.clip_at(at) {
                     break clip;
                 }
-                if self.instrs_reached() {
+                if horizon.is_some_and(|c| self.cycles_at(at) >= c) {
                     break BurstBreak::Boundary;
                 }
                 let pc = self.tcus[t as usize].ctx.pc;

@@ -73,6 +73,7 @@ struct BurstParams {
     checkpoint_any_at: Option<u64>,
     cycles_base: u64,
     period_changed_at: Time,
+    horizon: Option<u64>,
 }
 
 impl BurstParams {
@@ -216,7 +217,7 @@ fn burst_local(
         max_cycles: p.max_cycles,
         max_instrs: None,
         checkpoint_any_at: p.checkpoint_any_at,
-        checkpoint_at: None,
+        stop_cycle: p.horizon,
         cycles_base: p.cycles_base,
         period_changed_at: p.period_changed_at,
         instrs_base: 0,
@@ -249,6 +250,7 @@ fn burst_local(
         }
         if p.max_cycles.is_some_and(|l| p.cycles_at(done) > l)
             || p.checkpoint_any_at.is_some_and(|c| p.cycles_at(done) >= c)
+            || p.horizon.is_some_and(|c| p.cycles_at(done) >= c)
         {
             break BurstBreak::Boundary;
         }
@@ -536,6 +538,7 @@ impl CycleSim {
             checkpoint_any_at: self.checkpoint_any_at,
             cycles_base: self.cycles_base,
             period_changed_at: self.period_changed_at,
+            horizon: self.limit_horizon(),
         };
         let base = self.tcus.as_mut_ptr();
         let tpc = self.cfg.tcus_per_cluster as usize;

@@ -101,8 +101,8 @@ pub struct DecodeCache {
 /// Window-constant burst break conditions, mirroring the interpreted
 /// burst loops exactly (`CycleSim::master_step` / `tcu_step` /
 /// `parallel::burst_local`). A field is `None` when the corresponding
-/// oracle loop has no such check (e.g. `checkpoint_at` outside the
-/// master's quiescent case, `max_instrs` under the parallel offload
+/// oracle loop has no such check (e.g. `stop_cycle` for a master burst
+/// outside the quiescent case, `max_instrs` under the parallel offload
 /// headroom guard).
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct ReplayEnv {
@@ -111,7 +111,10 @@ pub(crate) struct ReplayEnv {
     pub max_cycles: Option<u64>,
     pub max_instrs: Option<u64>,
     pub checkpoint_any_at: Option<u64>,
-    pub checkpoint_at: Option<u64>,
+    /// No constituent issues at or after this cycle: the master's
+    /// quiescent checkpoint target, or a TCU burst's instruction-limit
+    /// horizon.
+    pub stop_cycle: Option<u64>,
     pub cycles_base: u64,
     pub period_changed_at: Time,
     /// `stats.instructions` at replay entry; the oracle's instruction
@@ -129,7 +132,7 @@ impl ReplayEnv {
             max_cycles: None,
             max_instrs: Some(limit),
             checkpoint_any_at: None,
-            checkpoint_at: None,
+            stop_cycle: None,
             cycles_base: 0,
             period_changed_at: 0,
             instrs_base: executed,
@@ -156,7 +159,7 @@ impl ReplayEnv {
                 .checkpoint_any_at
                 .is_some_and(|c| self.cycles_at(done) >= c)
             || self
-                .checkpoint_at
+                .stop_cycle
                 .is_some_and(|c| self.cycles_at(done) >= c)
     }
 
@@ -194,7 +197,7 @@ impl ReplayEnv {
         if let Some(c) = self.checkpoint_any_at {
             t_break = t_break.min(self.time_reaching_cycles(c));
         }
-        if let Some(c) = self.checkpoint_at {
+        if let Some(c) = self.stop_cycle {
             t_break = t_break.min(self.time_reaching_cycles(c));
         }
         if t_break != Time::MAX {
@@ -905,7 +908,7 @@ mod tests {
             max_cycles: None,
             max_instrs: None,
             checkpoint_any_at: None,
-            checkpoint_at: None,
+            stop_cycle: None,
             cycles_base: 0,
             period_changed_at: 0,
             instrs_base: 0,
@@ -1027,39 +1030,42 @@ mod tests {
             assert_eq!(ctx.pc, oracle.pc, "max_instrs={limit}");
 
             // Sample boundary: the oracle executes while `done <= s`
-            // (checked before each op) and breaks once `done > s`.
+            // (checked before each op) and breaks once `done > s`; a stop
+            // cycle `c`: while `done < c · cp`.
             let s = limit * cp;
-            let mut cache = DecodeCache::new(exe.len());
-            let mut ctx = ThreadCtx {
-                pc: exe.entry,
-                ..Default::default()
-            };
-            let env = ReplayEnv {
-                next_sample_at: Some(s),
-                ..unlimited_env()
-            };
-            let mut cur = Cursor::new(0, 0);
-            cache.replay(&exe, &mut ctx, &env, &mut cur);
-
-            let mut oracle = ThreadCtx {
-                pc: exe.entry,
-                ..Default::default()
-            };
-            let mut o_done: Time = 0;
-            let mut o_instrs = 0u64;
-            while o_done <= s && exec::peek_burstable(&exe, oracle.pc) {
-                let cost = exec::issue_local(&exe, &mut oracle).unwrap();
-                let cycles = match cost {
-                    exec::CostClass::Branch { taken: true } => 2,
-                    _ => 1,
+            for (env, runs) in [
+                (ReplayEnv { next_sample_at: Some(s), ..unlimited_env() }, s + 1),
+                (ReplayEnv { stop_cycle: Some(limit), ..unlimited_env() }, s),
+            ] {
+                let mut cache = DecodeCache::new(exe.len());
+                let mut ctx = ThreadCtx {
+                    pc: exe.entry,
+                    ..Default::default()
                 };
-                o_done += cycles * cp;
-                o_instrs += 1;
+                let mut cur = Cursor::new(0, 0);
+                cache.replay(&exe, &mut ctx, &env, &mut cur);
+
+                let mut oracle = ThreadCtx {
+                    pc: exe.entry,
+                    ..Default::default()
+                };
+                let mut o_done: Time = 0;
+                let mut o_instrs = 0u64;
+                while o_done < runs && exec::peek_burstable(&exe, oracle.pc) {
+                    let cost = exec::issue_local(&exe, &mut oracle).unwrap();
+                    let cycles = match cost {
+                        exec::CostClass::Branch { taken: true } => 2,
+                        _ => 1,
+                    };
+                    o_done += cycles * cp;
+                    o_instrs += 1;
+                }
+                let what = format!("break at {limit} cycles: {env:?}");
+                assert_eq!(cur.executed, o_instrs, "{what}");
+                assert_eq!(cur.done, o_done, "{what}");
+                assert_eq!(ctx.regs, oracle.regs, "{what}");
+                assert_eq!(ctx.pc, oracle.pc, "{what}");
             }
-            assert_eq!(cur.executed, o_instrs, "sample at {limit} cycles");
-            assert_eq!(cur.done, o_done, "sample at {limit} cycles");
-            assert_eq!(ctx.regs, oracle.regs, "sample at {limit} cycles");
-            assert_eq!(ctx.pc, oracle.pc, "sample at {limit} cycles");
         }
     }
 

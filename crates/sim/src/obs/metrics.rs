@@ -245,6 +245,8 @@ impl MetricsRegistry {
             self.counter(&format!("host.issue.tcu_break_{name}"), n);
         }
         self.counter("host.mem.legs_folded", hp.legs_folded);
+        self.counter("host.spawn.first_rounds", hp.first_rounds);
+        self.counter("host.spawn.idle_parked", hp.idle_parked);
         self.histogram("host.burst_len_hist", hp.burst_len_hist.to_vec());
         self.counter("host.blocks_decoded", hp.blocks_decoded);
         self.counter("host.block_replays", hp.block_replays);

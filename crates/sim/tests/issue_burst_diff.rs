@@ -516,8 +516,7 @@ fn gen_serial_spec(g: &mut Gen, exe: &Executable, cfg: &XmtConfig) -> SerialSpec
     let limit = (n >= 2 && g.bool_p(0.5)).then(|| {
         let i = g.usize_in(0, n - 1);
         // The first of each at or (cyclically) after a random instruction,
-        // the master's only: which TCU instructions an instruction limit
-        // cuts off inside a parallel section depends on the issue model.
+        // among the master's (the fold suite aims at TCU instructions).
         let from_i = |k: usize| (i + k) % (n - 1);
         let serial = |k: &usize| issues[*k].2 && issues[*k + 1].2;
         let folded = (0..n - 1).map(from_i).filter(serial).find(|&k| {
@@ -645,11 +644,12 @@ fn serial_sections_match_perinstr_oracle() {
         // a step run in place by its completion or continued past a
         // non-blocking first instruction elides one more, and a round
         // trip walked whole on the stack elides its four memory events
-        // (two leg ends, the service, the completion). A return leg that
-        // ended in its completion elides its end in either run, so both
-        // sides count it back. A trip cut short by a clip elides fewer, a
-        // resumed run counts from the checkpoint, an error leaves no
-        // summary.
+        // (two leg ends, the service, the completion). A TCU's first round
+        // taken in closed form elides its burst's one event too, and an
+        // idle TCU's `chkid` step. A return leg that ended in its
+        // completion elides its end in either run, so both sides count it
+        // back. A trip cut short by a clip elides fewer, a resumed run
+        // counts from the checkpoint, an error leaves no summary.
         let whole_trips = !express || hb.master_event_trips == 0;
         if burst.outcome.is_ok() && burst.checkpoint.is_none() && whole_trips {
             assert_eq!(
@@ -657,7 +657,9 @@ fn serial_sections_match_perinstr_oracle() {
                 hb.burst_instrs - hb.bursts
                     + hb.completions_continued
                     + hb.issues_continued
-                    + 4 * hb.master_inline_trips,
+                    + 4 * hb.master_inline_trips
+                    + hb.first_rounds
+                    + hb.idle_parked,
                 "event books must balance under {:?} case {:?}",
                 cfg.icn_model,
                 spec
@@ -722,13 +724,16 @@ fn burst_elides_step_events() {
     assert_eq!((sb.cycles, sb.time_ps, sb.instructions), (sp.cycles, sp.time_ps, sp.instructions));
     assert_eq!((hp.bursts, hp.burst_instrs), (0, 0), "oracle steps per instruction");
     assert!(hb.bursts > 0, "burst path issued compute bursts");
-    // Each burst of L instructions replaces L step events with 1.
+    // Each burst of L instructions replaces L step events with 1; a first
+    // round taken in closed form elides its TCU's burst event, and the
+    // `chkid` step of a TCU that got no thread.
+    assert!(hb.first_rounds > 0, "{hb:?}");
+    let elided = hb.burst_instrs - hb.bursts + hb.first_rounds + hb.idle_parked;
     assert_eq!(
-        sb.events + (hb.burst_instrs - hb.bursts),
+        sb.events + elided,
         sp.events,
-        "event books must balance: burst {} + elided {} != per-instr {}",
+        "event books must balance: burst {} + elided {elided} != per-instr {}",
         sb.events,
-        hb.burst_instrs - hb.bursts,
         sp.events
     );
     assert!(
@@ -834,10 +839,7 @@ fn gen_fold_program(g: &mut Gen) -> Executable {
     p.link(mm).unwrap()
 }
 
-/// A small machine; one case in four has a single TCU — the one shape
-/// where an instruction limit inside a parallel section stops both issue
-/// models at the same instructions (DESIGN §15), so the limit may land
-/// there, with `swnb` acknowledgements in flight.
+/// A small machine; one case in four has a single TCU.
 fn gen_fold_config(g: &mut Gen) -> XmtConfig {
     let mut cfg = gen_config(g);
     if g.bool_p(0.25) {
@@ -878,26 +880,45 @@ struct FoldSpec {
     aim: Aim,
 }
 
-/// Draw the case from the oracle's own trace: the instant of a TCU
-/// response's completion `c`, of its return leg's end `c − cp`, or of a
-/// blocking completion (where the TCU resumes), as a tick interval, a
-/// cycle limit tripping there or one cycle later, or a checkpoint target;
-/// and, one case in three, an instruction limit first — at a master
-/// instruction, or anywhere on a one-TCU machine. Also returns the
-/// program's instruction count.
-fn gen_fold_spec(g: &mut Gen, exe: &Executable, cfg: &XmtConfig) -> (FoldSpec, u64) {
+/// The per-instruction oracle's cycle-accurate trace over the per-hop
+/// network, and its instruction count.
+fn oracle_trace(exe: &Executable, cfg: &XmtConfig) -> (Vec<TraceEvent>, u64) {
     let mut c = cfg.clone();
     c.issue_model = IssueModel::PerInstr;
     c.icn_model = IcnModel::PerHop;
     let mut sim = CycleSim::new(exe.clone(), c);
     sim.attach_tracer(Tracer::new(TraceLevel::CycleAccurate));
     let _ = sim.run();
-    let records = sim.tracer.as_ref().expect("attached above").records();
+    let records = sim.tracer.as_ref().expect("attached above").records().to_vec();
+    let issued = records.iter().filter(|r| matches!(r, TraceEvent::Issue { .. })).count();
+    (records, issued as u64)
+}
+
+/// Aim at instant `x`: a tick interval, a cycle limit tripping there or
+/// one cycle later, or a checkpoint target.
+fn aim_at(g: &mut Gen, x: u64, cp: u64) -> Aim {
+    let cycle = (x / cp).max(1);
+    match g.usize_in(0, 3) {
+        0 => Aim::Tick {
+            iv: cycle,
+            retune: g.bool_p(0.5).then(|| *g.choose(&[ClockDomain::Cluster, ClockDomain::Icn])),
+        },
+        1 => Aim::Cycles(cycle - g.usize_in(0, 2) as u64),
+        _ => Aim::Checkpoint(cycle + g.usize_in(0, 2) as u64),
+    }
+}
+
+/// Draw the case from the oracle's own trace: the instant of a TCU
+/// response's completion `c`, of its return leg's end `c − cp`, or of a
+/// blocking completion (where the TCU resumes), aimed at; and, one case
+/// in three, an instruction limit first, at any instruction. Also returns
+/// the program's instruction count.
+fn gen_fold_spec(g: &mut Gen, exe: &Executable, cfg: &XmtConfig) -> (FoldSpec, u64) {
+    let (records, n) = oracle_trace(exe, cfg);
     let cp = cfg.period_ps[ClockDomain::Cluster as usize];
     let mut instants = Vec::new();
-    let mut issues = Vec::new();
     for r in records {
-        match *r {
+        match r {
             TraceEvent::Complete { time, tcu, pc, .. } if tcu != u32::MAX => {
                 let ins = &exe.text[pc as usize];
                 let blocking = ins.is_mem_read() && !matches!(ins, Instr::Pref { .. });
@@ -907,33 +928,19 @@ fn gen_fold_spec(g: &mut Gen, exe: &Executable, cfg: &XmtConfig) -> (FoldSpec, u
                     instants.push(time);
                 }
             }
-            TraceEvent::Issue { tcu, .. } => issues.push(tcu.is_none()),
             _ => {}
         }
     }
     let x = if instants.is_empty() { cp } else { *g.choose(&instants) };
-    let cycle = (x / cp).max(1);
-    let aim = match g.usize_in(0, 3) {
-        0 => Aim::Tick {
-            iv: cycle,
-            retune: g.bool_p(0.5).then(|| *g.choose(&[ClockDomain::Cluster, ClockDomain::Icn])),
-        },
-        1 => Aim::Cycles(cycle - g.usize_in(0, 1) as u64),
-        _ => Aim::Checkpoint(cycle + g.usize_in(0, 1) as u64),
-    };
-    let n = issues.len();
-    let one_tcu = cfg.n_tcus() == 1;
-    let stop_at = (n >= 2 && g.bool_p(0.35)).then(|| {
-        let from = g.usize_in(0, n - 2);
-        let ok = |k: &usize| one_tcu || (issues[*k] && issues[*k + 1]);
-        (from..n - 1).chain(0..from).find(ok).map(|k| k as u64 + 1)
-    });
-    (FoldSpec { stop_at: stop_at.flatten(), aim }, n as u64)
+    let aim = aim_at(g, x, cp);
+    let stop_at = (n >= 2 && g.bool_p(0.35)).then(|| g.int_in(1, n as i64) as u64);
+    (FoldSpec { stop_at, aim }, n)
 }
 
 /// Everything a fold case must agree on: the first stop and the final
 /// outcome (summary without `events`, or the error), where the clock
-/// stopped, statistics, machine, master and the checkpoint's bytes.
+/// stopped, statistics, machine, master, every TCU and the checkpoint's
+/// bytes.
 #[derive(Debug, PartialEq)]
 struct FoldObserved {
     stop: Option<Result<(u64, u64, u64), SimError>>,
@@ -942,13 +949,15 @@ struct FoldObserved {
     stats: String,
     machine: String,
     master: String,
+    tcus: String,
     checkpoint: Option<String>,
 }
 
 /// Run a fold case under `model`. `lift` is the instruction limit in force
-/// whenever the case sets none: `u64::MAX`, or — for the same-network
-/// oracle — one just past the program's end, which never stops the run
-/// but leaves no instruction-limit headroom, so no return leg folds.
+/// whenever the case sets none: `u64::MAX` — no limit at all until a stop
+/// has set one — or, for the same-network oracle, one just past the
+/// program's end, which never stops the run but leaves no
+/// instruction-limit headroom, so no return leg folds.
 fn observe_fold(
     exe: &Executable,
     cfg: &XmtConfig,
@@ -960,9 +969,14 @@ fn observe_fold(
     cfg.issue_model = issue;
     cfg.icn_model = icn;
     let triple = |s: RunSummary| (s.cycles, s.time_ps, s.instructions);
+    let limit = |sim: &mut CycleSim| {
+        if lift != u64::MAX {
+            sim.set_instr_limit(lift);
+        }
+    };
     let mut sim = CycleSim::new(exe.clone(), cfg.clone());
     sim.enable_host_profiling();
-    sim.set_instr_limit(lift);
+    limit(&mut sim);
     if let Aim::Tick { iv, retune } = spec.aim {
         match retune {
             Some(dom) => {
@@ -991,7 +1005,7 @@ fn observe_fold(
                 checkpoint = Some(json);
                 sim = CycleSim::resume(exe.clone(), cfg, round);
                 sim.enable_host_profiling();
-                sim.set_instr_limit(lift);
+                limit(&mut sim);
                 sim.run()
             }
             Ok(CheckpointOutcome::Done(s)) => Ok(s),
@@ -1006,27 +1020,61 @@ fn observe_fold(
         stats: sim.stats.to_json_string(),
         machine: sim.machine.to_json_string(),
         master: sim.master.to_json_string(),
+        tcus: sim.tcus().to_vec().to_json_string(),
         checkpoint,
     };
     (observed, sim.host_profile().expect("enabled").clone())
+}
+
+/// Hold burst issue over the express network to both oracles. Against
+/// per-instruction issue on the same network with no return leg folded
+/// (an instruction limit just past the program's end takes the fold's
+/// headroom away without ever stopping the run) it must match on
+/// everything observable, the error and the checkpoint's bytes included.
+/// Against the per-hop walk it must match wherever the run goes on to
+/// the end; where a cycle limit cuts it, the express network already
+/// differed from the per-hop walk before any fold (its elided hop groups
+/// are instants the run loop's checks could fire at). Returns the
+/// same-network oracle's observation and the burst run's host profile.
+fn match_oracles(
+    exe: &Executable,
+    cfg: &XmtConfig,
+    spec: &FoldSpec,
+    total: u64,
+) -> (FoldObserved, HostProfile) {
+    let (fast, hp) =
+        observe_fold(exe, cfg, (IssueModel::Burst, IcnModel::Express), spec, u64::MAX);
+    let (oracle, ho) =
+        observe_fold(exe, cfg, (IssueModel::PerInstr, IcnModel::Express), spec, total + 1);
+    assert_eq!(ho.legs_folded, 0, "the same-network oracle folds no leg");
+    assert_eq!(
+        fast, oracle,
+        "burst × express / per-instr × express divergence under timing {:?} case {:?}",
+        cfg.icn_timing, spec
+    );
+    if !matches!(spec.aim, Aim::Cycles(_)) {
+        let (per_hop, _) =
+            observe_fold(exe, cfg, (IssueModel::PerInstr, IcnModel::PerHop), spec, u64::MAX);
+        let end = |o: FoldObserved| {
+            (o.stop, o.outcome, o.cycles, o.stats, o.machine, o.master, o.tcus)
+        };
+        assert!(
+            end(fast) == end(per_hop),
+            "burst × express / per-instr × per-hop divergence under timing {:?} case {:?}",
+            cfg.icn_timing,
+            spec
+        );
+    }
+    (oracle, hp)
 }
 
 /// 256 random cases aimed at the TCU-side folds' boundaries (DESIGN §16):
 /// sampling ticks, DVFS retunes, cycle limits and mid-flight checkpoint
 /// targets on a return leg's end, one cycle later, or a blocking
 /// completion's instant, and the re-targeting sequence — an instruction-
-/// limit stop, then a cycle limit or a checkpoint target, then the rest of
-/// the run.
-///
-/// Burst issue over the express network must match, on everything
-/// observable including the error and the checkpoint's bytes, the
-/// per-instruction oracle on the same network with no return leg folded
-/// (an instruction limit just past the program's end takes the fold's
-/// headroom away without ever stopping the run). Against the per-hop
-/// oracle it must match wherever the run goes on to the end; where a
-/// cycle limit or a checkpoint target cuts it, the express network
-/// already differed from the per-hop walk at the parent (its elided hop
-/// groups are instants the run loop's checks could fire at).
+/// limit stop (on any TCU's instruction or the master's), then a cycle
+/// limit or a checkpoint target, then the rest of the run — held to both
+/// oracles by [`match_oracles`].
 #[test]
 fn fold_boundaries_match_the_oracle() {
     let (mut ran, mut folded, mut resumed, mut continued) = (0u32, 0u64, 0u64, 0u64);
@@ -1036,27 +1084,7 @@ fn fold_boundaries_match_the_oracle() {
         let exe = gen_fold_program(g);
         let cfg = gen_fold_config(g);
         let (spec, total) = gen_fold_spec(g, &exe, &cfg);
-        let (fast, hp) =
-            observe_fold(&exe, &cfg, (IssueModel::Burst, IcnModel::Express), &spec, u64::MAX);
-        let (oracle, ho) =
-            observe_fold(&exe, &cfg, (IssueModel::PerInstr, IcnModel::Express), &spec, total + 1);
-        assert_eq!(ho.legs_folded, 0, "the same-network oracle folds no leg");
-        assert_eq!(
-            fast, oracle,
-            "burst × express / per-instr × express divergence under timing {:?} case {:?}",
-            cfg.icn_timing, spec
-        );
-        if !matches!(spec.aim, Aim::Cycles(_)) {
-            let (per_hop, _) =
-                observe_fold(&exe, &cfg, (IssueModel::PerInstr, IcnModel::PerHop), &spec, u64::MAX);
-            let end = |o: FoldObserved| (o.stop, o.outcome, o.cycles, o.stats, o.machine, o.master);
-            assert!(
-                end(fast) == end(per_hop),
-                "burst × express / per-instr × per-hop divergence under timing {:?} case {:?}",
-                cfg.icn_timing,
-                spec
-            );
-        }
+        let (oracle, hp) = match_oracles(&exe, &cfg, &spec, total);
         folded += hp.legs_folded;
         resumed += hp.completions_continued;
         continued += hp.issues_continued;
@@ -1072,6 +1100,216 @@ fn fold_boundaries_match_the_oracle() {
     );
     assert!(
         folded > 0 && resumed > 0 && continued > 0 && checkpoints > 0 && stops > 0 && errors > 0,
+        "vacuous sweep"
+    );
+}
+
+// ---------------------------------------------------------------------
+// First rounds: a section's opening, taken in closed form
+// ---------------------------------------------------------------------
+
+/// How a generated spawn block opens: the way the closed form takes
+/// (DESIGN §17) — local instructions, `ps t0, gr` with an increment of 0
+/// or 1, `chkid t0` — or a way it must refuse.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Opening {
+    Canonical,
+    /// An instruction between the `ps` and the `chkid`.
+    NoChkid,
+    /// The `chkid` checks another register: the previous round's id.
+    OtherRegister,
+    /// An increment of 2: the first `ps` traps.
+    TrappingIncrement,
+    /// The block starts with a shared-FU `mul`.
+    NonLocalFirst,
+}
+
+/// A random program of 1–2 parallel sections on a machine of `tcus` TCUs,
+/// mostly fewer threads than TCUs, every block opening as `opening` says:
+/// 0–4 local instructions (a taken branch among them, at times) with the
+/// one setting the increment, which the loop's tail sets instead when
+/// there are none; the ids drawn from `gr0`, or from another global
+/// register the master seeds — past `hi` one time in eight, so every TCU
+/// parks at once; an increment of 0 in a section's first round one time
+/// in three. The bodies store, load, `ps` another register and print.
+fn gen_first_round_program(g: &mut Gen, tcus: usize, opening: Opening) -> Executable {
+    use Instr::*;
+    let words = 1usize << g.usize_in(4, 6);
+    let mut mm = MemoryMap::new();
+    let a = mm.push("A", (0..words as u32).collect());
+    let mut p = AsmProgram::new();
+    p.push(Li { rt: Reg::S0, imm: a as i32 });
+    for s in 0..g.usize_in(1, 3) {
+        let n = g.usize_in(0, 6);
+        straight_line(&mut p, g, n);
+        let threads =
+            if g.bool_p(0.8) { g.usize_in(1, tcus + 1) } else { g.usize_in(tcus + 1, 2 * tcus + 1) };
+        let lo = g.int_in(0, 3) as i32;
+        let hi = lo + threads as i32 - 1;
+        p.push(Li { rt: Reg::A0, imm: lo });
+        p.push(Li { rt: Reg::A1, imm: hi });
+        let gr = if g.bool_p(0.5) {
+            GlobalReg::THREAD_ALLOC
+        } else {
+            let gr = GlobalReg(g.int_in(1, 4) as u8);
+            p.push(Li { rt: Reg::T4, imm: if g.bool_p(0.125) { hi + 1 } else { lo } });
+            p.push(Grput { gr, rs: Reg::T4 });
+            gr
+        };
+        // `S2` is 0 until a thread of this section finished its body.
+        let inc = match opening {
+            Opening::TrappingIncrement => Li { rt: Reg::T0, imm: 2 },
+            _ if g.bool_p(0.3) => Sltu { rd: Reg::T0, rs: Reg::Zero, rt: Reg::S2 },
+            _ => Li { rt: Reg::T0, imm: 1 },
+        };
+        p.push(Li { rt: Reg::S2, imm: 0 });
+        p.push(Li { rt: Reg::T8, imm: lo });
+        let prefix = g.usize_in(0, 5);
+        if prefix == 0 {
+            p.push(inc.clone());
+        }
+        p.push(Spawn { lo: Reg::A0, hi: Reg::A1 });
+        let vt = format!("vt{s}");
+        p.label(vt.clone());
+        if opening == Opening::NonLocalFirst {
+            p.push(Mul { rd: Reg::T3, rs: Reg::T3, rt: Reg::T4 });
+        }
+        let setter = g.usize_in(0, prefix.max(1));
+        for k in 0..prefix {
+            if k == setter {
+                p.push(inc.clone());
+            } else if g.bool_p(0.25) {
+                let next = format!("p{s}_{k}");
+                p.push(Beq { rs: Reg::Zero, rt: Reg::Zero, target: Target::label(next.clone()) });
+                p.label(next);
+            } else {
+                straight_line(&mut p, g, 1);
+            }
+        }
+        p.push(Ps { rt: Reg::T0, gr });
+        if opening == Opening::NoChkid {
+            p.push(Addi { rt: Reg::T3, rs: Reg::T3, imm: 1 });
+        }
+        let checked = if opening == Opening::OtherRegister { Reg::T8 } else { Reg::T0 };
+        p.push(Chkid { rt: checked });
+        p.push(Andi { rt: Reg::T1, rs: Reg::T0, imm: (words - 1) as u32 });
+        p.push(Sll { rd: Reg::T1, rt: Reg::T1, sh: 2 });
+        p.push(Add { rd: Reg::T1, rs: Reg::T1, rt: Reg::S0 });
+        for _ in 0..g.usize_in(1, 4) {
+            match g.usize_in(0, 6) {
+                0 => {
+                    p.push(Lw { rt: Reg::T2, base: Reg::T1, off: 0 });
+                    p.push(Add { rd: Reg::T3, rs: Reg::T3, rt: Reg::T2 });
+                }
+                1 => p.push(Swnb { rt: Reg::T0, base: Reg::T1, off: 0 }),
+                2 => {
+                    p.push(Li { rt: Reg::T4, imm: 1 });
+                    p.push(Ps { rt: Reg::T4, gr: GlobalReg(7) });
+                    p.push(Add { rd: Reg::T3, rs: Reg::T3, rt: Reg::T4 });
+                }
+                3 => p.push(Print { rs: Reg::T0 }),
+                4 => p.push(Mul { rd: Reg::T3, rs: Reg::T3, rt: Reg::T0 }),
+                _ => {
+                    let n = g.usize_in(1, 8);
+                    straight_line(&mut p, g, n);
+                }
+            }
+        }
+        p.push(Swnb { rt: Reg::T3, base: Reg::T1, off: 0 });
+        p.push(Li { rt: Reg::S2, imm: 1 });
+        p.push(Move { rd: Reg::T8, rs: Reg::T0 });
+        if prefix == 0 {
+            p.push(inc);
+        }
+        p.push(J { target: Target::label(vt) });
+        p.push(Join);
+    }
+    p.push(Print { rs: Reg::T3 });
+    p.push(Halt);
+    p.link(mm).unwrap()
+}
+
+/// Draw the case from the oracle's trace: aim at an instant a TCU issues
+/// a block's first instruction (`T_b`), its first `ps` (`T_b + d`) or the
+/// instruction after that (`T_p`), in any round; and, one case in three,
+/// stop first at an instruction limit landing among the instructions
+/// issued at another such instant. Also returns the program's
+/// instruction count.
+fn gen_first_round_spec(g: &mut Gen, exe: &Executable, cfg: &XmtConfig) -> (FoldSpec, u64) {
+    let mut marks = Vec::new();
+    for (pc, ins) in exe.text.iter().enumerate() {
+        if matches!(ins, Instr::Spawn { .. }) {
+            let ps = (pc..exe.text.len()).find(|&k| matches!(exe.text[k], Instr::Ps { .. }));
+            let ps = ps.expect("every block has a `ps`") as u32;
+            marks.extend([pc as u32 + 1, ps, ps + 1]);
+        }
+    }
+    let (records, n) = oracle_trace(exe, cfg);
+    let issues: Vec<(u64, bool)> = records
+        .iter()
+        .filter_map(|r| match *r {
+            TraceEvent::Issue { time, tcu, pc } => Some((time, tcu.is_some() && marks.contains(&pc))),
+            _ => None,
+        })
+        .collect();
+    let instants: Vec<u64> = issues.iter().filter(|i| i.1).map(|i| i.0).collect();
+    let cp = cfg.period_ps[ClockDomain::Cluster as usize];
+    let x = if instants.is_empty() { cp } else { *g.choose(&instants) };
+    let aim = aim_at(g, x, cp);
+    let stop_at = (n >= 2 && !instants.is_empty() && g.bool_p(0.35)).then(|| {
+        let y = *g.choose(&instants);
+        let before = issues.iter().take_while(|i| i.0 < y).count() as u64;
+        (before + g.int_in(0, 3) as u64).clamp(1, n - 1)
+    });
+    (FoldSpec { stop_at, aim }, n)
+}
+
+/// 256 random cases of sections opening — the canonical way, or one of
+/// the ways the closed form must refuse — on small machines (a single TCU
+/// one time in four; a zero-cycle `ps` at times, so that `T_p` is
+/// `T_b + d`), with sampling ticks, DVFS retunes, cycle limits, mid-flight
+/// checkpoint targets and instruction-limit stops aimed at a round's
+/// `T_b`, `T_b + d` and `T_p`, held to both oracles by [`match_oracles`]
+/// on the outcome or error, clock, `Stats`, machine with its global
+/// registers, every TCU and the checkpoint's bytes.
+#[test]
+fn first_round_matches_the_oracle() {
+    let (mut ran, mut rounds, mut idle, mut refused) = (0u32, 0u64, 0u64, 0u32);
+    let (mut checkpoints, mut stops, mut errors) = (0u32, 0u32, 0u32);
+    run("first_round_matches_the_oracle", Config::default(), |g: &mut Gen| {
+        ran += 1;
+        let cfg = gen_fold_config(g);
+        let opening = if g.bool_p(0.6) {
+            Opening::Canonical
+        } else {
+            *g.choose(&[
+                Opening::NoChkid,
+                Opening::OtherRegister,
+                Opening::TrappingIncrement,
+                Opening::NonLocalFirst,
+            ])
+        };
+        let exe = gen_first_round_program(g, cfg.n_tcus() as usize, opening);
+        let (spec, total) = gen_first_round_spec(g, &exe, &cfg);
+        let (oracle, hp) = match_oracles(&exe, &cfg, &spec, total);
+        if opening != Opening::Canonical {
+            assert_eq!(hp.first_rounds, 0, "a {opening:?} opening taken in closed form");
+        }
+        rounds += hp.first_rounds;
+        idle += hp.idle_parked;
+        refused += (opening == Opening::Canonical && hp.first_rounds == 0) as u32;
+        checkpoints += oracle.checkpoint.is_some() as u32;
+        stops += oracle.stop.is_some() as u32;
+        errors += oracle.outcome.is_err() as u32;
+    });
+    // scripts/verify.sh greps for this line to prove the suite really ran.
+    eprintln!(
+        "first_round: ran {ran} cases ({rounds} TCU first rounds in closed form, {idle} of them \
+         parked idle; {refused} canonical cases took none; {checkpoints} checkpointed mid-run, \
+         {stops} stopped at an instruction limit first, {errors} ended in an error)"
+    );
+    assert!(
+        rounds > 0 && idle > 0 && refused > 0 && checkpoints > 0 && stops > 0 && errors > 0,
         "vacuous sweep"
     );
 }

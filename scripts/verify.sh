@@ -92,10 +92,12 @@ referee xmt-bench "checkpoint_resume checkpoint_inflight"
 # express ICN legs vs the per-hop walk
 referee xmtsim icn_express_diff
 # compute bursts vs per-instruction issue (+ tracer/limit/sample clips),
-# the master's folded serial sections and inline round trips, and the
-# TCU side's folded return legs and continued steps at their boundaries
+# the master's folded serial sections and inline round trips, the TCU
+# side's folded return legs and continued steps at their boundaries, and
+# sections whose first allocation round is taken in closed form
 referee xmtsim "issue_burst_diff issue_model" \
-    'serial_sections: ran [1-9][0-9]* cases' 'fold_boundaries: ran [1-9][0-9]* cases'
+    'serial_sections: ran [1-9][0-9]* cases' 'fold_boundaries: ran [1-9][0-9]* cases' \
+    'first_round: ran [1-9][0-9]* cases'
 # decoded basic-block replay vs interpreted issue
 referee xmtsim decode_diff
 # sharded parallel engine vs the sequential engine

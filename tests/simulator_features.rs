@@ -327,6 +327,8 @@ fn tcu_folds_are_counted_and_clip_at_samples() {
                 ("issue.completions_continued", hp.completions_continued),
                 ("issue.issues_continued", hp.issues_continued),
                 ("issue.tcu_break_mem", hp.tcu_break_cause[0]),
+                ("spawn.first_rounds", hp.first_rounds),
+                ("spawn.idle_parked", hp.idle_parked),
             ] {
                 let row = reg.get(&format!("host.{row}")).expect("row exported");
                 assert_eq!(row.value, xmtsim::obs::MetricValue::U(n));
@@ -350,7 +352,9 @@ fn tcu_folds_are_counted_and_clip_at_samples() {
             hp.burst_instrs - hp.bursts
                 + hp.completions_continued
                 + hp.issues_continued
-                + 4 * hp.master_inline_trips,
+                + 4 * hp.master_inline_trips
+                + hp.first_rounds
+                + hp.idle_parked,
             "event books out of balance"
         );
         let (sampled, _, result) = run(IssueModel::Burst, IcnModel::Express, Some(2));
@@ -363,4 +367,36 @@ fn tcu_folds_are_counted_and_clip_at_samples() {
     }
     // `bfs` stores with `swnb` and carries on; `histogram` fences its `psm`s.
     assert!(continued > 0 && continued_sampled < continued, "{continued} / {continued_sampled}");
+}
+
+/// A section costs what its threads do (DESIGN §17): a two-section,
+/// 14-thread program takes as many events on the 1 024-TCU chip as on
+/// the 64-TCU FPGA, because a TCU that gets no thread parks inside the
+/// section's first allocation round, without an event. Per-instruction
+/// issue steps every TCU through its `ps` and `chkid`, so there the
+/// chip costs far more.
+#[test]
+fn section_events_do_not_grow_with_machine_width() {
+    use xmtsim::IssueModel;
+    let src = "int A[14]; int B[14];
+        void main() {
+            spawn(0, 13) { A[$] = 3 * $; }
+            spawn(0, 13) { B[$] = A[13 - $] + 1; }
+        }";
+    let compiled = Toolchain::new().compile(src).unwrap();
+    let run = |mut cfg: XmtConfig, issue_model| {
+        cfg.issue_model = issue_model;
+        let mut sim = compiled.simulator(&cfg);
+        sim.enable_host_profiling();
+        let s = sim.run().unwrap();
+        (s.events, sim.host_profile().unwrap().clone())
+    };
+    let (fpga, hf) = run(XmtConfig::fpga64(), IssueModel::Burst);
+    let (chip, hc) = run(XmtConfig::chip1024(), IssueModel::Burst);
+    eprintln!("events: fpga64 {fpga}, chip1024 {chip}");
+    assert_eq!(fpga, chip, "host cost grew with machine width");
+    assert_eq!((hf.first_rounds, hf.idle_parked), (2 * 64, 2 * (64 - 14)), "{hf:?}");
+    assert_eq!((hc.first_rounds, hc.idle_parked), (2 * 1024, 2 * (1024 - 14)), "{hc:?}");
+    let (per_instr, _) = run(XmtConfig::chip1024(), IssueModel::PerInstr);
+    assert!(per_instr > 20 * chip, "per-instruction issue: {per_instr} events");
 }
