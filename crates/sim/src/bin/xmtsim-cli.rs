@@ -7,7 +7,7 @@
 //! ```text
 //! xmtsim-cli PROGRAM.xs [--memmap FILE.xbo] [--config fpga64|chip1024|tiny|FILE.json]
 //!            [--icn express|perhop] [--issue burst|perinstr]
-//!            [--engine sequential|parallel] [--threads N] [--decode cache|off]
+//!            [--decode cache|off]
 //!            [--functional] [--stats] [--dump GLOBAL:COUNT] [--cycles-limit N]
 //!            [--trace-out FILE] [--metrics-out FILE] [--obs-detail off|spans|full]
 //! ```
@@ -20,16 +20,13 @@
 
 use std::process::ExitCode;
 use xmt_harness::FromJson;
-use xmtsim::{
-    CycleSim, DecodeMode, EngineMode, FunctionalSim, IcnModel, IssueModel, ObsDetail, XmtConfig,
-};
+use xmtsim::{CycleSim, DecodeMode, FunctionalSim, IcnModel, IssueModel, ObsDetail, XmtConfig};
 
 fn usage() -> ! {
     eprintln!(
         "usage: xmtsim-cli PROGRAM.xs [--memmap FILE.xbo] \
          [--config fpga64|chip1024|tiny|FILE.json] [--icn express|perhop] \
-         [--issue burst|perinstr] \
-         [--engine sequential|parallel] [--threads N] [--decode cache|off] \
+         [--issue burst|perinstr] [--decode cache|off] \
          [--functional] [--stats] [--dump GLOBAL:COUNT] [--cycles-limit N] \
          [--trace-out FILE] [--metrics-out FILE] [--obs-detail off|spans|full]"
     );
@@ -46,8 +43,6 @@ fn main() -> ExitCode {
     let mut limit: Option<u64> = None;
     let mut icn_model: Option<IcnModel> = None;
     let mut issue_model: Option<IssueModel> = None;
-    let mut engine_mode: Option<EngineMode> = None;
-    let mut threads: Option<u32> = None;
     let mut decode_mode: Option<DecodeMode> = None;
     let mut trace_out: Option<String> = None;
     let mut metrics_out: Option<String> = None;
@@ -100,20 +95,6 @@ fn main() -> ExitCode {
                     _ => usage(),
                 })
             }
-            "--engine" => {
-                engine_mode = Some(match it.next().as_deref() {
-                    Some("sequential") => EngineMode::Sequential,
-                    Some("parallel") => EngineMode::Parallel,
-                    _ => usage(),
-                })
-            }
-            "--threads" => {
-                threads = Some(
-                    it.next()
-                        .and_then(|v| v.parse().ok())
-                        .unwrap_or_else(|| usage()),
-                )
-            }
             "--decode" => {
                 decode_mode = Some(match it.next().as_deref() {
                     Some("cache") => DecodeMode::Cache,
@@ -160,12 +141,6 @@ fn main() -> ExitCode {
     }
     if let Some(m) = issue_model {
         config.issue_model = m;
-    }
-    if let Some(m) = engine_mode {
-        config.engine_mode = m;
-    }
-    if let Some(n) = threads {
-        config.threads = n;
     }
     if let Some(m) = decode_mode {
         config.decode_cache = m;
@@ -264,12 +239,8 @@ fn main() -> ExitCode {
         match sim.run() {
             Ok(summary) => {
                 print!("{}", sim.machine.output.to_text());
-                let engine = match config.engine_mode {
-                    EngineMode::Sequential => String::new(),
-                    EngineMode::Parallel => format!(", parallel×{}", sim.workers()),
-                };
                 eprintln!(
-                    "[{} cycles, {} instructions, {} TCUs{engine}]",
+                    "[{} cycles, {} instructions, {} TCUs]",
                     summary.cycles,
                     summary.instructions,
                     config.n_tcus()

@@ -92,21 +92,17 @@ pub enum MemModel {
 
 json_enum!(MemModel { PerRequest });
 
-/// How the cycle model drives its event loop across host threads.
-///
-/// `Parallel` shards the chip — TCU clusters (with their step/completion
-/// traffic) and cache-module slices each own a calendar-queue scheduler —
-/// and advances all shards in lock-step `(time, priority)` windows,
-/// offloading straight-line compute bursts to a worker pool. Events carry
-/// a single global sequence number, so the cross-shard merge reproduces
-/// the sequential engine's `(time, priority, seq)` order exactly: the
-/// parallel engine is bit-identical to `Sequential`, which survives
-/// untouched as the differential oracle (like `PerInstr` and `PerHop`).
+/// Inert: nothing in the simulator reads it, nor [`XmtConfig::threads`].
+/// There is one cycle engine, the single-threaded event loop; the sharded
+/// parallel engine was slower than it on every workload and is gone
+/// (DESIGN §9). The names stay only because the frozen `bench/e2e`
+/// ablation sets them (and old config JSON carries them); the ROADMAP's
+/// `benchmark` item removes them with it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum EngineMode {
-    /// Single-threaded event loop (the reference engine).
+    /// The single-threaded event loop.
     Sequential,
-    /// Sharded lock-step engine over `threads` worker threads.
+    /// Runs exactly as `Sequential`.
     Parallel,
 }
 
@@ -141,7 +137,7 @@ json_enum!(DecodeMode { Cache, Off });
 /// cache, and every hook is equivalence-preserving — the
 /// `obs_diff` differential suite proves runs with it enabled are
 /// bit-identical (cycles, simulated time, stats JSON, machine image) to
-/// runs with it `Off`, under both engines. `Off` is a true zero: no
+/// runs with it `Off`. `Off` is a true zero: no
 /// recorder is allocated and every hook is a single `Option` test.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ObsDetail {
@@ -150,8 +146,8 @@ pub enum ObsDetail {
     /// Simulated-time tracks only: TCU occupancy, parallel sections, ICN
     /// flights, cache-queue depths, DVFS markers, metric samples.
     Spans,
-    /// `Spans` plus host-time tracks: scheduler windows, parallel-engine
-    /// offload barriers, decode-cache replays.
+    /// `Spans` plus host-time tracks: scheduler windows, decode-cache
+    /// replays.
     Full,
 }
 
@@ -249,10 +245,9 @@ pub struct XmtConfig {
     pub issue_model: IssueModel,
     /// Has one legal value; exists only because `bench/e2e` sets it.
     pub mem_model: MemModel,
-    /// Event-loop engine (sequential reference vs sharded parallel).
+    /// Inert, like [`EngineMode`]: read by nothing.
     pub engine_mode: EngineMode,
-    /// Worker threads for [`EngineMode::Parallel`]; clamped to the
-    /// cluster count at run time. Ignored by `Sequential`.
+    /// Inert, like [`EngineMode`]: read by nothing.
     pub threads: u32,
     /// Pre-decoded basic-block cache (burst + functional replay).
     pub decode_cache: DecodeMode,
@@ -432,9 +427,6 @@ impl XmtConfig {
         if self.broadcast_ipc == 0 {
             return Err("broadcast ipc must be nonzero".into());
         }
-        if self.engine_mode == EngineMode::Parallel && self.threads == 0 {
-            return Err("parallel engine needs at least one worker thread".into());
-        }
         Ok(())
     }
 
@@ -594,10 +586,6 @@ mod tests {
         let mut c = XmtConfig::tiny();
         c.period_ps[2] = 0;
         assert!(c.validate().is_err());
-        let mut c = XmtConfig::tiny();
-        c.engine_mode = EngineMode::Parallel;
-        c.threads = 0;
-        assert!(c.validate().is_err());
     }
 
     /// Regression: `dram_channels = 0` used to pass validation (only the
@@ -698,5 +686,57 @@ mod tests {
         let back = XmtConfig::from_json_str(&text).unwrap();
         assert_eq!(back.obs_detail, ObsDetail::Spans);
         back.validate().unwrap();
+    }
+
+    /// `engine_mode` and `threads` are inert: a config set the way the
+    /// frozen `bench/e2e` ablation sets it, and one loaded from JSON that
+    /// names the deleted engine with zero threads, both run to the same
+    /// cycles, statistics and machine image as the default.
+    #[test]
+    fn inert_engine_names_run_as_the_default() {
+        use crate::cycle::CycleSim;
+        use xmt_harness::{FromJson, ToJson};
+        use xmt_isa::{AsmProgram, GlobalReg, Instr, MemoryMap, Reg, Target};
+
+        // A[$] += $ over 64 threads: loads, non-blocking stores, `ps`.
+        let mut mm = MemoryMap::new();
+        let a = mm.push("A", (0..64).map(|k| 1000 + k).collect());
+        let mut p = AsmProgram::new();
+        p.push(Instr::Li { rt: Reg::A0, imm: 0 });
+        p.push(Instr::Li { rt: Reg::A1, imm: 63 });
+        p.push(Instr::Li { rt: Reg::S0, imm: a as i32 });
+        p.push(Instr::Spawn { lo: Reg::A0, hi: Reg::A1 });
+        p.label("vt");
+        p.push(Instr::Li { rt: Reg::T0, imm: 1 });
+        p.push(Instr::Ps { rt: Reg::T0, gr: GlobalReg::THREAD_ALLOC });
+        p.push(Instr::Chkid { rt: Reg::T0 });
+        p.push(Instr::Sll { rd: Reg::T1, rt: Reg::T0, sh: 2 });
+        p.push(Instr::Add { rd: Reg::T1, rs: Reg::T1, rt: Reg::S0 });
+        p.push(Instr::Lw { rt: Reg::T2, base: Reg::T1, off: 0 });
+        p.push(Instr::Add { rd: Reg::T2, rs: Reg::T2, rt: Reg::T0 });
+        p.push(Instr::Swnb { rt: Reg::T2, base: Reg::T1, off: 0 });
+        p.push(Instr::J { target: Target::label("vt") });
+        p.push(Instr::Join);
+        p.push(Instr::Halt);
+        let exe = std::sync::Arc::new(p.link(mm).unwrap());
+        let run = |cfg: XmtConfig| {
+            let mut sim = CycleSim::try_new(exe.clone(), cfg).unwrap();
+            let s = sim.run().unwrap();
+            (s.cycles, sim.stats.to_json_string(), sim.machine.to_json_string())
+        };
+
+        let default = XmtConfig::fpga64();
+        let want = run(default.clone());
+        let mut ablation = default.clone();
+        ablation.engine_mode = EngineMode::Parallel;
+        ablation.threads = 2;
+        assert!(want == run(ablation), "engine_mode = Parallel, threads = 2 changed the run");
+        let text = default
+            .to_json_string()
+            .replace("\"engine_mode\":\"Sequential\"", "\"engine_mode\":\"Parallel\"")
+            .replace("\"threads\":4", "\"threads\":0");
+        let loaded = XmtConfig::from_json_str(&text).unwrap();
+        assert_eq!((loaded.engine_mode, loaded.threads), (EngineMode::Parallel, 0), "{text}");
+        assert!(want == run(loaded), "a JSON config naming the deleted engine changed the run");
     }
 }

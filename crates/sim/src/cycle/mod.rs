@@ -30,13 +30,10 @@
 
 pub mod cachesim;
 mod inflight;
-mod parallel;
 pub mod prefetch;
 mod spawn;
 
-use crate::config::{
-    ClockDomain, DecodeMode, EngineMode, IcnModel, IcnTiming, IssueModel, ObsDetail, XmtConfig,
-};
+use crate::config::{ClockDomain, DecodeMode, IcnModel, IcnTiming, IssueModel, ObsDetail, XmtConfig};
 use crate::decode::{Cursor, DecodeCache, ReplayEnv};
 use crate::engine::{
     Priority, SchedCounters, Scheduler, Time, PRI_DEFAULT, PRI_NEGOTIATE, PRI_SAMPLE, PRI_TRANSFER,
@@ -116,11 +113,11 @@ pub struct HostProfile {
     /// Seconds spent in everything else (spawn control, sampling).
     pub other_s: f64,
     /// Seconds spent on the *pop* side of the event list (`pop_cycle`
-    /// batch drains, the parallel engine's window merge). The push side
-    /// runs inside the handlers and is charged to their classes, so this
-    /// under-reports what the event list costs.
+    /// batch drains). The push side runs inside the handlers and is
+    /// charged to their classes, so this under-reports what the event
+    /// list costs.
     pub sched_s: f64,
-    /// The event list's traffic counters, summed over the shard queues.
+    /// The event list's traffic counters.
     pub sched: SchedCounters,
     /// TCU/master compute events handled.
     pub compute_events: u64,
@@ -574,30 +571,15 @@ const MASTER_ID: u32 = u32::MAX;
 /// The cycle-accurate simulator.
 pub struct CycleSim {
     /// The program image, shared with whoever built the simulator.
-    exe: Arc<Executable>,
+    pub(crate) exe: Arc<Executable>,
     cfg: XmtConfig,
     /// Functional-model state (shared memory, global registers, output).
     pub machine: Machine,
     /// The Master TCU context.
     pub master: ThreadCtx,
     tcus: Vec<TcuState>,
-    /// Shard 0 of the event list: the master/scheduler shard (and the
-    /// only scheduler at all under [`EngineMode::Sequential`]). Its clock
-    /// is the canonical simulation clock in both engine modes — the
-    /// parallel window loop lock-steps every shard's `now`.
+    /// The event list; its clock is the simulation clock.
     sched: Scheduler<Ev>,
-    /// Worker-shard event queues ([`EngineMode::Parallel`] only, else
-    /// empty): shard `1 + i` holds the step/completion events of the
-    /// clusters in worker `i`'s contiguous cluster range, plus the
-    /// service events of its cache-module slice. See
-    /// [`Self::shard_of_ev`] for the routing and `cycle::parallel` for
-    /// the conservatively-synchronized window loop that drains them.
-    shard_queues: Vec<Scheduler<Ev>>,
-    /// Global event-insertion counter shared by all shards: cross-shard
-    /// merges order same-`(time, priority)` events by these seqs, which
-    /// reproduces exactly the FIFO order one sequential queue would have
-    /// assigned. Unused (stays 0) in sequential mode.
-    global_seq: u64,
 
     // Clock domains (mutable at runtime through activity plug-ins).
     period_ps: [u64; 4],
@@ -720,19 +702,11 @@ impl CycleSim {
             ..Default::default()
         };
         master.regs.set(Reg::Sp, xmt_isa::STACK_TOP);
-        // Parallel engine: one worker shard per thread, clamped to the
-        // cluster count (a shard with no clusters would never run).
-        let workers = match cfg.engine_mode {
-            EngineMode::Sequential => 0,
-            EngineMode::Parallel => cfg.threads.min(cfg.clusters).max(1) as usize,
-        };
         Ok(CycleSim {
             machine,
             master,
             tcus: vec![tcu; n_tcus],
             sched: Scheduler::new(),
-            shard_queues: (0..workers).map(|_| Scheduler::new()).collect(),
-            global_seq: 0,
             period_ps: cfg.period_ps,
             cycles_base: 0,
             period_changed_at: 0,
@@ -792,76 +766,6 @@ impl CycleSim {
     /// The TCUs' states, in TCU order.
     pub fn tcus(&self) -> &[TcuState] {
         &self.tcus
-    }
-
-    // ---------------------------------------------------------------
-    // Event routing (sequential vs. sharded parallel)
-    // ---------------------------------------------------------------
-
-    /// Number of worker shards — the effective parallel thread count
-    /// (`threads` clamped to the cluster count); 0 in sequential mode.
-    #[inline]
-    pub fn workers(&self) -> usize {
-        self.shard_queues.len()
-    }
-
-    /// The worker shard owning an event, or `None` for shard 0 (the
-    /// master/scheduler shard). TCU step and completion events live with
-    /// their cluster's shard; cache-module service events live with the
-    /// shard owning that module's slice; everything global (master,
-    /// spawn control, sampling, interconnect hops and express legs) is
-    /// shard 0. Both cluster and module ranges are contiguous balanced
-    /// slices, so a shard's state is a contiguous `tcus` range — which
-    /// is what lets phase-A work run on plain disjoint slices.
-    fn shard_of_ev(&self, ev: &Ev) -> Option<usize> {
-        let w = self.shard_queues.len() as u64;
-        match ev {
-            Ev::TcuStep(t) => {
-                Some((self.cfg.cluster_of(*t) as u64 * w / self.cfg.clusters as u64) as usize)
-            }
-            Ev::Complete { tcu, .. } if *tcu != MASTER_ID => {
-                Some((self.cfg.cluster_of(*tcu) as u64 * w / self.cfg.clusters as u64) as usize)
-            }
-            Ev::Service { req, .. } => Some(
-                (self.cfg.module_of(req.addr) as u64 * w / self.cfg.cache_modules as u64) as usize,
-            ),
-            _ => None,
-        }
-    }
-
-    /// Schedule an event on whichever event list owns it. Sequential
-    /// mode degenerates to a plain [`Scheduler::schedule_at`]; parallel
-    /// mode routes by [`Self::shard_of_ev`] and stamps the next *global*
-    /// sequence number, so cross-shard merges reproduce the sequential
-    /// FIFO order exactly.
-    fn schedule_ev(&mut self, time: Time, pri: Priority, ev: Ev) {
-        if self.shard_queues.is_empty() {
-            self.sched.schedule_at(time, pri, ev);
-            return;
-        }
-        let seq = self.global_seq;
-        self.global_seq += 1;
-        match self.shard_of_ev(&ev) {
-            None => self.sched.schedule_at_seq(time, pri, seq, ev),
-            Some(s) => self.shard_queues[s].schedule_at_seq(time, pri, seq, ev),
-        }
-    }
-
-    /// [`Self::schedule_ev`] for events drained but not handled (stop /
-    /// checkpoint boundaries), un-counting them from `processed`. The
-    /// shard routing is a pure function of the event, so a requeued
-    /// event returns to the queue it was popped from.
-    fn requeue_ev(&mut self, time: Time, pri: Priority, ev: Ev) {
-        if self.shard_queues.is_empty() {
-            self.sched.requeue(time, pri, ev);
-            return;
-        }
-        let seq = self.global_seq;
-        self.global_seq += 1;
-        match self.shard_of_ev(&ev) {
-            None => self.sched.requeue_seq(time, pri, seq, ev),
-            Some(s) => self.shard_queues[s].requeue_seq(time, pri, seq, ev),
-        }
     }
 
     /// Attach a filter plug-in (end-of-run custom statistics). Filters
@@ -1008,7 +912,7 @@ impl CycleSim {
         let reached = self.instrs_reached();
         if reached {
             self.stop_requested = true;
-            self.schedule_ev(now, PRI_DEFAULT, step);
+            self.sched.schedule_at(now, PRI_DEFAULT, step);
         }
         reached
     }
@@ -1129,7 +1033,7 @@ impl CycleSim {
                 leg.chain = HopChain::Explicit(times);
                 slot.gen += 1;
                 let gen = slot.gen;
-                self.schedule_ev(end, PRI_NEGOTIATE, Ev::ExpressEnd { leg: i as u32, gen });
+                self.sched.schedule_at(end, PRI_NEGOTIATE, Ev::ExpressEnd { leg: i as u32, gen });
             }
         }
     }
@@ -1220,7 +1124,7 @@ impl CycleSim {
         self.express_legs[slot as usize].gen += 1;
         self.express_legs[slot as usize].leg = Some(leg);
         let gen = self.express_legs[slot as usize].gen;
-        self.schedule_ev(end, PRI_NEGOTIATE, Ev::ExpressEnd { leg: slot, gen });
+        self.sched.schedule_at(end, PRI_NEGOTIATE, Ev::ExpressEnd { leg: slot, gen });
     }
 
     /// An express leg reached the end of its traversal: behave exactly
@@ -1251,9 +1155,9 @@ impl CycleSim {
             return;
         }
         self.started = true;
-        self.schedule_ev(0, PRI_DEFAULT, Ev::MasterStep);
+        self.sched.schedule_at(0, PRI_DEFAULT, Ev::MasterStep);
         if let Some(iv) = self.sample_interval {
-            self.schedule_ev(iv, PRI_SAMPLE, Ev::Sample);
+            self.sched.schedule_at(iv, PRI_SAMPLE, Ev::Sample);
             self.next_sample_at = Some(iv);
         }
     }
@@ -1276,17 +1180,6 @@ impl CycleSim {
     /// requeue the unhandled tail so pending/processed counts stay exact.
     pub(crate) fn run_inner(&mut self) -> Result<Outcome, SimError> {
         self.stop_requested = false; // a stop ends one call, not the run
-        if self.shard_queues.is_empty() {
-            self.run_inner_sequential()
-        } else {
-            self.run_inner_parallel()
-        }
-    }
-
-    /// The sequential engine — also the differential oracle for
-    /// [`EngineMode::Parallel`] (see `cycle::parallel`), so it must stay
-    /// bit-identical to what it was before the parallel engine existed.
-    fn run_inner_sequential(&mut self) -> Result<Outcome, SimError> {
         self.start();
         let mut batch: Vec<Ev> = Vec::new();
         loop {
@@ -1299,10 +1192,9 @@ impl CycleSim {
             let group = self.sched.pop_cycle(&mut batch);
             if let Some(s0) = s0 {
                 let dt = s0.elapsed();
-                let sched = self.sched_counters();
                 if let Some(hp) = self.host_profile.as_mut() {
                     hp.sched_s += dt.as_secs_f64();
-                    hp.sched = sched;
+                    hp.sched = self.sched.counters;
                 }
                 if obs_host {
                     if let Some(o) = self.obs.as_deref_mut() {
@@ -1376,7 +1268,7 @@ impl CycleSim {
                         self.checkpoint_at = None;
                         // Keep this simulator resumable too: put the master
                         // step back so `run()` can continue from here.
-                        self.schedule_ev(now, PRI_DEFAULT, Ev::MasterStep);
+                        self.sched.schedule_at(now, PRI_DEFAULT, Ev::MasterStep);
                         self.requeue_tail(now, pri, &mut batch, i);
                         return Ok(Outcome::Checkpoint(now));
                     }
@@ -1421,23 +1313,9 @@ impl CycleSim {
     /// exits mid-group.
     fn requeue_tail(&mut self, time: Time, pri: Priority, batch: &mut Vec<Ev>, from: usize) {
         for ev in batch.drain(from..) {
-            self.requeue_ev(time, pri, ev);
+            self.sched.requeue(time, pri, ev);
         }
         batch.clear();
-    }
-
-    /// The event list's traffic counters, summed over the shard queues.
-    pub(crate) fn sched_counters(&self) -> SchedCounters {
-        let mut sum = self.sched.counters;
-        for q in &self.shard_queues {
-            sum.groups += q.counters.groups;
-            sum.partial_groups += q.counters.partial_groups;
-            sum.lane_sorts += q.counters.lane_sorts;
-            sum.overflow_events += q.counters.overflow_events;
-            sum.max_pending += q.counters.max_pending;
-            sum.chunks_allocated += q.counters.chunks_allocated;
-        }
-        sum
     }
 
     pub(crate) fn summary(&self) -> RunSummary {
@@ -1445,8 +1323,7 @@ impl CycleSim {
             cycles: self.cycles(),
             time_ps: self.sched.now(),
             instructions: self.stats.instructions,
-            events: self.sched.processed()
-                + self.shard_queues.iter().map(|q| q.processed()).sum::<u64>(),
+            events: self.sched.processed(),
         }
     }
 
@@ -1606,7 +1483,7 @@ impl CycleSim {
             hp.record_burst(len, reason);
         }
         if !parked {
-            self.schedule_ev(at, PRI_DEFAULT, Ev::MasterStep);
+            self.sched.schedule_at(at, PRI_DEFAULT, Ev::MasterStep);
         }
         Ok(())
     }
@@ -1669,7 +1546,7 @@ impl CycleSim {
                 done,
                 issued_at: now,
             };
-            self.schedule_ev(done, PRI_TRANSFER, ev);
+            self.sched.schedule_at(done, PRI_TRANSFER, ev);
             return None;
         }
         self.serviced(done, MASTER_ID, &req);
@@ -1833,7 +1710,7 @@ impl CycleSim {
             // nothing but the pc, so put it back and schedule that step.
             Err(_) if resumed => {
                 self.tcus[t as usize].ctx.pc = pc;
-                self.schedule_ev(now, PRI_DEFAULT, Ev::TcuStep(t));
+                self.sched.schedule_at(now, PRI_DEFAULT, Ev::TcuStep(t));
                 return Ok(());
             }
             Err(trap) => return Err(trap.into()),
@@ -1935,7 +1812,7 @@ impl CycleSim {
                 hp.record_tcu_burst(len, reason, &self.exe, self.tcus[t as usize].ctx.pc);
             }
         }
-        self.schedule_ev(at, PRI_DEFAULT, Ev::TcuStep(t));
+        self.sched.schedule_at(at, PRI_DEFAULT, Ev::TcuStep(t));
         Ok(())
     }
 
@@ -2094,7 +1971,7 @@ impl CycleSim {
             }
             IcnModel::PerHop => {
                 let first_hop = self.hop_delay(req.addr, if inbound { 0 } else { u32::MAX });
-                self.schedule_ev(
+                self.sched.schedule_at(
                     start + first_hop,
                     PRI_NEGOTIATE,
                     Ev::Hop {
@@ -2118,7 +1995,7 @@ impl CycleSim {
             value,
             issued_at,
         };
-        self.schedule_ev(at, PRI_DEFAULT, ev);
+        self.sched.schedule_at(at, PRI_DEFAULT, ev);
     }
 
     /// Advance a package one interconnect stage; deliver it at the end of
@@ -2145,7 +2022,7 @@ impl CycleSim {
             return;
         }
         let delay = self.hop_delay(req.addr, remaining);
-        self.schedule_ev(
+        self.sched.schedule_at(
             now + delay,
             PRI_NEGOTIATE,
             Ev::Hop {
@@ -2168,7 +2045,7 @@ impl CycleSim {
             done,
             issued_at,
         };
-        self.schedule_ev(done, PRI_TRANSFER, ev);
+        self.sched.schedule_at(done, PRI_TRANSFER, ev);
     }
 
     /// Book a package arriving at its cache module at `now` and return
@@ -2280,7 +2157,7 @@ impl CycleSim {
         }
         if tcu == MASTER_ID {
             self.stats.mem_wait_ps += now - issued_at;
-            self.schedule_ev(now, PRI_DEFAULT, Ev::MasterStep);
+            self.sched.schedule_at(now, PRI_DEFAULT, Ev::MasterStep);
             return Ok(());
         }
         if req.kind.blocking() {
@@ -2293,7 +2170,7 @@ impl CycleSim {
             if self.burst_issue() && self.cfg.one_issue_per_cycle() && !self.instrs_reached() {
                 return self.tcu_step(now, tcu, true);
             }
-            self.schedule_ev(now, PRI_DEFAULT, Ev::TcuStep(tcu));
+            self.sched.schedule_at(now, PRI_DEFAULT, Ev::TcuStep(tcu));
         } else {
             self.tcus[tcu as usize].pending -= 1;
             self.pending_total -= 1;
@@ -2314,7 +2191,7 @@ impl CycleSim {
                 state.fence_wait = false;
                 self.stats.fence_wait_ps += now - state.fence_from;
                 let done = now + self.p(ClockDomain::Cluster);
-                self.schedule_ev(done, PRI_DEFAULT, Ev::TcuStep(tcu));
+                self.sched.schedule_at(done, PRI_DEFAULT, Ev::TcuStep(tcu));
             }
             self.maybe_join(now);
         }
@@ -2355,7 +2232,7 @@ impl CycleSim {
         self.next_sample_at = None;
         if let Some(iv) = self.sample_interval {
             if !self.machine.halted && !self.stop_requested {
-                self.schedule_ev(now + iv, PRI_SAMPLE, Ev::Sample);
+                self.sched.schedule_at(now + iv, PRI_SAMPLE, Ev::Sample);
                 self.next_sample_at = Some(now + iv);
             }
         }
@@ -2380,17 +2257,14 @@ impl CycleSim {
     pub(crate) fn skip_time(&mut self, dt: Time) {
         let t = self.sched.now() + dt;
         self.sched.clear();
-        for q in &mut self.shard_queues {
-            q.clear();
-        }
         // Quiescent: no packages in flight; any leg slots (and the stale
         // end events `clear()` just dropped) can go.
         self.express_legs.clear();
         self.legs_free.clear();
-        self.schedule_ev(t, PRI_DEFAULT, Ev::MasterStep);
+        self.sched.schedule_at(t, PRI_DEFAULT, Ev::MasterStep);
         self.next_sample_at = None;
         if let Some(iv) = self.sample_interval {
-            self.schedule_ev(t + iv, PRI_SAMPLE, Ev::Sample);
+            self.sched.schedule_at(t + iv, PRI_SAMPLE, Ev::Sample);
             self.next_sample_at = Some(t + iv);
         }
     }
@@ -2432,19 +2306,12 @@ impl CycleSim {
     /// mid-flight checkpoint needs: the pending event list in exact pop
     /// order (with memory operations factored out into `mem_ops`) and
     /// the package-tracking side tables, all in deterministic (sorted)
-    /// form — bit-identical across engine modes.
+    /// form.
     pub(crate) fn inflight_snapshot(&self) -> InflightState {
-        // Merge the per-shard pending queues into one global pop order.
-        // Seqs come from the shared global counter (or the single
-        // sequential queue), so sorting by `(time, pri, seq)` is exactly
-        // the order a sequential drain would pop — the snapshot is
-        // bit-identical across engine modes, and the seqs themselves
-        // need not be saved (replay re-assigns fresh monotone ones).
-        let mut pend = self.sched.pending_snapshot_seq();
-        for q in &self.shard_queues {
-            pend.extend(q.pending_snapshot_seq());
-        }
-        pend.sort_by(|a, b| (a.0, a.1, a.2).cmp(&(b.0, b.1, b.2)));
+        // The pending events in pop order. The seqs themselves need not be
+        // saved (replay re-assigns fresh monotone ones); they rank queued
+        // services below.
+        let pend = self.sched.pending_snapshot_seq();
         // In-flight memory operations go to `mem_ops`, keyed by their due
         // `(time, priority)` plus the per-class run-time tie-break —
         // reversed chain + creation rank for traversals, FIFO rank for
@@ -2581,16 +2448,12 @@ impl CycleSim {
         // `reset()`, not `clear()`: restoring may rewind to a time earlier
         // than this scheduler has reached, which `clear()` still rejects.
         self.sched.reset();
-        for q in &mut self.shard_queues {
-            q.reset();
-        }
-        self.global_seq = 0;
         self.next_sample_at = None;
         if inflight.is_quiescent() {
             // Resume from a quiescent master-step boundary.
-            self.schedule_ev(now.max(1), PRI_DEFAULT, Ev::MasterStep);
+            self.sched.schedule_at(now.max(1), PRI_DEFAULT, Ev::MasterStep);
             if let Some(iv) = self.sample_interval {
-                self.schedule_ev(now.max(1) + iv, PRI_SAMPLE, Ev::Sample);
+                self.sched.schedule_at(now.max(1) + iv, PRI_SAMPLE, Ev::Sample);
                 self.next_sample_at = Some(now.max(1) + iv);
             }
         } else {
@@ -2614,7 +2477,7 @@ impl CycleSim {
                         None => se.time,
                     });
                 }
-                self.schedule_ev(se.time, se.pri, se.ev);
+                self.sched.schedule_at(se.time, se.pri, se.ev);
             }
             // Re-create the in-flight memory operations: the canonical
             // list order makes fresh seqs / slot indices rank-preserving.
@@ -2645,14 +2508,14 @@ impl CycleSim {
                                 chain,
                             }),
                         });
-                        self.schedule_ev(end, PRI_NEGOTIATE, Ev::ExpressEnd { leg: slot, gen: 1 });
+                        self.sched.schedule_at(end, PRI_NEGOTIATE, Ev::ExpressEnd { leg: slot, gen: 1 });
                     }
                     SavedMemOp::Queued {
                         tcu,
                         req,
                         done,
                         issued_at,
-                    } => self.schedule_ev(
+                    } => self.sched.schedule_at(
                         done,
                         PRI_TRANSFER,
                         Ev::Service {

@@ -56,7 +56,7 @@ impl CycleSim {
         let body_len = join_idx.saturating_sub(spawn_idx + 1);
         let bc_cycles =
             self.cfg.spawn_overhead as Time + body_len.div_ceil(self.cfg.broadcast_ipc) as Time;
-        self.schedule_ev(
+        self.sched.schedule_at(
             now + bc_cycles * cp,
             PRI_TRANSFER,
             Ev::BroadcastDone {
@@ -85,7 +85,7 @@ impl CycleSim {
             }
             match &round {
                 Some(r) => self.draw_first_id(t, r),
-                None => self.schedule_ev(now, PRI_DEFAULT, Ev::TcuStep(t)),
+                None => self.sched.schedule_at(now, PRI_DEFAULT, Ev::TcuStep(t)),
             }
         }
         // The oracle parks the idle TCUs after every activation.
@@ -144,7 +144,7 @@ impl CycleSim {
             self.tcus[t as usize].parked = true;
             par.parked += 1;
         } else {
-            self.schedule_ev(r.at, PRI_DEFAULT, Ev::TcuStep(t));
+            self.sched.schedule_at(r.at, PRI_DEFAULT, Ev::TcuStep(t));
         }
     }
 
@@ -159,7 +159,7 @@ impl CycleSim {
                     o.spawn_section(rec.threads, rec.start_ps, done);
                 }
             }
-            self.schedule_ev(done, PRI_DEFAULT, Ev::MasterStep);
+            self.sched.schedule_at(done, PRI_DEFAULT, Ev::MasterStep);
         }
     }
 }

@@ -9,12 +9,11 @@
 //! tags, fused superinstructions for dependent pairs — and every later
 //! visit *replays* the slice.
 //!
-//! Replay is a pure fast-forward. The burst loops in `cycle` (and the
-//! parallel engine's worker-side `burst_local`) stay the referee: replay
-//! executes decoded ops only while every burst break condition provably
-//! holds ([`ReplayEnv::slot_blocked`] mirrors the oracle checks
-//! condition-for-condition, checked per constituent instruction), and the
-//! moment it stops — for any reason — control returns to the interpreted
+//! Replay is a pure fast-forward. The burst loops in `cycle` stay the
+//! referee: replay executes decoded ops only while every burst break
+//! condition provably holds ([`ReplayEnv::slot_blocked`] mirrors the
+//! oracle checks condition-for-condition, checked per constituent
+//! instruction), and the moment it stops — for any reason — control returns to the interpreted
 //! loop, which re-evaluates the same conditions on the same state and
 //! performs the exact break bookkeeping. Fused ops whose second
 //! constituent would cross a boundary execute their first constituent
@@ -35,9 +34,8 @@ use crate::machine::ThreadCtx;
 use xmt_isa::decode::{fuse, BinAlu, BrCond, CmpOp, DecodedOp, ImmAlu, ShKind};
 use xmt_isa::{decode::decode_instr, Executable, Reg};
 
-/// Count-array slots for the four cost classes a pure-local op can have —
-/// the same `[Alu, Sft, Br, Ctl]` layout the parallel engine's
-/// `StepDone::counts` uses.
+/// Count-array slots for the four cost classes a pure-local op can have,
+/// in `[Alu, Sft, Br, Ctl]` order.
 pub(crate) const C_ALU: usize = 0;
 pub(crate) const C_SFT: usize = 1;
 pub(crate) const C_BR: usize = 2;
@@ -99,11 +97,9 @@ pub struct DecodeCache {
 }
 
 /// Window-constant burst break conditions, mirroring the interpreted
-/// burst loops exactly (`CycleSim::master_step` / `tcu_step` /
-/// `parallel::burst_local`). A field is `None` when the corresponding
-/// oracle loop has no such check (e.g. `stop_cycle` for a master burst
-/// outside the quiescent case, `max_instrs` under the parallel offload
-/// headroom guard).
+/// burst loops exactly (`CycleSim::master_step` / `tcu_step`). A field is
+/// `None` when the corresponding oracle loop has no such check (e.g.
+/// `stop_cycle` for a master burst outside the quiescent case).
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct ReplayEnv {
     pub cp: Time,
@@ -311,7 +307,10 @@ impl DecodeCache {
     /// budget — every constituent pessimized to 2 clock periods —
     /// survives across chained blocks, re-derived from actual state only
     /// when exhausted, so the per-constituent break checks run only near
-    /// a boundary.
+    /// a boundary. Kept out of line: inlined into `replay`, its one
+    /// caller, it cost `bench/e2e`'s `par_compute` about 4 % of
+    /// `sim_minstr_per_s`.
+    #[inline(never)]
     fn replay_chain(&self, ctx: &mut ThreadCtx, env: &ReplayEnv, cur: &mut Cursor) -> ChainStop {
         let cp = env.cp;
         let mut done = cur.done;
@@ -580,6 +579,9 @@ impl DecodeCache {
         }
     }
 
+    /// Once per block, so out of line: inlined, it makes `replay` too big
+    /// to inline into the issue loops that call it.
+    #[inline(never)]
     fn decode_block(&mut self, exe: &Executable, pc: u32) {
         let mut ops: Vec<DecodedOp> = Vec::new();
         let mut fused_here = 0u64;
@@ -641,40 +643,6 @@ impl DecodeCache {
         }
     }
 
-    /// Pre-decode the block at `pc` and (transitively) its static
-    /// successors, up to `budget` blocks — the coordinator-side warm-up
-    /// that lets read-only worker replays run whole loops. Returns once
-    /// the frontier is exhausted or the budget spent.
-    pub(crate) fn warm(&mut self, exe: &Executable, pc: u32, mut budget: u32) {
-        let mut frontier = vec![pc];
-        while let Some(p) = frontier.pop() {
-            if budget == 0 {
-                return;
-            }
-            if (p as usize) < self.slots.len() && matches!(self.slots[p as usize], Slot::Unvisited)
-            {
-                budget -= 1;
-                self.decode_block(exe, p);
-                if let Slot::Decoded(b) = &self.slots[p as usize] {
-                    let end = b.start + b.ops.iter().map(|o| o.constituents() as u32).sum::<u32>();
-                    match *b.ops.last().expect("decoded blocks are non-empty") {
-                        DecodedOp::Br { target, .. } | DecodedOp::CmpBr { target, .. } => {
-                            frontier.push(target);
-                            frontier.push(end);
-                        }
-                        DecodedOp::J { target } | DecodedOp::Jal { target, .. } => {
-                            frontier.push(target)
-                        }
-                        // Dynamic jump targets are unknown statically;
-                        // fall-through past a non-terminator end is
-                        // non-local by construction.
-                        _ => {}
-                    }
-                }
-            }
-        }
-    }
-
     /// Is *entering* a replay at `pc` worthwhile? `false` for a
     /// cached-negative (`NotLocal`) or out-of-range slot, and for decoded
     /// blocks below the [`Block::worth`] entry threshold — the cheap
@@ -690,17 +658,9 @@ impl DecodeCache {
         }
     }
 
-    /// [`Self::replayable`] for the read-only worker drivers, which never
-    /// decode: only an already-`Decoded`, worthwhile slot can pay off.
-    #[inline]
-    pub(crate) fn replayable_shared(&self, pc: u32) -> bool {
-        matches!(self.slots.get(pc as usize), Some(Slot::Decoded(b)) if b.worth)
-    }
-
     /// Fast-forward `ctx` through decoded blocks until a break condition,
-    /// a non-local pc, or a mid-pair bail stops it — the sequential
-    /// (decode-on-miss) driver: a chain stopping on an `Unvisited` slot
-    /// decodes it and chains on.
+    /// a non-local pc, or a mid-pair bail stops it. A chain stopping on
+    /// an `Unvisited` slot decodes it and chains on.
     pub(crate) fn replay(
         &mut self,
         exe: &Executable,
@@ -720,13 +680,6 @@ impl DecodeCache {
             }
         }
         cur.decoded += self.stats.blocks_decoded - decoded0;
-    }
-
-    /// [`Self::replay`] without decode-on-miss — the worker-thread driver
-    /// over a shared read-only cache: an un-decoded pc simply ends the
-    /// fast-forward and the interpreted `burst_local` loop takes over.
-    pub(crate) fn replay_shared(&self, ctx: &mut ThreadCtx, env: &ReplayEnv, cur: &mut Cursor) {
-        let _ = self.replay_chain(ctx, env, cur);
     }
 }
 
@@ -1100,52 +1053,5 @@ mod tests {
         cache.replay(&exe, &mut ctx2, &env, &mut cur2);
         assert_eq!(cache.stats.blocks_decoded, 2 * decoded);
         assert_eq!(ctx.regs, ctx2.regs);
-    }
-
-    #[test]
-    fn warm_predecodes_loop_blocks_for_readonly_replay() {
-        let mut p = AsmProgram::new();
-        p.push(Instr::Li {
-            rt: Reg::T0,
-            imm: 0,
-        });
-        p.push(Instr::Li {
-            rt: Reg::T1,
-            imm: 10,
-        });
-        p.label("loop");
-        p.push(Instr::Addi {
-            rt: Reg::T0,
-            rs: Reg::T0,
-            imm: 1,
-        });
-        p.push(Instr::Slt {
-            rd: Reg::T2,
-            rs: Reg::T0,
-            rt: Reg::T1,
-        });
-        p.push(Instr::Bne {
-            rs: Reg::T2,
-            rt: Reg::Zero,
-            target: Target::label("loop"),
-        });
-        p.push(Instr::Halt);
-        let exe = p.link(MemoryMap::new()).unwrap();
-
-        let mut cache = DecodeCache::new(exe.len());
-        cache.warm(&exe, exe.entry, 16);
-        assert!(cache.stats.blocks_decoded >= 2, "entry + loop body");
-
-        // A read-only replay from the warmed cache runs the whole loop.
-        let mut ctx = ThreadCtx {
-            pc: exe.entry,
-            ..Default::default()
-        };
-        let env = unlimited_env();
-        let mut cur = Cursor::new(0, 0);
-        cache.replay_shared(&mut ctx, &env, &mut cur);
-        assert_eq!(ctx.regs.get(Reg::T0), 10, "loop ran to completion");
-        assert!(cur.replays >= 10);
-        assert!(cur.fused >= 10, "compare+branch fused in the loop");
     }
 }

@@ -2,7 +2,7 @@
 //!
 //! The toolchain has many ways to execute one program: fast functional
 //! mode plus the cycle-model configurations spanned by [`IssueModel`] ×
-//! [`IcnModel`] × [`EngineMode`] × [`DecodeMode`]. Each batched path
+//! [`IcnModel`] × [`DecodeMode`]. Each batched path
 //! (`Burst`, `Express`) was introduced with a per-event oracle
 //! (`PerInstr`, `PerHop`) and a bit-identity property suite; this module
 //! packages that discipline as a single entry point:
@@ -19,98 +19,27 @@
 //! order-free is program knowledge, so the caller states it via
 //! [`FunctionalCheck`] and [`AllEngines::check_functional_agrees`].
 
-use crate::config::{DecodeMode, EngineMode, IcnModel, IssueModel, XmtConfig};
+use crate::config::{DecodeMode, IcnModel, IssueModel, XmtConfig};
 use crate::cycle::{CycleSim, SimError};
 use crate::functional::{FuncError, FunctionalSim};
 use crate::machine::Machine;
 use xmt_harness::ToJson;
 use xmt_isa::Executable;
 
-/// The ten cycle-model configurations every program is run through.
+/// The five cycle-model configurations every program is run through.
 ///
-/// Rows 0–3: the sequential engine over both batched defaults and both
-/// per-event oracles, plus the two mixed pairings (a tie-break bug in one
-/// elision layer that happens to cancel against the other would hide from
-/// the pure pairings). Rows 4–7: the sharded parallel engine
-/// ([`EngineMode::Parallel`]) at 2 and 4 worker threads on the batched
-/// default, plus one per-instruction row (exercising the sharded queues
-/// with phase A disabled) and one per-hop row (cross-shard interconnect
-/// traffic) — each must be bit-identical to its sequential twin, which
-/// rows 0–2 put in the comparison set. Rows 0–7 pin the decode cache
-/// *off*, so the interpreted issue path stays the oracle; rows 8–9 turn
-/// it on — sequential burst replay and worker-side shared-cache replay —
-/// and must be bit-identical to everything above.
-pub const CYCLE_ENGINE_MATRIX: [(IssueModel, IcnModel, EngineMode, u32, DecodeMode); 10] = [
-    (
-        IssueModel::Burst,
-        IcnModel::Express,
-        EngineMode::Sequential,
-        0,
-        DecodeMode::Off,
-    ),
-    (
-        IssueModel::Burst,
-        IcnModel::PerHop,
-        EngineMode::Sequential,
-        0,
-        DecodeMode::Off,
-    ),
-    (
-        IssueModel::PerInstr,
-        IcnModel::Express,
-        EngineMode::Sequential,
-        0,
-        DecodeMode::Off,
-    ),
-    (
-        IssueModel::PerInstr,
-        IcnModel::PerHop,
-        EngineMode::Sequential,
-        0,
-        DecodeMode::Off,
-    ),
-    (
-        IssueModel::Burst,
-        IcnModel::Express,
-        EngineMode::Parallel,
-        2,
-        DecodeMode::Off,
-    ),
-    (
-        IssueModel::Burst,
-        IcnModel::Express,
-        EngineMode::Parallel,
-        4,
-        DecodeMode::Off,
-    ),
-    (
-        IssueModel::PerInstr,
-        IcnModel::Express,
-        EngineMode::Parallel,
-        2,
-        DecodeMode::Off,
-    ),
-    (
-        IssueModel::Burst,
-        IcnModel::PerHop,
-        EngineMode::Parallel,
-        2,
-        DecodeMode::Off,
-    ),
-    (
-        IssueModel::Burst,
-        IcnModel::Express,
-        EngineMode::Sequential,
-        0,
-        DecodeMode::Cache,
-    ),
-    (
-        IssueModel::Burst,
-        IcnModel::Express,
-        EngineMode::Parallel,
-        2,
-        DecodeMode::Cache,
-    ),
+/// Rows 0–3: both batched defaults and both per-event oracles, plus the
+/// two mixed pairings (a tie-break bug in one elision layer that happens
+/// to cancel against the other would hide from the pure pairings). Rows
+/// 0–3 pin the decode cache *off*, so the interpreted issue path stays
+/// the oracle; row 4 turns it on and must be bit-identical to everything
+/// above.
+pub const CYCLE_ENGINE_MATRIX: [(IssueModel, IcnModel, DecodeMode); 5] = [
+    (IssueModel::Burst, IcnModel::Express, DecodeMode::Off),
+    (IssueModel::Burst, IcnModel::PerHop, DecodeMode::Off),
+    (IssueModel::PerInstr, IcnModel::Express, DecodeMode::Off),
+    (IssueModel::PerInstr, IcnModel::PerHop, DecodeMode::Off),
+    (IssueModel::Burst, IcnModel::Express, DecodeMode::Cache),
 ];
 
 /// One cycle-model run, reduced to its comparable observables.
@@ -118,9 +47,6 @@ pub const CYCLE_ENGINE_MATRIX: [(IssueModel, IcnModel, EngineMode, u32, DecodeMo
 pub struct EngineRun {
     pub issue: IssueModel,
     pub icn: IcnModel,
-    pub engine: EngineMode,
-    /// Configured worker threads (parallel engine only; 0 otherwise).
-    pub threads: u32,
     /// Whether the pre-decoded basic-block cache was in force.
     pub decode: DecodeMode,
     pub cycles: u64,
@@ -138,29 +64,16 @@ pub struct EngineRun {
 }
 
 impl EngineRun {
-    /// Label like `Burst×Express` (sequential) or `Burst×Express×Par2`
-    /// (parallel at 2 threads) for diagnostics; decode-cache rows carry
-    /// a `×Cache` suffix.
+    /// Label like `Burst×Express` for diagnostics; decode-cache rows
+    /// carry a `×Cache` suffix.
     pub fn label(&self) -> String {
-        engine_label(self.issue, self.icn, self.engine, self.threads, self.decode)
+        engine_label(self.issue, self.icn, self.decode)
     }
 }
 
-fn engine_label(
-    issue: IssueModel,
-    icn: IcnModel,
-    engine: EngineMode,
-    threads: u32,
-    decode: DecodeMode,
-) -> String {
-    let mut l = match engine {
-        EngineMode::Sequential => format!("{issue:?}×{icn:?}"),
-        EngineMode::Parallel => format!("{issue:?}×{icn:?}×Par{threads}"),
-    };
-    if decode == DecodeMode::Cache {
-        l.push_str("×Cache");
-    }
-    l
+fn engine_label(issue: IssueModel, icn: IcnModel, decode: DecodeMode) -> String {
+    let cache = if decode == DecodeMode::Cache { "×Cache" } else { "" };
+    format!("{issue:?}×{icn:?}{cache}")
 }
 
 /// The functional-mode run of the same program.
@@ -226,26 +139,17 @@ pub enum FunctionalCheck {
 }
 
 /// Run `exe` on one cycle-model configuration.
-#[allow(clippy::too_many_arguments)]
 pub fn run_cycle_engine(
     exe: &Executable,
     cfg: &XmtConfig,
-    issue: IssueModel,
-    icn: IcnModel,
-    engine: EngineMode,
-    threads: u32,
-    decode: DecodeMode,
+    (issue, icn, decode): (IssueModel, IcnModel, DecodeMode),
     instr_limit: u64,
 ) -> Result<EngineRun, DifferentialError> {
     let mut cfg = cfg.clone();
     cfg.issue_model = issue;
     cfg.icn_model = icn;
-    cfg.engine_mode = engine;
     cfg.decode_cache = decode;
-    if engine == EngineMode::Parallel {
-        cfg.threads = threads;
-    }
-    let label = || engine_label(issue, icn, engine, threads, decode);
+    let label = || engine_label(issue, icn, decode);
     let mut sim = CycleSim::new(exe.clone(), cfg);
     sim.set_instr_limit(instr_limit);
     let s = sim.run().map_err(|err| DifferentialError::Sim {
@@ -261,8 +165,6 @@ pub fn run_cycle_engine(
     Ok(EngineRun {
         issue,
         icn,
-        engine,
-        threads,
         decode,
         cycles: s.cycles,
         time_ps: s.time_ps,
@@ -274,9 +176,8 @@ pub fn run_cycle_engine(
     })
 }
 
-/// Run `exe` through functional mode and all ten cycle configurations
-/// (sequential and sharded-parallel, decode cache off and on — see
-/// [`CYCLE_ENGINE_MATRIX`]).
+/// Run `exe` through functional mode and all five cycle configurations
+/// (decode cache off and on — see [`CYCLE_ENGINE_MATRIX`]).
 ///
 /// `instr_limit` bounds every engine so a generated program that loops
 /// forever surfaces as an error instead of a hang.
@@ -294,17 +195,8 @@ pub fn run_all_engines(
     };
 
     let mut cycle = Vec::with_capacity(CYCLE_ENGINE_MATRIX.len());
-    for (issue, icn, engine, threads, decode) in CYCLE_ENGINE_MATRIX {
-        cycle.push(run_cycle_engine(
-            exe,
-            cfg,
-            issue,
-            icn,
-            engine,
-            threads,
-            decode,
-            instr_limit,
-        )?);
+    for row in CYCLE_ENGINE_MATRIX {
+        cycle.push(run_cycle_engine(exe, cfg, row, instr_limit)?);
     }
     Ok(AllEngines {
         functional,
@@ -314,39 +206,13 @@ pub fn run_all_engines(
 }
 
 /// The engine rows [`check_obs_transparent`] pairs obs-off against
-/// obs-on: both issue models through the sequential engine, plus the
-/// batched default on the parallel engine and under decoded replay —
-/// the configurations whose burst/offload fast paths would be the first
+/// obs-on: both issue models, plus the batched default under decoded
+/// replay — the configurations whose burst fast paths would be the first
 /// to notice an observer that wasn't pure.
-pub const OBS_ENGINE_ROWS: [(IssueModel, IcnModel, EngineMode, u32, DecodeMode); 4] = [
-    (
-        IssueModel::Burst,
-        IcnModel::Express,
-        EngineMode::Sequential,
-        0,
-        DecodeMode::Off,
-    ),
-    (
-        IssueModel::PerInstr,
-        IcnModel::PerHop,
-        EngineMode::Sequential,
-        0,
-        DecodeMode::Off,
-    ),
-    (
-        IssueModel::Burst,
-        IcnModel::Express,
-        EngineMode::Parallel,
-        2,
-        DecodeMode::Cache,
-    ),
-    (
-        IssueModel::Burst,
-        IcnModel::Express,
-        EngineMode::Sequential,
-        0,
-        DecodeMode::Cache,
-    ),
+pub const OBS_ENGINE_ROWS: [(IssueModel, IcnModel, DecodeMode); 3] = [
+    (IssueModel::Burst, IcnModel::Express, DecodeMode::Off),
+    (IssueModel::PerInstr, IcnModel::PerHop, DecodeMode::Off),
+    (IssueModel::Burst, IcnModel::Express, DecodeMode::Cache),
 ];
 
 /// Prove observability is a pure observer: for every [`OBS_ENGINE_ROWS`]
@@ -362,18 +228,14 @@ pub fn check_obs_transparent(
     cfg: &XmtConfig,
     instr_limit: u64,
 ) -> Result<(), String> {
-    for (issue, icn, engine, threads, decode) in OBS_ENGINE_ROWS {
-        let off = run_cycle_engine(exe, cfg, issue, icn, engine, threads, decode, instr_limit)
+    for (issue, icn, decode) in OBS_ENGINE_ROWS {
+        let off = run_cycle_engine(exe, cfg, (issue, icn, decode), instr_limit)
             .map_err(|e| format!("obs-off run failed: {e}"))?;
         let mut on_cfg = cfg.clone();
         on_cfg.issue_model = issue;
         on_cfg.icn_model = icn;
-        on_cfg.engine_mode = engine;
         on_cfg.decode_cache = decode;
         on_cfg.obs_detail = crate::config::ObsDetail::Full;
-        if engine == EngineMode::Parallel {
-            on_cfg.threads = threads;
-        }
         let mut sim = CycleSim::new(exe.clone(), on_cfg);
         sim.set_instr_limit(instr_limit);
         sim.set_obs_sample_interval(64);
@@ -581,10 +443,9 @@ mod tests {
     use super::*;
     use xmt_isa::{AsmProgram, GlobalReg, Instr, MemoryMap, Reg, Target};
 
-    /// `A[$] += $` over 12 threads, plus a master print — race-free, so
+    /// `A[$] += $` over `n` threads, plus a master print — race-free, so
     /// every engine including functional must agree exactly.
-    fn racefree_program() -> Executable {
-        let n = 12;
+    fn racefree_program(n: i32) -> Executable {
         let mut mm = MemoryMap::new();
         let a = mm.push("A", (0..n as u32).map(|i| 100 + i).collect());
         let mut p = AsmProgram::new();
@@ -654,7 +515,7 @@ mod tests {
 
     #[test]
     fn engine_matrix_agrees_on_racefree_program() {
-        let exe = racefree_program();
+        let exe = racefree_program(12);
         let all = run_all_engines(&exe, &XmtConfig::tiny(), 1 << 20).unwrap();
         assert_eq!(all.cycle.len(), CYCLE_ENGINE_MATRIX.len());
         all.check_cycle_identical().unwrap();
@@ -673,9 +534,26 @@ mod tests {
         assert!(burst_express.events < perinstr_perhop.events);
     }
 
+    /// Regression companion to the `line_busy` prune fix: with
+    /// `cache_hit_latency = 0` a hit completes at its arrival instant, the
+    /// exact boundary the old `t > now` prune got wrong.
+    #[test]
+    fn engine_matrix_agrees_at_zero_hit_latency() {
+        let exe = racefree_program(96);
+        let mut cfg = XmtConfig::fpga64();
+        cfg.cache_hit_latency = 0;
+        let all = run_all_engines(&exe, &cfg, 1_000_000).unwrap();
+        all.check_cycle_identical().unwrap();
+        all.check_functional_agrees(&[FunctionalCheck::Exact {
+            name: "A".into(),
+            words: 96,
+        }])
+        .unwrap();
+    }
+
     #[test]
     fn divergence_reports_name_the_engine_pair_and_field() {
-        let exe = racefree_program();
+        let exe = racefree_program(12);
         let mut all = run_all_engines(&exe, &XmtConfig::tiny(), 1 << 20).unwrap();
         all.cycle[2].cycles += 1;
         let msg = all.check_cycle_identical().unwrap_err();
@@ -685,7 +563,7 @@ mod tests {
 
     #[test]
     fn obs_full_is_bit_identical_on_racefree_program() {
-        let exe = racefree_program();
+        let exe = racefree_program(12);
         check_obs_transparent(&exe, &XmtConfig::tiny(), 1 << 20).unwrap();
     }
 

@@ -125,7 +125,7 @@ const EMPTY_LANE: Lane = Lane { head: NIL, tail: NIL, last_time: 0, mixed: false
 /// counted instead of assumed.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SchedCounters {
-    /// Groups drained by `pop_cycle` / `pop_group_seq`.
+    /// Groups drained by `pop_cycle`.
     pub groups: u64,
     /// Groups that were a strict prefix of their lane.
     pub partial_groups: u64,
@@ -268,28 +268,10 @@ impl<E> Scheduler<E> {
     /// Scheduling in the past panics: actors may only schedule at or after
     /// the current time, exactly like the paper's DE scheduler.
     pub fn schedule_at(&mut self, time: Time, priority: Priority, event: E) {
-        self.schedule_at_seq(time, priority, self.seq, event);
-    }
-
-    /// Schedule `event` `delay` picoseconds from now with default priority.
-    pub fn schedule_in(&mut self, delay: Time, event: E) {
-        self.schedule_at(self.now + delay, PRI_DEFAULT, event);
-    }
-
-    /// Schedule with an externally assigned sequence number.
-    ///
-    /// The parallel engine runs one scheduler per shard but keeps a single
-    /// *global* insertion counter, so the cross-shard merge of a
-    /// `(time, priority)` group — ordered by these seqs — reproduces the
-    /// FIFO order of a single sequential queue. Each scheduler must be
-    /// handed strictly increasing seqs; its own counter is bumped past
-    /// `seq`, so later [`schedule_at`](Self::schedule_at) calls cannot
-    /// collide.
-    pub fn schedule_at_seq(&mut self, time: Time, priority: Priority, seq: u64, event: E) {
         assert!(time >= self.now, "event scheduled in the past: {time} < {}", self.now);
         assert!((priority as usize) < N_PRI, "priority {priority} is not below N_PRI = {N_PRI}");
-        debug_assert!(seq >= self.seq, "external seq must be monotone per scheduler");
-        self.seq = seq + 1;
+        let seq = self.seq;
+        self.seq += 1;
         if time >> BUCKET_SHIFT >= self.cur_page + N_BUCKETS as u64 {
             self.counters.overflow_events += 1;
             self.overflow.insert((time, priority, seq), event);
@@ -298,11 +280,9 @@ impl<E> Scheduler<E> {
         }
     }
 
-    /// [`requeue`](Self::requeue) with an externally assigned sequence
-    /// number (see [`schedule_at_seq`](Self::schedule_at_seq)).
-    pub fn requeue_seq(&mut self, time: Time, priority: Priority, seq: u64, event: E) {
-        self.schedule_at_seq(time, priority, seq, event);
-        self.processed -= 1;
+    /// Schedule `event` `delay` picoseconds from now with default priority.
+    pub fn schedule_in(&mut self, delay: Time, event: E) {
+        self.schedule_at(self.now + delay, PRI_DEFAULT, event);
     }
 
     /// Pull every overflow event that now fits into the near window. They
@@ -499,32 +479,13 @@ impl<E> Scheduler<E> {
         Some((time, (li % N_PRI) as Priority))
     }
 
-    /// Smallest pending `(time, priority)` without popping — the lock-step
-    /// window bound: the parallel engine's coordinator takes the minimum
-    /// of this across all shard schedulers to pick the next global group.
+    /// Smallest pending `(time, priority)` without popping.
     pub fn peek_key(&self) -> Option<(Time, Priority)> {
         // Overflow events live ≥ N_BUCKETS pages past `cur_page`, so they
         // matter only when the near window is empty.
         match self.first_near() {
             Some((_, time, li)) => Some((time, (li % N_PRI) as Priority)),
             None => self.overflow.first_key_value().map(|(k, _)| (k.0, k.1)),
-        }
-    }
-
-    /// Drain this scheduler's slice of the global `(time, priority)` group
-    /// into `out` (appended, **not** cleared) as `(seq, event)` pairs, and
-    /// advance `now` to `time` even if nothing here matches — lock-stepping
-    /// every shard's clock so later `schedule_at*` calls agree on "the
-    /// past". The caller merges slices from all shards by seq.
-    pub fn pop_group_seq(&mut self, time: Time, priority: Priority, out: &mut Vec<(u64, E)>) {
-        self.now = self.now.max(time);
-        // Peek first: `next_key` may move the window only up to an event
-        // that is then popped, or `now` would fall behind `cur_page`.
-        if self.peek_key() == Some((time, priority)) {
-            let (_, li) = self.next_key().expect("peeked");
-            self.take_group(time, li, |chunk, n| {
-                out.extend(chunk.keys.drain(..n).map(|k| k.1).zip(chunk.events.drain(..n)));
-            });
         }
     }
 
@@ -551,8 +512,8 @@ impl<E> Scheduler<E> {
     }
 
     /// [`pending_snapshot`](Self::pending_snapshot) with each event's
-    /// sequence number exposed — the parallel engine's checkpoint path
-    /// merges per-shard snapshots into one global pop order by seq.
+    /// sequence number exposed — the checkpoint writer ranks queued
+    /// services by it.
     pub fn pending_snapshot_seq(&self) -> Vec<(Time, Priority, u64, E)>
     where
         E: Clone,
@@ -824,71 +785,6 @@ mod tests {
         assert_eq!(s.peek_key(), Some((9, PRI_NEGOTIATE)));
         s.pop();
         assert_eq!(s.peek_key(), Some((9, PRI_SAMPLE)));
-    }
-
-    /// Two shard schedulers fed from one global seq counter must merge
-    /// back into exactly the order a single scheduler produces.
-    #[test]
-    fn sharded_pop_group_seq_merge_equals_single_queue() {
-        let mut single = Scheduler::new();
-        let mut a = Scheduler::new();
-        let mut b = Scheduler::new();
-        let mut seq = 0u64;
-        // Interleave inserts across shards, including group collisions.
-        let plan: &[(Time, Priority, &str, bool)] = &[
-            (5, PRI_DEFAULT, "a1", false),
-            (5, PRI_DEFAULT, "b1", true),
-            (5, PRI_DEFAULT, "a2", false),
-            (5, PRI_NEGOTIATE, "b2", true),
-            (7, PRI_DEFAULT, "b3", true),
-            (5, PRI_DEFAULT, "b4", true),
-            (7, PRI_DEFAULT, "a3", false),
-        ];
-        for &(t, p, ev, to_b) in plan {
-            single.schedule_at(t, p, ev);
-            let shard = if to_b { &mut b } else { &mut a };
-            shard.schedule_at_seq(t, p, seq, ev);
-            seq += 1;
-        }
-        let mut merged_events = Vec::new();
-        loop {
-            let key = match (a.peek_key(), b.peek_key()) {
-                (None, None) => break,
-                (Some(x), None) => x,
-                (None, Some(y)) => y,
-                (Some(x), Some(y)) => x.min(y),
-            };
-            let mut merged: Vec<(u64, &str)> = Vec::new();
-            a.pop_group_seq(key.0, key.1, &mut merged);
-            b.pop_group_seq(key.0, key.1, &mut merged);
-            merged.sort_unstable_by_key(|&(q, _)| q);
-            // Both shards' clocks advanced in lock-step.
-            assert_eq!(a.now(), key.0);
-            assert_eq!(b.now(), key.0);
-            merged_events.extend(merged.into_iter().map(|(_, e)| e));
-        }
-        let mut want = Vec::new();
-        let mut batch = Vec::new();
-        while single.pop_cycle(&mut batch).is_some() {
-            want.extend(batch.iter().copied());
-        }
-        assert_eq!(merged_events, want);
-        assert_eq!(a.processed() + b.processed(), single.processed());
-    }
-
-    #[test]
-    fn pending_snapshot_seq_merges_across_schedulers() {
-        let mut a = Scheduler::new();
-        let mut b = Scheduler::new();
-        a.schedule_at_seq(5, PRI_DEFAULT, 0, "e0");
-        b.schedule_at_seq(5, PRI_DEFAULT, 1, "e1");
-        a.schedule_at_seq(5, PRI_DEFAULT, 2, "e2");
-        b.schedule_at_seq(3, PRI_DEFAULT, 3, "e3");
-        let mut all = a.pending_snapshot_seq();
-        all.extend(b.pending_snapshot_seq());
-        all.sort_unstable_by_key(|&(t, p, q, _)| (t, p, q));
-        let order: Vec<_> = all.iter().map(|&(_, _, _, e)| e).collect();
-        assert_eq!(order, vec!["e3", "e0", "e1", "e2"]);
     }
 
     #[test]

@@ -176,8 +176,7 @@ pub fn issue(exe: &Executable, ctx: &mut ThreadCtx, m: &mut Machine, mode: Mode)
         return Err(Trap::PcOutOfRange { pc });
     };
     // Pure local operations (ALU/shift/branch) share one implementation
-    // with the parallel engine's worker path (`issue_local`): executing
-    // them here or on a worker thread is the same code by construction.
+    // with `issue_local`, the burst loops' path.
     if let Some(cost) = exec_local(ins, ctx, pc) {
         return Ok(Issued::Done(cost));
     }
@@ -467,8 +466,8 @@ pub fn issue(exe: &Executable, ctx: &mut ThreadCtx, m: &mut Machine, mode: Mode)
 /// every other instruction.
 ///
 /// This is the single implementation of the local subset: [`issue`]
-/// delegates to it, and the parallel engine's worker threads call it via
-/// [`issue_local`], so the two paths cannot drift apart.
+/// delegates to it, and so does [`issue_local`], so the two paths cannot
+/// drift apart.
 fn exec_local(ins: &Instr, ctx: &mut ThreadCtx, pc: u32) -> Option<CostClass> {
     use Instr::*;
     // Default: fall through. Undone on the `None` path, which touches
@@ -627,10 +626,11 @@ fn exec_local(ins: &Instr, ctx: &mut ThreadCtx, pc: u32) -> Option<CostClass> {
 }
 
 /// Fetch, decode and execute one *pure local* instruction on `ctx`
-/// without touching any shared state — the parallel engine's worker-side
-/// issue path. Returns `None` (with `ctx` untouched) when the pc is out
-/// of range or the instruction is not in the [`peek_burstable`] subset;
-/// the caller then routes the step through the sequential path.
+/// without touching any shared state — the TCU burst loop's, the closed-form
+/// first round's and the functional peephole's issue path. Returns `None`
+/// (with `ctx` untouched) when the pc is out of range or the instruction
+/// is not in the [`peek_burstable`] subset; the caller then takes the
+/// general path.
 pub fn issue_local(exe: &Executable, ctx: &mut ThreadCtx) -> Option<CostClass> {
     let pc = ctx.pc;
     exec_local(exe.instr(pc)?, ctx, pc)

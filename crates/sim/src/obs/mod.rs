@@ -18,16 +18,11 @@
 //!    [`Tracer`](crate::trace::Tracer) attachment and filter plug-ins —
 //!    which deliberately degrade burst issue and decoded replay to get
 //!    per-instruction visibility — the observability hooks sit at event
-//!    *handler* boundaries that both issue models and both engines pass
-//!    through identically. Enabling observability changes no cycle count,
+//!    *handler* boundaries that both issue models pass through
+//!    identically. Enabling observability changes no cycle count,
 //!    no simulated time, no statistic and no byte of the memory image;
 //!    `differential::check_obs_transparent` and the 256-case `obs_diff`
 //!    suite enforce this continuously.
-//! 3. **Deterministic recording.** In the parallel engine every event is
-//!    handled (and every phase-A burst committed) on the coordinator
-//!    thread in canonical `(time, priority, seq)` batch order, so
-//!    simulated-time records are appended in exactly the sequential
-//!    engine's order; worker threads never touch the recorder.
 //!
 //! Track layout (see [`timeline`] for the pid/tid encoding):
 //!
@@ -36,8 +31,7 @@
 //!   occupancy spans, per-TCU ICN flight spans, per-module queue-depth
 //!   counters;
 //! * host time (pid 2, [`ObsDetail::Full`] only): scheduler `pop_cycle`
-//!   windows, parallel-engine offload/barrier spans, decode-cache replay
-//!   markers.
+//!   windows, decode-cache replay markers.
 
 pub mod metrics;
 pub mod timeline;
@@ -74,8 +68,6 @@ pub const TID_MODULE0: u32 = 40_000;
 
 /// Scheduler `pop_cycle` window spans.
 pub const TID_SCHED: u32 = 0;
-/// Parallel-engine offload/barrier spans.
-pub const TID_PAR: u32 = 1;
 /// Decode-cache replay markers.
 pub const TID_DECODE: u32 = 2;
 
@@ -105,7 +97,6 @@ impl Obs {
         timeline.name_track(TimeDomain::Sim, TID_METRICS, "metric samples");
         if detail == ObsDetail::Full {
             timeline.name_track(TimeDomain::Host, TID_SCHED, "scheduler windows");
-            timeline.name_track(TimeDomain::Host, TID_PAR, "parallel engine");
             timeline.name_track(TimeDomain::Host, TID_DECODE, "decode cache");
         }
         Obs {
@@ -279,7 +270,7 @@ impl Obs {
 
     // ---------------------------------------------------- host-time hooks
 
-    /// One scheduler `pop_cycle`/window-merge drain took `dur`.
+    /// One scheduler `pop_cycle` drain took `dur`.
     pub fn sched_window(&mut self, dur: std::time::Duration) {
         let dur = dur.as_nanos() as u64;
         let end = self.host_now();
@@ -288,21 +279,6 @@ impl Obs {
             TID_SCHED,
             "pop_cycle",
             "sched",
-            end.saturating_sub(dur),
-            dur,
-        );
-    }
-
-    /// One parallel-engine phase-A offload (fan-out + barrier) of
-    /// `tasks` bursts took `dur`.
-    pub fn offload_barrier(&mut self, tasks: usize, dur: std::time::Duration) {
-        let dur = dur.as_nanos() as u64;
-        let end = self.host_now();
-        self.timeline.span(
-            TimeDomain::Host,
-            TID_PAR,
-            format!("offload ×{tasks}"),
-            "parallel",
             end.saturating_sub(dur),
             dur,
         );

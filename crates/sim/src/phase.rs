@@ -119,7 +119,8 @@ impl CycleSim {
     /// architecturally exact). Returns the number of instructions
     /// executed.
     pub(crate) fn fast_forward(&mut self, max_instrs: u64, cpi: f64) -> Result<u64, SimError> {
-        let exe = self.executable().clone();
+        // A second handle on the shared image, not a copy of it.
+        let exe = std::sync::Arc::clone(&self.exe);
         let mut executed = 0u64;
         while executed < max_instrs && !self.machine.halted {
             let issued = exec::issue(&exe, &mut self.master, &mut self.machine, Mode::Master)?;

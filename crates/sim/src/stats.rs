@@ -126,9 +126,10 @@ impl Stats {
         }
     }
 
-    /// Record `n` executed instructions of one kind at once — the parallel
-    /// engine's worker threads count privately and merge here; the result
-    /// is exactly `n` calls to [`count_instr`](Self::count_instr).
+    /// Record `n` executed instructions of one kind at once — decoded
+    /// replay and the closed-form first round count privately and merge
+    /// here; the result is exactly `n` calls to
+    /// [`count_instr`](Self::count_instr).
     #[inline]
     pub fn count_instr_bulk(&mut self, fu: FuKind, cluster: Option<u32>, n: u64) {
         self.instructions += n;

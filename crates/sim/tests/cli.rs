@@ -103,26 +103,18 @@ fn link_errors_reported() {
     assert!(String::from_utf8_lossy(&out.stderr).contains("nowhere"));
 }
 
+/// `--engine` and `--threads` select nothing (there is one cycle engine):
+/// they are usage errors like any unknown option, not silently ignored.
 #[test]
-fn parallel_engine_matches_sequential_output() {
-    let xs = write_tmp("p.xs", ASM);
-    let xbo = write_tmp("p.xbo", MAP);
-    let run = |extra: &[&str]| {
-        let out = cli()
-            .arg(&xs)
-            .args(["--config", "tiny", "--dump", "A:8", "--stats"])
-            .arg("--memmap")
-            .arg(&xbo)
-            .args(extra)
-            .output()
-            .unwrap();
-        assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
-        String::from_utf8_lossy(&out.stdout).into_owned()
-    };
-    let seq = run(&["--engine", "sequential"]);
-    let par = run(&["--engine", "parallel", "--threads", "2"]);
-    assert!(seq.contains("A = [11, 12, 13, 14, 15, 16, 17, 18]"), "{seq}");
-    assert_eq!(seq, par, "parallel engine changed observable CLI output");
+fn removed_engine_flags_are_usage_errors() {
+    let xs = write_tmp("u.xs", ASM);
+    let xbo = write_tmp("u.xbo", MAP);
+    for flags in [&["--engine", "parallel"][..], &["--threads", "2"]] {
+        let out = cli().arg(&xs).arg("--memmap").arg(&xbo).args(flags).output().unwrap();
+        assert_eq!(out.status.code(), Some(2), "{flags:?}");
+        assert!(String::from_utf8_lossy(&out.stderr).starts_with("usage:"), "{flags:?}");
+        assert!(out.stdout.is_empty(), "{flags:?} ran the program");
+    }
 }
 
 #[test]

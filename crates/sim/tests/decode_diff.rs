@@ -17,14 +17,13 @@
 //! tight branchy loops, `jal`/`jr` chains, spawn-heavy sections, and
 //! non-local clip points (loads, `psm`, prints, fences) — plus random
 //! small topologies, both ICN models, mid-run sampling ticks, DVFS
-//! retunes and mid-flight checkpoint / JSON round-trip / resume, under
-//! the sequential AND the sharded parallel cycle engine.
+//! retunes and mid-flight checkpoint / JSON round-trip / resume.
 
 use xmt_harness::prop::{run, Config, Gen};
 use xmt_harness::ToJson;
 use xmt_isa::{AsmProgram, Executable, GlobalReg, Instr, MemoryMap, Reg, Target};
 use xmtsim::checkpoint::{Checkpoint, CheckpointOutcome};
-use xmtsim::config::{ClockDomain, DecodeMode, EngineMode, IssueModel};
+use xmtsim::config::{ClockDomain, DecodeMode, IssueModel};
 use xmtsim::stats::{ActivityPlugin, ActivitySample, RuntimeCtl};
 use xmtsim::{CycleSim, IcnModel, XmtConfig};
 
@@ -358,17 +357,12 @@ fn observe(
     exe: Executable,
     cfg: &XmtConfig,
     issue: IssueModel,
-    engine: EngineMode,
     decode: DecodeMode,
     spec: &CaseSpec,
 ) -> Observed {
     let mut cfg = cfg.clone();
     cfg.issue_model = issue;
-    cfg.engine_mode = engine;
     cfg.decode_cache = decode;
-    if engine == EngineMode::Parallel {
-        cfg.threads = 2;
-    }
     let mut sim = CycleSim::new(exe.clone(), cfg.clone());
     attach(&mut sim, spec);
     let mut ckpt_json = None;
@@ -398,8 +392,8 @@ fn observe(
 
 /// The tentpole property: 256 random (program, topology, sampling, DVFS,
 /// checkpoint) cases where decoded replay is bit-identical to the
-/// interpreted burst path and the per-instruction oracle, under the
-/// sequential engine — including the serialized mid-flight checkpoint.
+/// interpreted burst path and the per-instruction oracle — including the
+/// serialized mid-flight checkpoint.
 #[test]
 fn decode_cache_matches_interpreted_oracle() {
     run(
@@ -413,29 +407,14 @@ fn decode_cache_matches_interpreted_oracle() {
                 sampler: g.bool_p(0.5).then(|| g.int_in(8, 256) as u64),
                 ckpt_at: g.bool_p(0.4).then(|| g.int_in(10, 4000) as u64),
             };
-            let seq = EngineMode::Sequential;
-            let cache = observe(
-                exe.clone(),
-                &cfg,
-                IssueModel::Burst,
-                seq,
-                DecodeMode::Cache,
-                &spec,
-            );
-            let off = observe(
-                exe.clone(),
-                &cfg,
-                IssueModel::Burst,
-                seq,
-                DecodeMode::Off,
-                &spec,
-            );
+            let cache = observe(exe.clone(), &cfg, IssueModel::Burst, DecodeMode::Cache, &spec);
+            let off = observe(exe.clone(), &cfg, IssueModel::Burst, DecodeMode::Off, &spec);
             assert_eq!(
                 cache, off,
                 "cache/off divergence under icn {:?} case {:?}",
                 cfg.icn_model, spec
             );
-            let oracle = observe(exe, &cfg, IssueModel::PerInstr, seq, DecodeMode::Off, &spec);
+            let oracle = observe(exe, &cfg, IssueModel::PerInstr, DecodeMode::Off, &spec);
             // The per-instruction oracle snapshots without a pending burst
             // aggregate, so its checkpoint bytes legitimately differ; the
             // resumed observables may not.
@@ -445,63 +424,6 @@ fn decode_cache_matches_interpreted_oracle() {
                 "cache/per-instr divergence under icn {:?} case {:?}",
                 cfg.icn_model,
                 spec
-            );
-        },
-    );
-}
-
-/// Same property under the sharded parallel engine (2 workers): decoded
-/// replay in the worker offload path (read-only shared cache) must be
-/// bit-identical to cache-off parallel and to the sequential runs.
-#[test]
-fn decode_cache_matches_under_parallel_engine() {
-    run(
-        "decode_cache_matches_under_parallel_engine",
-        Config::default(),
-        |g: &mut Gen| {
-            let exe = gen_program(g);
-            let cfg = gen_config(g);
-            // Parallel runs keep DVFS/sampling but skip mid-flight
-            // checkpoints (owned by the sequential suite above).
-            let spec = CaseSpec {
-                dvfs: gen_dvfs(g),
-                sampler: g.bool_p(0.5).then(|| g.int_in(8, 256) as u64),
-                ckpt_at: None,
-            };
-            let par = EngineMode::Parallel;
-            let cache = observe(
-                exe.clone(),
-                &cfg,
-                IssueModel::Burst,
-                par,
-                DecodeMode::Cache,
-                &spec,
-            );
-            let off = observe(
-                exe.clone(),
-                &cfg,
-                IssueModel::Burst,
-                par,
-                DecodeMode::Off,
-                &spec,
-            );
-            assert_eq!(
-                cache, off,
-                "parallel cache/off divergence under icn {:?} case {:?}",
-                cfg.icn_model, spec
-            );
-            let seq = observe(
-                exe,
-                &cfg,
-                IssueModel::Burst,
-                EngineMode::Sequential,
-                DecodeMode::Cache,
-                &spec,
-            );
-            assert_eq!(
-                cache, seq,
-                "parallel/sequential divergence under icn {:?} case {:?}",
-                cfg.icn_model, spec
             );
         },
     );

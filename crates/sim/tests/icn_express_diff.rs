@@ -11,9 +11,8 @@
 //! Cases sweep random programs (loads, non-blocking stores, prefix-sum-to-
 //! memory, prefetch + consume, fences, MDU work), random small topologies,
 //! both switch timing disciplines (synchronous and self-timed with jitter),
-//! both prefetch-buffer eviction policies, the sequential and the sharded
-//! parallel (2-worker) engines, and mid-run DVFS retuning driven by an
-//! activity plug-in — the hardest case for the express path, which must
+//! both prefetch-buffer eviction policies, and mid-run DVFS retuning
+//! driven by an activity plug-in — the hardest case for the express path, which must
 //! re-derive in-flight legs exactly as the per-hop walk would have
 //! re-decided each remaining hop. A second generator saturates the TCU
 //! prefetch buffers, where fill and eviction order decide which loads hit.
@@ -21,7 +20,7 @@
 use xmt_harness::prop::{run, Config, Gen};
 use xmt_harness::ToJson;
 use xmt_isa::{AsmProgram, Executable, GlobalReg, Instr, MemoryMap, Reg, Target};
-use xmtsim::config::{ClockDomain, EngineMode, IcnTiming, PrefetchPolicy};
+use xmtsim::config::{ClockDomain, IcnTiming, PrefetchPolicy};
 use xmtsim::stats::{ActivityPlugin, ActivitySample, RuntimeCtl};
 use xmtsim::{CycleSim, IcnModel, XmtConfig};
 
@@ -74,11 +73,6 @@ fn gen_config(g: &mut Gen) -> XmtConfig {
     // still chain in leg-end order.
     if g.bool_p(0.25) {
         cfg.cache_hit_latency = 0;
-    }
-    // One case in four runs the sharded parallel engine at 2 workers.
-    if g.bool_p(0.25) {
-        cfg.engine_mode = EngineMode::Parallel;
-        cfg.threads = 2;
     }
     cfg
 }
@@ -201,13 +195,13 @@ fn assert_express_matches_perhop(exe: &Executable, cfg: &XmtConfig, dvfs: Option
     let perhop = observe(exe.clone(), cfg, IcnModel::PerHop, dvfs);
     assert_eq!(
         express, perhop,
-        "express/per-hop divergence under cfg {:?} engine {:?} policy {:?} dvfs {:?}",
-        cfg.icn_timing, cfg.engine_mode, cfg.prefetch_policy, dvfs
+        "express/per-hop divergence under cfg {:?} policy {:?} dvfs {:?}",
+        cfg.icn_timing, cfg.prefetch_policy, dvfs
     );
 }
 
-/// The tentpole property: 256 random (program, topology, timing, engine,
-/// DVFS) cases where the express path and the per-hop oracle are
+/// The tentpole property: 256 random (program, topology, timing, DVFS)
+/// cases where the express path and the per-hop oracle are
 /// bit-identical.
 #[test]
 fn icn_express_matches_perhop_oracle() {
@@ -265,8 +259,7 @@ fn gen_prefetch_saturation(g: &mut Gen) -> Executable {
 }
 
 /// The same property on prefetch-saturating programs, under *both*
-/// eviction policies and both engines — and the programs really
-/// prefetched.
+/// eviction policies — and the programs really prefetched.
 #[test]
 fn prefetch_fill_and_evict_order_matches_perhop_oracle() {
     run(
@@ -275,13 +268,9 @@ fn prefetch_fill_and_evict_order_matches_perhop_oracle() {
         |g: &mut Gen| {
             let exe = gen_prefetch_saturation(g);
             for policy in [PrefetchPolicy::Fifo, PrefetchPolicy::Lru] {
-                for engine in [EngineMode::Sequential, EngineMode::Parallel] {
-                    let mut cfg = XmtConfig::tiny();
-                    cfg.prefetch_policy = policy;
-                    cfg.engine_mode = engine;
-                    cfg.threads = 2;
-                    assert_express_matches_perhop(&exe, &cfg, None);
-                }
+                let mut cfg = XmtConfig::tiny();
+                cfg.prefetch_policy = policy;
+                assert_express_matches_perhop(&exe, &cfg, None);
             }
             let mut sim = CycleSim::new(exe, XmtConfig::tiny());
             sim.run().unwrap();

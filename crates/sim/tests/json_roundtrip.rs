@@ -285,3 +285,20 @@ fn live_checkpoint_json_roundtrip() {
     // Encoding is canonical: encode(decode(encode(x))) == encode(x).
     assert_eq!(back.to_json(), json);
 }
+
+/// Regression: a hand-edited config with `dram_channels: 0` used to pass
+/// construction and divide by zero at the first cache miss. It loads from
+/// JSON, and the simulator refuses it by name.
+#[test]
+fn zero_dram_channels_is_a_load_error_not_a_panic() {
+    let mut cfg = XmtConfig::tiny();
+    cfg.dram_channels = 0;
+    let parsed = XmtConfig::from_json_str(&cfg.to_json_string()).unwrap();
+    let mut p = xmt_isa::AsmProgram::new();
+    p.push(xmt_isa::Instr::Halt);
+    let exe = p.link(xmt_isa::MemoryMap::new()).unwrap();
+    match xmtsim::CycleSim::try_new(exe, parsed) {
+        Err(e) => assert!(e.contains("dram_channels"), "error should name the field: {e}"),
+        Ok(_) => panic!("dram_channels = 0 must be rejected at construction"),
+    }
+}

@@ -127,9 +127,8 @@ fn pop_cycle_matches_heap_groups() {
 /// The lanes against the heap on the traffic the cycle model sends:
 /// clock periods that put one, two or three timestamps in a 1024 ps page
 /// (with and without jitter), bursts of three priorities pushed out of
-/// key order, externally assigned sequence numbers, and the three drains
-/// mixed — `pop`, `pop_cycle` with the unhandled half of a batch put
-/// back, and `pop_group_seq` (matching and not).
+/// key order, and both drains mixed — `pop`, and `pop_cycle` with the
+/// unhandled half of a batch put back — with `peek_key` checked between.
 #[test]
 fn lanes_match_heap_on_model_traffic() {
     let (mut cases, mut sorts, mut partial) = (0u32, 0u64, 0u64);
@@ -138,13 +137,11 @@ fn lanes_match_heap_on_model_traffic() {
         let mut heap: HeapScheduler<usize> = HeapScheduler::new();
         let period = *g.choose(&[500u64, 1000, 1024, 1333]);
         let jitter = if g.bool_p(0.3) { g.int_in(1, 200) as u64 } else { 0 };
-        let external = g.bool_p(0.5);
-        let (mut next_id, mut next_seq, mut handled) = (0usize, 0u64, 0u64);
+        let (mut next_id, mut handled) = (0usize, 0u64);
         let mut pri_of: Vec<Priority> = Vec::new();
         let mut batch = Vec::new();
-        let mut slice: Vec<(u64, usize)> = Vec::new();
         for _ in 0..g.len_in(1, 300) {
-            match g.usize_in(0, 8) {
+            match g.usize_in(0, 6) {
                 0..=3 => {
                     // One "request": a few events, later keys first.
                     for ahead in [15, 3, 14, 300].into_iter().take(g.usize_in(1, 5)) {
@@ -152,12 +149,7 @@ fn lanes_match_heap_on_model_traffic() {
                         let t = cal.now() + cycles * period + g.int_in(0, jitter as i64 + 1) as u64;
                         let pri = g.usize_in(0, N_PRI) as Priority;
                         pri_of.push(pri);
-                        if external {
-                            next_seq += g.int_in(1, 5) as u64;
-                            cal.schedule_at_seq(t, pri, next_seq, next_id);
-                        } else {
-                            cal.schedule_at(t, pri, next_id);
-                        }
+                        cal.schedule_at(t, pri, next_id);
                         heap.schedule_at(t, pri, next_id);
                         next_id += 1;
                     }
@@ -167,11 +159,13 @@ fn lanes_match_heap_on_model_traffic() {
                     assert_eq!(popped, heap.pop(), "pop diverged");
                     handled += u64::from(popped.is_some());
                 }
-                5 | 6 => {
+                _ => {
+                    let key = cal.peek_key();
                     let Some((time, pri)) = cal.pop_cycle(&mut batch) else {
                         assert_eq!(heap.pop(), None);
                         continue;
                     };
+                    assert_eq!(key, Some((time, pri)), "peek_key is the next group");
                     for &id in &batch {
                         assert_eq!(heap.pop(), Some((time, id)), "group member diverged");
                         assert_eq!(pri_of[id], pri);
@@ -179,31 +173,10 @@ fn lanes_match_heap_on_model_traffic() {
                     // Handle the first half; the rest goes back, in order.
                     let keep = if g.bool_p(0.5) { batch.len() } else { batch.len() / 2 };
                     for &id in &batch[keep..] {
-                        if external {
-                            next_seq += 1;
-                            cal.requeue_seq(time, pri, next_seq, id);
-                        } else {
-                            cal.requeue(time, pri, id);
-                        }
+                        cal.requeue(time, pri, id);
                         heap.schedule_at(time, pri, id);
                     }
                     handled += keep as u64;
-                }
-                _ => {
-                    let Some((time, pri)) = cal.peek_key() else { continue };
-                    // An earlier priority matches nothing and only moves `now`.
-                    if pri > 0 && g.bool_p(0.3) {
-                        cal.pop_group_seq(time, pri - 1, &mut slice);
-                        assert!(slice.is_empty());
-                        assert_eq!(cal.now(), time);
-                    }
-                    cal.pop_group_seq(time, pri, &mut slice);
-                    assert!(slice.windows(2).all(|w| w[0].0 < w[1].0), "seqs ascend");
-                    for (_, id) in slice.drain(..) {
-                        assert_eq!(heap.pop(), Some((time, id)), "slice member diverged");
-                        handled += 1;
-                    }
-                    assert_ne!(cal.peek_key(), Some((time, pri)), "the slice was the whole group");
                 }
             }
             assert_eq!(cal.pending(), heap.pending());

@@ -6,16 +6,15 @@
 //! scheduler windows — may change nothing architecturally observable.
 //! Unlike tracers and filter plug-ins (which deliberately degrade burst
 //! issue and decoded replay), the obs hooks sit at event-handler
-//! boundaries both issue models and both engines pass through
-//! identically, so obs-on and obs-off runs must be **bit-identical** in
+//! boundaries both issue models pass through identically, so obs-on and obs-off runs must be **bit-identical** in
 //! simulated cycles, simulated time, instruction count, the full
 //! statistics record and the final machine image.
 //!
 //! Every case draws a random terminating program (spawn sections with
 //! loads, non-blocking stores, `psm`, prints, fences, bounded loops) and
-//! a random small topology, picks one engine row (sequential and
-//! sharded-parallel, both issue models, both ICN models, decode cache on
-//! and off — the [`OBS_ENGINE_ROWS`] sweep plus extra random pairings),
+//! a random small topology, picks one engine row (both issue models,
+//! both ICN models, decode cache on and off — the [`OBS_ENGINE_ROWS`]
+//! sweep plus extra random pairings),
 //! and compares an obs-off run against an obs-on run with periodic
 //! metric sampling and host profiling enabled — the worst-case recording
 //! load. The obs-on run must also have recorded a non-empty timeline, so
@@ -24,7 +23,7 @@
 use xmt_harness::prop::{run, Config, Gen};
 use xmt_harness::ToJson;
 use xmt_isa::{AsmProgram, Executable, GlobalReg, Instr, MemoryMap, Reg, Target};
-use xmtsim::config::{DecodeMode, EngineMode, IssueModel, ObsDetail};
+use xmtsim::config::{DecodeMode, IssueModel, ObsDetail};
 use xmtsim::differential::{check_obs_transparent, OBS_ENGINE_ROWS};
 use xmtsim::{CycleSim, IcnModel, XmtConfig};
 
@@ -203,25 +202,16 @@ fn gen_program(g: &mut Gen) -> Executable {
 /// deliberately absent (the obs-on run schedules extra sample ticks).
 type Observed = (u64, u64, u64, String, String);
 
-#[allow(clippy::too_many_arguments)]
 fn observe(
     exe: &Executable,
     cfg: &XmtConfig,
-    issue: IssueModel,
-    icn: IcnModel,
-    engine: EngineMode,
-    threads: u32,
-    decode: DecodeMode,
+    (issue, icn, decode): (IssueModel, IcnModel, DecodeMode),
     obs: bool,
 ) -> Observed {
     let mut cfg = cfg.clone();
     cfg.issue_model = issue;
     cfg.icn_model = icn;
-    cfg.engine_mode = engine;
     cfg.decode_cache = decode;
-    if engine == EngineMode::Parallel {
-        cfg.threads = threads;
-    }
     cfg.obs_detail = if obs { ObsDetail::Full } else { ObsDetail::Off };
     let mut sim = CycleSim::new(exe.clone(), cfg);
     sim.set_instr_limit(1 << 20);
@@ -248,7 +238,7 @@ fn observe(
 
 /// The tentpole property: 256 random (program, topology, engine-row)
 /// cases where full-detail observability is bit-identical to no
-/// observability, under the sequential AND the sharded parallel engine.
+/// observability.
 #[test]
 fn obs_on_matches_obs_off_across_engines() {
     let mut ran = 0u32;
@@ -261,7 +251,7 @@ fn obs_on_matches_obs_off_across_engines() {
             let cfg = gen_config(g);
             // Half the cases sweep the curated rows; the other half draw
             // a fully random engine pairing.
-            let (issue, icn, engine, threads, decode) = if g.bool_p(0.5) {
+            let row = if g.bool_p(0.5) {
                 OBS_ENGINE_ROWS[g.usize_in(0, OBS_ENGINE_ROWS.len() - 1)]
             } else {
                 (
@@ -276,24 +266,15 @@ fn obs_on_matches_obs_off_across_engines() {
                         IcnModel::PerHop
                     },
                     if g.bool_p(0.5) {
-                        EngineMode::Sequential
-                    } else {
-                        EngineMode::Parallel
-                    },
-                    if g.bool_p(0.5) { 2 } else { 4 },
-                    if g.bool_p(0.5) {
                         DecodeMode::Cache
                     } else {
                         DecodeMode::Off
                     },
                 )
             };
-            let off = observe(&exe, &cfg, issue, icn, engine, threads, decode, false);
-            let on = observe(&exe, &cfg, issue, icn, engine, threads, decode, true);
-            assert_eq!(
-                off, on,
-                "obs-on diverged under {issue:?}×{icn:?}×{engine:?}(t={threads})×{decode:?}"
-            );
+            let off = observe(&exe, &cfg, row, false);
+            let on = observe(&exe, &cfg, row, true);
+            assert_eq!(off, on, "obs-on diverged under {row:?}");
         },
     );
     // scripts/verify.sh greps for this line to prove the suite really ran
@@ -302,7 +283,7 @@ fn obs_on_matches_obs_off_across_engines() {
     assert!(ran >= 1);
 }
 
-/// The packaged checker agrees on a real compiled workload (all four
+/// The packaged checker agrees on a real compiled workload (all three
 /// curated rows at once), so library users get the same guarantee from
 /// one call.
 #[test]

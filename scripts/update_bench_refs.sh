@@ -20,7 +20,7 @@ XMT_BENCH_ITERS="${XMT_BENCH_ITERS:-3}" \
 XMT_BENCH_WARMUP_MS="${XMT_BENCH_WARMUP_MS:-10}" \
     cargo bench --offline -p xmt-bench \
     --bench modes --bench compiler --bench scheduler --bench icn \
-    --bench issue --bench corpus --bench parallel --bench decode
+    --bench issue --bench corpus --bench decode
 
 echo "updated references:"
 ls "$refs"/BENCH_*.json

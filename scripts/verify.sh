@@ -40,8 +40,7 @@ echo "==> cargo test --offline (full suite)"
 cargo test -q --offline --workspace
 
 echo "==> differential referees"
-# Each suite below polices one fast path against its oracle (or one
-# engine against the other) bit for bit, so it must actually have *run*:
+# Each suite below polices one fast path against its oracle bit for bit, so it must actually have *run*:
 # a filter typo, a renamed test or a harness change that silently skips
 # it has to fail the gate, not pass it.
 #
@@ -100,11 +99,9 @@ referee xmtsim "issue_burst_diff issue_model" \
     'first_round: ran [1-9][0-9]* cases'
 # decoded basic-block replay vs interpreted issue
 referee xmtsim decode_diff
-# sharded parallel engine vs the sequential engine
-referee xmtsim parallel_engine
 # generated XMTC through functional mode + the whole engine matrix
 referee "xmt-workloads --release" cross_engine_fuzz \
-    'cross_engine_fuzz: ran [1-9][0-9]* cases through functional \+ 10 cycle engines'
+    'cross_engine_fuzz: ran [1-9][0-9]* cases through functional \+ 5 cycle engines'
 # observability on vs off, and the exported trace parses
 referee xmtsim "obs_diff obs_trace" 'obs_diff: ran [1-9][0-9]* obs-on/obs-off cases'
 
@@ -171,7 +168,7 @@ echo "==> smoke benches (shortened iterations; writes BENCH_*.json)"
 XMT_BENCH_DIR="$PWD/target/bench" \
 XMT_BENCH_ITERS="${XMT_BENCH_ITERS:-3}" \
 XMT_BENCH_WARMUP_MS="${XMT_BENCH_WARMUP_MS:-10}" \
-    cargo bench --offline -p xmt-bench --bench modes --bench compiler --bench scheduler --bench icn --bench issue --bench corpus --bench parallel --bench decode
+    cargo bench --offline -p xmt-bench --bench modes --bench compiler --bench scheduler --bench icn --bench issue --bench corpus --bench decode
 
 ls target/bench/BENCH_*.json >/dev/null 2>&1 || {
     echo "no BENCH_*.json emitted" >&2
@@ -193,10 +190,6 @@ ls target/bench/BENCH_*.json >/dev/null 2>&1 || {
     echo "BENCH_corpus.json missing (workload-corpus bench did not run)" >&2
     exit 1
 }
-[ -f target/bench/BENCH_parallel.json ] || {
-    echo "BENCH_parallel.json missing (parallel-engine scaling bench did not run)" >&2
-    exit 1
-}
 [ -f target/bench/BENCH_decode.json ] || {
     echo "BENCH_decode.json missing (decode cache-vs-off bench did not run)" >&2
     exit 1
@@ -213,7 +206,7 @@ if ! ./scripts/perf_gate.sh target/bench; then
     XMT_BENCH_DIR="$PWD/target/bench" \
     XMT_BENCH_ITERS="${XMT_BENCH_ITERS:-3}" \
     XMT_BENCH_WARMUP_MS="${XMT_BENCH_WARMUP_MS:-10}" \
-        cargo bench --offline -p xmt-bench --bench modes --bench compiler --bench scheduler --bench icn --bench issue --bench corpus --bench parallel --bench decode
+        cargo bench --offline -p xmt-bench --bench modes --bench compiler --bench scheduler --bench icn --bench issue --bench corpus --bench decode
     ./scripts/perf_gate.sh target/bench
 fi
 
@@ -222,10 +215,10 @@ echo "==> perf-gate self-test (an injected regression must fail)"
 # gate actually trips — a gate that cannot fail protects nothing.
 rm -rf target/bench-selftest
 mkdir -p target/bench-selftest
-cp target/bench/BENCH_parallel.json target/bench-selftest/
+cp target/bench/BENCH_issue.json target/bench-selftest/
 sed -i.bak -E 's/"median_ns":([0-9]+)/"median_ns":\10/' \
-    target/bench-selftest/BENCH_parallel.json
-rm -f target/bench-selftest/BENCH_parallel.json.bak
+    target/bench-selftest/BENCH_issue.json
+rm -f target/bench-selftest/BENCH_issue.json.bak
 if ./scripts/perf_gate.sh target/bench-selftest >/dev/null 2>&1; then
     echo "perf gate failed to detect a 10x inflated median" >&2
     exit 1

@@ -9,9 +9,12 @@ use xmtsim::XmtConfig;
 use xmt_workloads::micro::{build, MicroGroup, MicroParams};
 use xmt_workloads::suite::{self, Variant};
 
-/// E1 (Table I shape): compute-intensive simulation sustains much higher
-/// simulated-instruction throughput than memory-intensive simulation, and
-/// serial-compute reaches the highest cycle rate.
+/// E1 (Table I shape): compute-intensive simulation retires many more
+/// simulated instructions per host event than memory-intensive
+/// simulation, and serial compute covers the most cycles per event.
+/// Events per instruction is what Table I's throughput gap *is* (see
+/// EXPERIMENTS.md E1), so the shape is pinned on those exact counts, not
+/// on host time.
 #[test]
 fn table1_shape_holds() {
     let mut cfg = XmtConfig::chip1024();
@@ -28,21 +31,9 @@ fn table1_shape_holds() {
     let mut rates = std::collections::HashMap::new();
     for g in MicroGroup::ALL {
         let compiled = build(g, &p, &Options::default()).unwrap();
-        // Best of three: instr/s is a *host* wall-clock rate, and a single
-        // run is easily distorted when the whole workspace's test binaries
-        // compete for cores; the fastest run is the least-perturbed one.
-        let mut best = (0.0f64, 0.0f64);
-        for _ in 0..3 {
-            let mut sim = compiled.simulator(&cfg);
-            let t0 = std::time::Instant::now();
-            let r = sim.run().unwrap();
-            let host = t0.elapsed().as_secs_f64().max(1e-9);
-            let cand = (r.instructions as f64 / host, r.cycles as f64 / host);
-            if cand.0 > best.0 {
-                best = cand;
-            }
-        }
-        rates.insert(g, best);
+        let r = compiled.simulator(&cfg).run().unwrap();
+        let events = r.events as f64;
+        rates.insert(g, (r.instructions as f64 / events, r.cycles as f64 / events));
     }
     let (pm_i, pm_c) = rates[&MicroGroup::ParallelMemory];
     let (pc_i, _pc_c) = rates[&MicroGroup::ParallelCompute];
@@ -53,44 +44,37 @@ fn table1_shape_holds() {
     // point the same way (see EXPERIMENTS.md).
     assert!(
         pc_i > 1.8 * pm_i,
-        "parallel compute instr/s ({pc_i:.0}) ≫ parallel memory ({pm_i:.0})"
+        "parallel compute instr/event ({pc_i:.3}) ≫ parallel memory ({pm_i:.3})"
     );
     assert!(
         sc_i > 1.8 * sm_i,
-        "serial compute instr/s ({sc_i:.0}) ≫ serial memory ({sm_i:.0})"
+        "serial compute instr/event ({sc_i:.3}) ≫ serial memory ({sm_i:.3})"
     );
     assert!(
         sc_c > 5.0 * pm_c,
-        "serial compute cycle/s ({sc_c:.0}) ≫ parallel memory ({pm_c:.0})"
+        "serial compute cycles/event ({sc_c:.3}) ≫ parallel memory ({pm_c:.4})"
     );
 }
 
-/// E2 shape: the memory-system model dominates the simulator's host time
-/// on memory-bound code, and much less so on compute-bound code.
+/// E2 shape: the memory-system model dominates the simulator's work on
+/// memory-bound code, and much less so on compute-bound code — pinned on
+/// the exact share of events that are memory-system events.
 #[test]
 fn icn_dominates_memory_bound_simulation() {
     let cfg = XmtConfig::chip1024();
     let p = MicroParams { threads: 1024, iters: 12, data_words: 1 << 14 };
-    // Median of three: the share is a ratio of host timers, so a noisy
-    // neighbour (parallel test binaries) can flip a close comparison.
-    let frac = |g: MicroGroup| {
+    let share = |g: MicroGroup| {
         let compiled = build(g, &p, &Options::default()).unwrap();
-        let mut shares: Vec<f64> = (0..3)
-            .map(|_| {
-                let mut sim = compiled.simulator(&cfg);
-                sim.enable_host_profiling();
-                sim.run().unwrap();
-                sim.host_profile().unwrap().memory_fraction()
-            })
-            .collect();
-        shares.sort_by(|a, b| a.total_cmp(b));
-        shares[1]
+        let mut sim = compiled.simulator(&cfg);
+        sim.enable_host_profiling();
+        let events = sim.run().unwrap().events;
+        sim.host_profile().unwrap().memory_events as f64 / events as f64
     };
-    let mem = frac(MicroGroup::ParallelMemory);
-    let cpu = frac(MicroGroup::ParallelCompute);
+    let mem = share(MicroGroup::ParallelMemory);
+    let cpu = share(MicroGroup::ParallelCompute);
     assert!(
         mem > 0.30,
-        "memory-bound: substantial share of host time in the ICN model ({mem:.2})"
+        "memory-bound: substantial share of events in the ICN model ({mem:.2})"
     );
     assert!(mem > cpu, "memory-bound share ({mem:.2}) > compute-bound ({cpu:.2})");
 }
