@@ -1,15 +1,18 @@
-//! Pre-decoded operations — the flat, dense form the simulator's decode
-//! cache replays instead of re-matching on [`Instr`] (binary-translation
-//! lite, see `xmtsim`'s `decode` module and DESIGN.md §10).
+//! Pre-decoded operations — the flat, dense form of the simulator's
+//! *pure local* instructions (registers and pc only): integer ALU, shifts,
+//! register moves, immediates, branches and jumps, and `nop`.
 //!
-//! A [`DecodedOp`] covers exactly the simulator's *pure local* burstable
-//! subset (registers and pc only — see `exec::peek_burstable` in
-//! `xmtsim`): integer ALU, shifts, register moves, immediates, branches
-//! and jumps, and `nop`. Everything is resolved at decode time — branch
-//! and jump targets become plain absolute pcs ([`Target::abs`] would
-//! otherwise be re-resolved every execution), `lui` pre-shifts its
-//! immediate, `jal`/`jalr` precompute their link values — and the wide
-//! [`Instr`] match collapses into a handful of dense grouped tags.
+//! [`decode_instr`] *defines* that subset: an instruction is pure-local
+//! exactly when it decodes. `xmtsim` executes a [`DecodedOp`] with one
+//! function (`decode::exec_op`), on every path that runs the subset —
+//! interpreted issue decodes the instruction in hand, and the decode cache
+//! replays whole pre-decoded basic blocks (DESIGN.md §10).
+//!
+//! Everything is resolved at decode time — branch and jump targets become
+//! plain absolute pcs ([`Target::abs`] would otherwise be re-resolved every
+//! execution), `lui` pre-shifts its immediate, `jal`/`jalr` precompute
+//! their link values — and the wide [`Instr`] match collapses into a
+//! handful of dense grouped tags.
 //!
 //! Two *superinstructions* fuse the common dependent pairs:
 //!
@@ -194,6 +197,23 @@ impl DecodedOp {
         }
     }
 
+    /// The first constituent of a fused op, as the op it was before
+    /// fusion; any other op is its own head.
+    pub fn head(&self) -> DecodedOp {
+        match *self {
+            DecodedOp::LiBin { li_rt, imm, .. } => DecodedOp::Li { rt: li_rt, imm },
+            DecodedOp::CmpBr {
+                cmp: CmpOp::Reg { op, rd, rs, rt },
+                ..
+            } => DecodedOp::Bin { op, rd, rs, rt },
+            DecodedOp::CmpBr {
+                cmp: CmpOp::Imm { op, rt, rs, imm },
+                ..
+            } => DecodedOp::Imm { op, rt, rs, imm },
+            op => op,
+        }
+    }
+
     /// True when this op (possibly conditionally) redirects the pc — the
     /// ops that end a basic block.
     pub fn is_terminator(&self) -> bool {
@@ -212,15 +232,19 @@ impl DecodedOp {
 fn abs(t: &Target) -> Option<u32> {
     match t {
         Target::Abs(a) => Some(*a),
-        // Unlinked label targets cannot be pre-resolved; the block clips
-        // here and the interpreted path surfaces the usual panic.
+        // Unlinked label targets cannot be pre-resolved; the interpreted
+        // path surfaces the usual panic.
         Target::Label(_) => None,
     }
 }
 
 /// Pre-decode the instruction at `pc` if it belongs to the pure-local
-/// burstable subset; `None` for every other instruction (which therefore
-/// ends a basic block). Must mirror `exec::peek_burstable` exactly.
+/// subset; `None` for every other instruction (which therefore ends a
+/// basic block), and for a branch whose target is still a label.
+/// Always inlined: the simulator's interpreted issue path calls it for
+/// every instruction, from another crate, and straight into the execution
+/// of the op it builds.
+#[inline(always)]
 pub fn decode_instr(ins: &Instr, pc: u32) -> Option<DecodedOp> {
     use Instr as I;
     Some(match *ins {

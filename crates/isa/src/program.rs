@@ -211,7 +211,8 @@ impl ToJson for Executable {
 }
 
 /// An image read back is held to what [`AsmProgram::link`] guarantees
-/// the simulators: its spawn/join table is the one its text implies.
+/// the simulators: its spawn/join table is the one its text implies, and
+/// every branch target is resolved.
 impl FromJson for Executable {
     fn from_json(v: &Json) -> Result<Self, JsonError> {
         let bad = |e: &dyn fmt::Display| JsonError::new(format!("Executable: {e}"));
@@ -225,6 +226,11 @@ impl FromJson for Executable {
         };
         if pair_spawns(&exe.text).map_err(|e| bad(&e))? != exe.spawn_join {
             return Err(bad(&"spawn_join does not match the text"));
+        }
+        for (i, ins) in exe.text.iter().enumerate() {
+            if let Some(Target::Label(l)) = ins.target() {
+                return Err(bad(&format!("unresolved label `{l}` at instruction {i}")));
+            }
         }
         Ok(exe)
     }
@@ -367,6 +373,23 @@ mod tests {
         unjoined.text[1] = Instr::Nop;
         let err = Executable::from_json_str(&unjoined.to_json_string()).unwrap_err();
         assert!(err.message.contains("never joined"), "{err}");
+    }
+
+    /// A branch to a label only the linker could resolve is refused at
+    /// load, not left to panic when it executes.
+    #[test]
+    fn reading_an_image_refuses_unresolved_branch_targets() {
+        let mut p = AsmProgram::new();
+        p.label("top");
+        p.push(Instr::Nop);
+        p.push(Instr::Bne { rs: Reg::T0, rt: Reg::Zero, target: Target::label("top") });
+        p.push(Instr::Halt);
+        let mut exe = p.link(MemoryMap::default()).unwrap();
+        assert_eq!(Executable::from_json_str(&exe.to_json_string()), Ok(exe.clone()));
+
+        exe.text[1] = Instr::Bne { rs: Reg::T0, rt: Reg::Zero, target: Target::label("top") };
+        let err = Executable::from_json_str(&exe.to_json_string()).unwrap_err();
+        assert_eq!(err.message, "Executable: unresolved label `top` at instruction 1");
     }
 
     #[test]

@@ -650,8 +650,9 @@ pub struct CycleSim {
     pub tracer: Option<Tracer>,
 
     /// Pre-decoded basic-block cache ([`DecodeMode::Cache`]), consulted
-    /// by the burst loops; `None` under [`DecodeMode::Off`].
-    decode: Option<DecodeCache>,
+    /// by the burst loops and phase sampling's fast-forward; `None` under
+    /// [`DecodeMode::Off`].
+    pub(crate) decode: Option<DecodeCache>,
 
     host_profile: Option<HostProfile>,
     /// Observability recorder ([`ObsDetail`] ≠ `Off`): timeline spans and
@@ -1440,7 +1441,7 @@ impl CycleSim {
             }
             len += 1;
             let fu = match &issued {
-                Issued::Done(cost) => fu_of_cost(*cost),
+                Issued::Done(cost) => cost.fu(),
                 Issued::Mem(_) => FuKind::Mem,
                 _ => FuKind::Ctl,
             };
@@ -1638,15 +1639,7 @@ impl CycleSim {
     /// equivalent to per-instruction `count_instr` calls — and the host
     /// profile's decode counters.
     fn merge_replay(&mut self, cur: &Cursor, cluster: Option<u32>) {
-        use crate::decode::{C_ALU, C_BR, C_CTL, C_SFT};
-        self.stats
-            .count_instr_bulk(FuKind::Alu, cluster, cur.counts[C_ALU]);
-        self.stats
-            .count_instr_bulk(FuKind::Sft, cluster, cur.counts[C_SFT]);
-        self.stats
-            .count_instr_bulk(FuKind::Br, cluster, cur.counts[C_BR]);
-        self.stats
-            .count_instr_bulk(FuKind::Ctl, cluster, cur.counts[C_CTL]);
+        self.stats.count_instrs(&cur.counts, cluster);
         if let Some(hp) = self.host_profile.as_mut() {
             hp.blocks_decoded += cur.decoded;
             hp.block_replays += cur.replays;
@@ -1723,7 +1716,7 @@ impl CycleSim {
             });
         }
         let fu = match &issued {
-            Issued::Done(cost) => fu_of_cost(*cost),
+            Issued::Done(cost) => cost.fu(),
             Issued::Mem(_) => FuKind::Mem,
             Issued::ChkidBlocked => FuKind::Br,
             _ => FuKind::Ctl,
@@ -1797,7 +1790,7 @@ impl CycleSim {
                 else {
                     break BurstBreak::NonLocal;
                 };
-                let fu = fu_of_cost(cost);
+                let fu = cost.fu();
                 self.stats.count_instr(fu, Some(cluster));
                 for f in &mut self.filters {
                     f.on_instr(pc, fu);
@@ -2607,20 +2600,6 @@ fn order_default_batch(batch: &mut [Ev]) {
         }
     }
     batch.sort_by(|a, b| key(a).cmp(&key(b)));
-}
-
-fn fu_of_cost(cost: CostClass) -> xmt_isa::FuKind {
-    match cost {
-        CostClass::Alu => xmt_isa::FuKind::Alu,
-        CostClass::Sft => xmt_isa::FuKind::Sft,
-        CostClass::Branch { .. } => xmt_isa::FuKind::Br,
-        CostClass::Mul | CostClass::Div => xmt_isa::FuKind::Mdu,
-        CostClass::FpAdd | CostClass::FpMul | CostClass::FpDiv | CostClass::FpMisc => {
-            xmt_isa::FuKind::Fpu
-        }
-        CostClass::Ps => xmt_isa::FuKind::Ps,
-        CostClass::Print | CostClass::Ctl => xmt_isa::FuKind::Ctl,
-    }
 }
 
 #[cfg(test)]

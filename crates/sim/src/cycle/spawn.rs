@@ -2,7 +2,7 @@
 //! round in closed form where nothing can tell (DESIGN §17) — and closing
 //! it once every TCU has parked and nothing is in flight.
 
-use super::{fu_of_cost, BurstBreak, CycleSim, Ev, ParState, BURST_CAP};
+use super::{BurstBreak, CycleSim, Ev, ParState, BURST_CAP};
 use crate::config::ClockDomain;
 use crate::engine::{Time, PRI_DEFAULT, PRI_TRANSFER};
 use crate::exec::{self, CostClass, Issued, Mode};
@@ -106,7 +106,7 @@ impl CycleSim {
         let (mut pre, mut at, mut counts) = (ctx.clone(), now, [0; FuKind::ALL.len()]);
         for _ in 0..BURST_CAP {
             let Some(cost) = exec::issue_local(&self.exe, &mut pre) else { break };
-            counts[fu_of_cost(cost) as usize] += 1;
+            counts[cost.fu() as usize] += 1;
             at = self.tcu_cost(at, 0, cost); // a local class: a pure latency
         }
         let Some(&Instr::Ps { rt, gr }) = self.exe.instr(pre.pc) else { return None };
@@ -124,9 +124,7 @@ impl CycleSim {
     /// and its `chkid` either parks it now or is its step at `r.at`.
     fn draw_first_id(&mut self, t: u32, r: &FirstRound) {
         let cluster = self.cfg.cluster_of(t);
-        for (fu, n) in FuKind::ALL.into_iter().zip(r.counts) {
-            self.stats.count_instr_bulk(fu, Some(cluster), n);
-        }
+        self.stats.count_instrs(&r.counts, Some(cluster));
         self.stats.ps_ops += 1;
         let Some(par) = self.par.as_mut() else { return };
         let ctx = &mut self.tcus[t as usize].ctx;

@@ -1,25 +1,29 @@
-//! The pre-decoded basic-block cache (DESIGN.md §10).
+//! The one statement of what a pure-local instruction does ([`exec_op`]),
+//! and the pre-decoded basic-block cache that replays it (DESIGN.md §10).
 //!
-//! Burst issue ([`crate::config::IssueModel::Burst`]) elides scheduler
-//! events, but still walks every instruction through `exec::issue`'s wide
-//! [`xmt_isa::Instr`] match, every time around a loop. This module caches
-//! the result of that classification: the first time a pc is executed
-//! under the cache, the straight-line *basic block* starting there is
-//! decoded once into a flat `Vec<DecodedOp>` — operands resolved, dense
+//! Every path that executes the pure-local subset (registers and pc only:
+//! ALU, shifts, immediates, branches and jumps) runs [`exec_op`] on a
+//! [`DecodedOp`]. Interpreted issue — `exec::issue`, and
+//! `exec::issue_local` under the burst loops, the closed-form first round
+//! and the functional `psm` peephole — decodes the instruction in hand.
+//! The cache decodes the straight-line *basic block* starting at a pc the
+//! first time that pc is executed under it — operands resolved, dense
 //! tags, fused superinstructions for dependent pairs — and every later
 //! visit *replays* the slice.
 //!
-//! Replay is a pure fast-forward. The burst loops in `cycle` stay the
-//! referee: replay executes decoded ops only while every burst break
-//! condition provably holds ([`ReplayEnv::slot_blocked`] mirrors the
-//! oracle checks condition-for-condition, checked per constituent
-//! instruction), and the moment it stops — for any reason — control returns to the interpreted
-//! loop, which re-evaluates the same conditions on the same state and
-//! performs the exact break bookkeeping. Fused ops whose second
-//! constituent would cross a boundary execute their first constituent
-//! alone and bail, which is exactly where the interpreted loop would have
-//! stopped. Bit-identity to the un-cached oracle therefore holds by
-//! construction; the 256-case `decode_diff` suite enforces it anyway.
+//! Replay is a pure fast-forward: one semantics, two control policies.
+//! The burst loops in `cycle` stay the referee: replay executes decoded
+//! ops only while every burst break condition provably holds — a block a
+//! conservative free-slot budget covers runs whole, and near a boundary
+//! [`ReplayEnv::slot_blocked`], which mirrors the oracle checks
+//! condition-for-condition, is checked per constituent instruction — and
+//! the moment it stops — for any reason — control
+//! returns to the interpreted loop, which re-evaluates the same conditions
+//! on the same state and performs the exact break bookkeeping. Fused ops
+//! whose second constituent would cross a boundary execute their first
+//! constituent ([`DecodedOp::head`]) alone and bail, which is exactly where
+//! the interpreted loop would have stopped. The 256-case `decode_diff`
+//! suite checks replay's control policy against the interpreted loop.
 //!
 //! The cache is a pure function of the immutable [`Executable::text`], so
 //! invalidation ([`DecodeCache::invalidate_all`]) never affects
@@ -30,16 +34,196 @@
 
 use crate::cycle::BURST_CAP;
 use crate::engine::Time;
+use crate::exec::CostClass;
 use crate::machine::ThreadCtx;
-use xmt_isa::decode::{fuse, BinAlu, BrCond, CmpOp, DecodedOp, ImmAlu, ShKind};
-use xmt_isa::{decode::decode_instr, Executable, Reg};
+use xmt_isa::decode::{decode_instr, fuse, BinAlu, BrCond, CmpOp, DecodedOp, ImmAlu, ShKind};
+use xmt_isa::{Executable, FuKind, Reg};
 
-/// Count-array slots for the four cost classes a pure-local op can have,
-/// in `[Alu, Sft, Br, Ctl]` order.
-pub(crate) const C_ALU: usize = 0;
-pub(crate) const C_SFT: usize = 1;
-pub(crate) const C_BR: usize = 2;
-pub(crate) const C_CTL: usize = 3;
+/// The cost class of a taken branch or jump, the one pure-local class
+/// that costs 2 clock periods.
+const TAKEN: CostClass = CostClass::Branch { taken: true };
+
+/// Execute `op`, decoded at `pc`, on `ctx`: the one statement of what a
+/// pure-local instruction does. Charges each constituent's cost class to
+/// `charge`, in order, and returns the next pc (setting `ctx.pc` is the
+/// caller's). Every path instantiates it with its own `charge`, which
+/// inlines, so each arm's accounting folds to constants.
+#[inline(always)]
+pub(crate) fn exec_op(
+    op: &DecodedOp,
+    pc: u32,
+    ctx: &mut ThreadCtx,
+    mut charge: impl FnMut(CostClass),
+) -> u32 {
+    let r = &mut ctx.regs;
+    match *op {
+        DecodedOp::Bin { op, rd, rs, rt } => {
+            r.set(rd, bin(op, r.get(rs), r.get(rt)));
+            charge(CostClass::Alu);
+        }
+        DecodedOp::Imm { op, rt, rs, imm } => {
+            r.set(rt, imm_alu(op, r.get(rs), imm));
+            charge(CostClass::Alu);
+        }
+        DecodedOp::Li { rt, imm } => {
+            r.set_i(rt, imm);
+            charge(CostClass::Alu);
+        }
+        DecodedOp::Lui { rt, upper } => {
+            r.set(rt, upper);
+            charge(CostClass::Alu);
+        }
+        DecodedOp::Move { rd, rs } => {
+            r.set(rd, r.get(rs));
+            charge(CostClass::Alu);
+        }
+        DecodedOp::ShImm { op, rd, rt, sh } => {
+            r.set(rd, shift(op, r.get(rt), sh.into()));
+            charge(CostClass::Sft);
+        }
+        DecodedOp::ShVar { op, rd, rt, rs } => {
+            r.set(rd, shift(op, r.get(rt), r.get(rs) & 31));
+            charge(CostClass::Sft);
+        }
+        DecodedOp::Nop => charge(CostClass::Ctl),
+        DecodedOp::Br {
+            cond,
+            rs,
+            rt,
+            target,
+        } => {
+            return jump_if(holds(cond, r.get(rs), r.get(rt)), target, pc + 1, charge);
+        }
+        DecodedOp::J { target } => {
+            charge(TAKEN);
+            return target;
+        }
+        DecodedOp::Jal { target, link } => {
+            r.set(Reg::Ra, link);
+            charge(TAKEN);
+            return target;
+        }
+        DecodedOp::Jr { rs } => {
+            charge(TAKEN);
+            return r.get(rs);
+        }
+        DecodedOp::Jalr { rd, rs, link } => {
+            // The target is read before the link is written (`rd == rs`).
+            let dest = r.get(rs);
+            r.set(rd, link);
+            charge(TAKEN);
+            return dest;
+        }
+        DecodedOp::LiBin {
+            li_rt,
+            imm,
+            op,
+            rd,
+            rs,
+            rt,
+        } => {
+            r.set_i(li_rt, imm);
+            charge(CostClass::Alu);
+            r.set(rd, bin(op, r.get(rs), r.get(rt)));
+            charge(CostClass::Alu);
+            return pc + 2;
+        }
+        DecodedOp::CmpBr {
+            cmp,
+            cond,
+            brs,
+            brt,
+            target,
+        } => {
+            match cmp {
+                CmpOp::Reg { op, rd, rs, rt } => r.set(rd, bin(op, r.get(rs), r.get(rt))),
+                CmpOp::Imm { op, rt, rs, imm } => r.set(rt, imm_alu(op, r.get(rs), imm)),
+            }
+            charge(CostClass::Alu);
+            // The branch reads the register file after the compare's write.
+            return jump_if(holds(cond, r.get(brs), r.get(brt)), target, pc + 2, charge);
+        }
+    }
+    pc + 1
+}
+
+#[inline(always)]
+fn bin(op: BinAlu, a: u32, b: u32) -> u32 {
+    match op {
+        BinAlu::Add => a.wrapping_add(b),
+        BinAlu::Sub => a.wrapping_sub(b),
+        BinAlu::And => a & b,
+        BinAlu::Or => a | b,
+        BinAlu::Xor => a ^ b,
+        BinAlu::Nor => !(a | b),
+        BinAlu::Slt => ((a as i32) < (b as i32)) as u32,
+        BinAlu::Sltu => (a < b) as u32,
+    }
+}
+
+/// `imm` holds the raw bits; `addi`/`slti` read them as `i32`.
+#[inline(always)]
+fn imm_alu(op: ImmAlu, a: u32, imm: u32) -> u32 {
+    match op {
+        ImmAlu::Addi => a.wrapping_add(imm),
+        ImmAlu::Andi => a & imm,
+        ImmAlu::Ori => a | imm,
+        ImmAlu::Xori => a ^ imm,
+        ImmAlu::Slti => ((a as i32) < (imm as i32)) as u32,
+        ImmAlu::Sltiu => (a < imm) as u32,
+    }
+}
+
+#[inline(always)]
+fn shift(op: ShKind, v: u32, sh: u32) -> u32 {
+    match op {
+        ShKind::Sll => v << sh,
+        ShKind::Srl => v >> sh,
+        ShKind::Sra => ((v as i32) >> sh) as u32,
+    }
+}
+
+/// Does the branch condition hold for operands `a` (`rs`) and `b` (`rt`,
+/// read only by `Eq`/`Ne`)?
+#[inline(always)]
+fn holds(cond: BrCond, a: u32, b: u32) -> bool {
+    match cond {
+        BrCond::Eq => a == b,
+        BrCond::Ne => a != b,
+        BrCond::Lez => (a as i32) <= 0,
+        BrCond::Gtz => (a as i32) > 0,
+        BrCond::Ltz => (a as i32) < 0,
+        BrCond::Gez => (a as i32) >= 0,
+    }
+}
+
+#[inline(always)]
+fn jump_if(taken: bool, target: u32, fall: u32, mut charge: impl FnMut(CostClass)) -> u32 {
+    charge(CostClass::Branch { taken });
+    if taken {
+        target
+    } else {
+        fall
+    }
+}
+
+/// Replay's `charge` for [`exec_op`]: count each constituent, under its
+/// functional-unit kind and in `executed`, and add its latency to the
+/// burst's completion time — 2 clock periods for a taken branch, 1 for
+/// every other pure-local class.
+#[inline(always)]
+fn book<'a>(
+    counts: &'a mut [u64; FuKind::ALL.len()],
+    executed: &'a mut u64,
+    done: &'a mut Time,
+    cp: Time,
+) -> impl FnMut(CostClass) + 'a {
+    move |cost| {
+        counts[cost.fu() as usize] += 1;
+        *executed += 1;
+        *done += if cost == TAKEN { 2 * cp } else { cp };
+    }
+}
 
 /// Minimum op count for a block with no backward terminator to be worth
 /// *entering* a replay at (see [`Block::worth`]): below this, per-call
@@ -65,6 +249,13 @@ pub struct Block {
     /// skipping entry is always sound because replay is a pure optional
     /// fast-forward over the interpreted oracle.
     worth: bool,
+    /// The block's books, which do not depend on operands: its
+    /// constituents, under each functional-unit kind and in all, and its
+    /// fused superinstructions. Only whether its terminator is taken waits
+    /// for execution.
+    counts: [u32; FuKind::ALL.len()],
+    len: u64,
+    fused: u64,
 }
 
 #[derive(Debug)]
@@ -73,7 +264,9 @@ enum Slot {
     /// The instruction at this pc is not pure-local (or not decodable):
     /// cached negative result.
     NotLocal,
-    Decoded(Block),
+    /// Boxed, so a slot per text pc stays 16 bytes: only a hit reads the
+    /// block and its books.
+    Decoded(Box<Block>),
 }
 
 /// Decode-time counters (execution-time counters travel per-call in
@@ -208,11 +401,12 @@ impl ReplayEnv {
 /// already points at the next instruction for the interpreted loop.
 enum ChainStop {
     /// A break condition would fire before the next constituent (or the
-    /// chain bailed mid-fused-pair, or fell off a block onto a non-local
-    /// instruction): the interpreted loop re-checks and takes over.
+    /// chain bailed mid-fused-pair): the interpreted loop re-checks and
+    /// takes over.
     Done,
-    /// The chain reached a pc whose cache slot is `Unvisited`: the
-    /// decode-on-miss driver may decode it and continue.
+    /// The chain reached a pc with no decoded block: the decode-on-miss
+    /// driver decodes an `Unvisited` slot and continues; a non-local
+    /// instruction (or a pc outside the program) ends the replay.
     Miss,
 }
 
@@ -227,8 +421,8 @@ pub(crate) struct Cursor {
     pub done: Time,
     /// Constituent instructions executed by this replay call.
     pub executed: u64,
-    /// Executed constituents by cost class (`[Alu, Sft, Br, Ctl]`).
-    pub counts: [u64; 4],
+    /// Executed constituents by functional-unit kind (`FuKind as usize`).
+    pub counts: [u64; FuKind::ALL.len()],
     /// Fused superinstructions executed whole.
     pub fused: u64,
     /// Blocks replayed.
@@ -243,57 +437,10 @@ impl Cursor {
             len,
             done,
             executed: 0,
-            counts: [0; 4],
+            counts: [0; FuKind::ALL.len()],
             fused: 0,
             replays: 0,
             decoded: 0,
-        }
-    }
-}
-
-#[inline]
-fn eval_cond(ctx: &ThreadCtx, cond: BrCond, rs: Reg, rt: Reg) -> bool {
-    let a = ctx.regs.get(rs);
-    match cond {
-        BrCond::Eq => a == ctx.regs.get(rt),
-        BrCond::Ne => a != ctx.regs.get(rt),
-        BrCond::Lez => (a as i32) <= 0,
-        BrCond::Gtz => (a as i32) > 0,
-        BrCond::Ltz => (a as i32) < 0,
-        BrCond::Gez => (a as i32) >= 0,
-    }
-}
-
-#[inline]
-fn exec_bin(ctx: &mut ThreadCtx, op: BinAlu, rd: Reg, rs: Reg, rt: Reg) {
-    let r = &mut ctx.regs;
-    let a = r.get(rs);
-    let b = r.get(rt);
-    let v = match op {
-        BinAlu::Add => a.wrapping_add(b),
-        BinAlu::Sub => a.wrapping_sub(b),
-        BinAlu::And => a & b,
-        BinAlu::Or => a | b,
-        BinAlu::Xor => a ^ b,
-        BinAlu::Nor => !(a | b),
-        BinAlu::Slt => ((a as i32) < (b as i32)) as u32,
-        BinAlu::Sltu => (a < b) as u32,
-    };
-    r.set(rd, v);
-}
-
-#[inline]
-fn exec_cmp(ctx: &mut ThreadCtx, cmp: CmpOp) {
-    match cmp {
-        CmpOp::Reg { op, rd, rs, rt } => exec_bin(ctx, op, rd, rs, rt),
-        CmpOp::Imm { op, rt, rs, imm } => {
-            let r = &mut ctx.regs;
-            let a = r.get(rs);
-            let v = match op {
-                ImmAlu::Slti => ((a as i32) < (imm as i32)) as u32,
-                _ => (a < imm) as u32, // Sltiu — nothing else occurs here
-            };
-            r.set(rt, v);
         }
     }
 }
@@ -306,23 +453,30 @@ impl DecodeCache {
     /// (written back to `cur` once), and the conservative `free`-slot
     /// budget — every constituent pessimized to 2 clock periods —
     /// survives across chained blocks, re-derived from actual state only
-    /// when exhausted, so the per-constituent break checks run only near
-    /// a boundary. Kept out of line: inlined into `replay`, its one
-    /// caller, it cost `bench/e2e`'s `par_compute` about 4 % of
-    /// `sim_minstr_per_s`.
+    /// when it cannot cover the next block. A covered block runs with no
+    /// per-constituent books or checks (its counts are precomputed), so
+    /// both run only near a boundary. Kept out of line: inlined into
+    /// `replay`, its one caller, it cost `bench/e2e`'s `par_compute`
+    /// about 4 % of `sim_minstr_per_s`.
     #[inline(never)]
     fn replay_chain(&self, ctx: &mut ThreadCtx, env: &ReplayEnv, cur: &mut Cursor) -> ChainStop {
         let cp = env.cp;
         let mut done = cur.done;
-        let mut len = cur.len;
         let mut executed = cur.executed;
-        let mut counts = cur.counts;
+        // `len` and `executed` grow together: the burst length is
+        // `len_base + executed` throughout.
+        let len_base = cur.len - cur.executed;
+        // Counted from zero and added in at the end: copying `cur.counts`
+        // in would read 16 bytes at a time what the caller has just
+        // written 8 at a time, which stalls on store forwarding.
+        let mut counts = [0u64; FuKind::ALL.len()];
         let mut fused = cur.fused;
         let mut replays = cur.replays;
         let mut free = 0u64;
         let stop = 'chain: loop {
             // A positive leftover budget *is* a proof the slot is open.
-            if free == 0 && env.slot_blocked(len, done, env.instrs_base + executed) {
+            if free == 0 && env.slot_blocked(len_base + executed, done, env.instrs_base + executed)
+            {
                 break 'chain ChainStop::Done;
             }
             let block = match self.slots.get(ctx.pc as usize) {
@@ -330,21 +484,40 @@ impl DecodeCache {
                 _ => break 'chain ChainStop::Miss,
             };
             replays += 1;
+            if free < block.len {
+                // The worst-case budget pessimizes every constituent to 2
+                // clock periods, so a fresh derivation from the *actual*
+                // current state may hand back more slots.
+                free = env.free_slots(len_base + executed, done, env.instrs_base + executed);
+            }
             let mut pc = block.start;
-            for op in &block.ops {
-                let n = op.constituents();
-                if free >= n {
-                    free -= n;
-                } else {
-                    // The worst-case budget pessimizes every constituent to 2
-                    // clock periods, so a fresh derivation from the *actual*
-                    // current state may hand back more slots before the
-                    // per-constituent checks have to take over.
-                    free = env.free_slots(len, done, env.instrs_base + executed);
-                    if free >= n {
-                        free -= n;
-                    } else {
-                        free = 0;
+            if free >= block.len {
+                // The whole block fits the budget: no per-constituent
+                // checks, and the block's own books.
+                free -= block.len;
+                for op in &block.ops {
+                    pc = exec_op(op, pc, ctx, |cost| {
+                        if cost == TAKEN {
+                            done += cp;
+                        }
+                    });
+                }
+                done += block.len * cp;
+                executed += block.len;
+                for (c, &k) in counts.iter_mut().zip(&block.counts) {
+                    *c += u64::from(k);
+                }
+                fused += block.fused;
+            } else {
+                // Near a boundary: one checked constituent at a time.
+                for op in &block.ops {
+                    let n = op.constituents();
+                    if free < n {
+                        free =
+                            env.free_slots(len_base + executed, done, env.instrs_base + executed);
+                    }
+                    if free < n {
+                        let len = len_base + executed;
                         if env.slot_blocked(len, done, env.instrs_base + executed) {
                             ctx.pc = pc;
                             break 'chain ChainStop::Done;
@@ -356,200 +529,29 @@ impl DecodeCache {
                             // 1-cycle ALU op) and hand the pair's tail back
                             // to the interpreter — the exact point the
                             // oracle would stop.
-                            match *op {
-                                DecodedOp::LiBin { li_rt, imm, .. } => ctx.regs.set_i(li_rt, imm),
-                                DecodedOp::CmpBr { cmp, .. } => exec_cmp(ctx, cmp),
-                                _ => unreachable!("only fused ops have two constituents"),
-                            }
-                            counts[C_ALU] += 1;
-                            len += 1;
-                            executed += 1;
-                            done += cp;
-                            ctx.pc = pc + 1;
+                            let books = book(&mut counts, &mut executed, &mut done, cp);
+                            ctx.pc = exec_op(&op.head(), pc, ctx, books);
                             break 'chain ChainStop::Done;
                         }
+                        // Checked: this op runs, and the next is checked
+                        // afresh.
+                        free = n;
                     }
+                    free -= n;
+                    fused += n - 1;
+                    pc = exec_op(op, pc, ctx, book(&mut counts, &mut executed, &mut done, cp));
                 }
-                match *op {
-                    DecodedOp::Bin { op, rd, rs, rt } => {
-                        exec_bin(ctx, op, rd, rs, rt);
-                        counts[C_ALU] += 1;
-                        done += cp;
-                    }
-                    DecodedOp::Imm { op, rt, rs, imm } => {
-                        let r = &mut ctx.regs;
-                        let a = r.get(rs);
-                        let v = match op {
-                            ImmAlu::Addi => a.wrapping_add(imm),
-                            ImmAlu::Andi => a & imm,
-                            ImmAlu::Ori => a | imm,
-                            ImmAlu::Xori => a ^ imm,
-                            ImmAlu::Slti => ((a as i32) < (imm as i32)) as u32,
-                            ImmAlu::Sltiu => (a < imm) as u32,
-                        };
-                        r.set(rt, v);
-                        counts[C_ALU] += 1;
-                        done += cp;
-                    }
-                    DecodedOp::Li { rt, imm } => {
-                        ctx.regs.set_i(rt, imm);
-                        counts[C_ALU] += 1;
-                        done += cp;
-                    }
-                    DecodedOp::Lui { rt, upper } => {
-                        ctx.regs.set(rt, upper);
-                        counts[C_ALU] += 1;
-                        done += cp;
-                    }
-                    DecodedOp::Move { rd, rs } => {
-                        let v = ctx.regs.get(rs);
-                        ctx.regs.set(rd, v);
-                        counts[C_ALU] += 1;
-                        done += cp;
-                    }
-                    DecodedOp::ShImm { op, rd, rt, sh } => {
-                        let r = &mut ctx.regs;
-                        match op {
-                            ShKind::Sll => {
-                                let v = r.get(rt) << sh;
-                                r.set(rd, v);
-                            }
-                            ShKind::Srl => {
-                                let v = r.get(rt) >> sh;
-                                r.set(rd, v);
-                            }
-                            ShKind::Sra => {
-                                let v = r.get_i(rt) >> sh;
-                                r.set_i(rd, v);
-                            }
-                        }
-                        counts[C_SFT] += 1;
-                        done += cp;
-                    }
-                    DecodedOp::ShVar { op, rd, rt, rs } => {
-                        let r = &mut ctx.regs;
-                        let sh = r.get(rs) & 31;
-                        match op {
-                            ShKind::Sll => {
-                                let v = r.get(rt) << sh;
-                                r.set(rd, v);
-                            }
-                            ShKind::Srl => {
-                                let v = r.get(rt) >> sh;
-                                r.set(rd, v);
-                            }
-                            ShKind::Sra => {
-                                let v = r.get_i(rt) >> sh;
-                                r.set_i(rd, v);
-                            }
-                        }
-                        counts[C_SFT] += 1;
-                        done += cp;
-                    }
-                    DecodedOp::Nop => {
-                        counts[C_CTL] += 1;
-                        done += cp;
-                    }
-                    DecodedOp::Br {
-                        cond,
-                        rs,
-                        rt,
-                        target,
-                    } => {
-                        let taken = eval_cond(ctx, cond, rs, rt);
-                        ctx.pc = if taken { target } else { pc + 1 };
-                        counts[C_BR] += 1;
-                        done += if taken { 2 * cp } else { cp };
-                        len += 1;
-                        executed += 1;
-                        continue 'chain;
-                    }
-                    DecodedOp::J { target } => {
-                        ctx.pc = target;
-                        counts[C_BR] += 1;
-                        done += 2 * cp;
-                        len += 1;
-                        executed += 1;
-                        continue 'chain;
-                    }
-                    DecodedOp::Jal { target, link } => {
-                        ctx.regs.set(Reg::Ra, link);
-                        ctx.pc = target;
-                        counts[C_BR] += 1;
-                        done += 2 * cp;
-                        len += 1;
-                        executed += 1;
-                        continue 'chain;
-                    }
-                    DecodedOp::Jr { rs } => {
-                        ctx.pc = ctx.regs.get(rs);
-                        counts[C_BR] += 1;
-                        done += 2 * cp;
-                        len += 1;
-                        executed += 1;
-                        continue 'chain;
-                    }
-                    DecodedOp::Jalr { rd, rs, link } => {
-                        // Destination read *before* the link write (rd == rs).
-                        let dest = ctx.regs.get(rs);
-                        ctx.regs.set(rd, link);
-                        ctx.pc = dest;
-                        counts[C_BR] += 1;
-                        done += 2 * cp;
-                        len += 1;
-                        executed += 1;
-                        continue 'chain;
-                    }
-                    DecodedOp::LiBin {
-                        li_rt,
-                        imm,
-                        op,
-                        rd,
-                        rs,
-                        rt,
-                    } => {
-                        ctx.regs.set_i(li_rt, imm);
-                        exec_bin(ctx, op, rd, rs, rt);
-                        counts[C_ALU] += 2;
-                        done += 2 * cp;
-                        len += 2;
-                        executed += 2;
-                        fused += 1;
-                        pc += 2;
-                        continue;
-                    }
-                    DecodedOp::CmpBr {
-                        cmp,
-                        cond,
-                        brs,
-                        brt,
-                        target,
-                    } => {
-                        exec_cmp(ctx, cmp);
-                        let taken = eval_cond(ctx, cond, brs, brt);
-                        ctx.pc = if taken { target } else { pc + 2 };
-                        counts[C_ALU] += 1;
-                        counts[C_BR] += 1;
-                        done += cp + if taken { 2 * cp } else { cp };
-                        len += 2;
-                        executed += 2;
-                        fused += 1;
-                        continue 'chain;
-                    }
-                }
-                len += 1;
-                executed += 1;
-                pc += 1;
             }
-            // Fell past the last decoded op: the next instruction is
-            // non-local.
+            // The block ended at its terminator, wherever that led, or
+            // before a non-local instruction, whose slot stops the chain.
             ctx.pc = pc;
-            break 'chain ChainStop::Done;
         };
         cur.done = done;
-        cur.len = len;
+        cur.len = len_base + executed;
         cur.executed = executed;
-        cur.counts = counts;
+        for (total, k) in cur.counts.iter_mut().zip(counts) {
+            *total += k;
+        }
         cur.fused = fused;
         cur.replays = replays;
         stop
@@ -626,11 +628,21 @@ impl DecodeCache {
                                 | DecodedOp::CmpBr { target, .. }
                         ) if *target <= pc
                     ));
-            Slot::Decoded(Block {
+            // Executing the ops on a scratch context books each
+            // constituent's class, a branch's included.
+            let mut counts = [0u32; FuKind::ALL.len()];
+            let mut scratch = ThreadCtx::default();
+            for op in &ops {
+                exec_op(op, 0, &mut scratch, |cost| counts[cost.fu() as usize] += 1);
+            }
+            Slot::Decoded(Box::new(Block {
                 start: pc,
                 ops,
                 worth,
-            })
+                len: counts.iter().map(|&k| u64::from(k)).sum(),
+                counts,
+                fused: fused_here,
+            }))
         };
     }
 
@@ -638,7 +650,7 @@ impl DecodeCache {
     #[cfg(test)]
     fn lookup(&self, pc: u32) -> Option<&Block> {
         match self.slots.get(pc as usize) {
-            Some(Slot::Decoded(b)) => Some(b),
+            Some(Slot::Decoded(b)) => Some(b.as_ref()),
             _ => None,
         }
     }
@@ -688,6 +700,148 @@ mod tests {
     use super::*;
     use crate::exec;
     use xmt_isa::{AsmProgram, Instr, MemoryMap, Target};
+
+    /// Decode `ins` at `pc` and run it through `exec_op` on a context
+    /// holding `inputs`: the context after, the next pc, and the costs
+    /// charged.
+    fn run_op(op: &DecodedOp, pc: u32, inputs: &[(Reg, u32)]) -> (ThreadCtx, u32, Vec<CostClass>) {
+        let mut ctx = ThreadCtx::default();
+        for &(r, v) in inputs {
+            ctx.regs.set(r, v);
+        }
+        let mut costs = Vec::new();
+        let next = exec_op(op, pc, &mut ctx, |c| costs.push(c));
+        (ctx, next, costs)
+    }
+
+    /// What every pure-local opcode does, written out by hand rather than
+    /// derived from `exec_op`: fixed inputs, the one register it writes
+    /// and its value, the next pc and the cost class. Decoded at pc 10;
+    /// every branch targets 3.
+    #[test]
+    fn exec_op_golden_table() {
+        use CostClass::{Alu, Branch, Ctl, Sft};
+        use Instr::*;
+        use Reg::{Ra, Zero, T0, T1, T2};
+        const MIN: u32 = i32::MIN as u32;
+        const MAX: u32 = u32::MAX;
+        let t = || Target::Abs(3);
+        let (taken, fall) = (Branch { taken: true }, Branch { taken: false });
+        // (instruction, inputs, register written and its value, next pc, cost)
+        type Row = (Instr, Vec<(Reg, u32)>, (Reg, u32), u32, CostClass);
+        #[rustfmt::skip]
+        let table: Vec<Row> = vec![
+            (Add { rd: T2, rs: T0, rt: T1 }, vec![(T0, 7), (T1, MAX)], (T2, 6), 11, Alu),
+            (Add { rd: Zero, rs: T0, rt: T1 }, vec![(T0, 7), (T1, 1)], (Zero, 0), 11, Alu),
+            (Sub { rd: T2, rs: T0, rt: T1 }, vec![(T0, 0), (T1, 1)], (T2, MAX), 11, Alu),
+            (And { rd: T2, rs: T0, rt: T1 }, vec![(T0, 0b1100), (T1, 0b1010)], (T2, 0b1000), 11, Alu),
+            (Or { rd: T2, rs: T0, rt: T1 }, vec![(T0, 0b1100), (T1, 0b1010)], (T2, 0b1110), 11, Alu),
+            (Xor { rd: T2, rs: T0, rt: T1 }, vec![(T0, 0b1100), (T1, 0b1010)], (T2, 0b0110), 11, Alu),
+            (Nor { rd: T2, rs: T0, rt: T1 }, vec![(T0, 0b1100), (T1, 0b1010)], (T2, !0b1110), 11, Alu),
+            (Slt { rd: T2, rs: T0, rt: T1 }, vec![(T0, MIN), (T1, 0)], (T2, 1), 11, Alu),
+            (Slt { rd: T2, rs: T0, rt: T1 }, vec![(T0, 0), (T1, MAX)], (T2, 0), 11, Alu),
+            (Sltu { rd: T2, rs: T0, rt: T1 }, vec![(T0, MIN), (T1, 0)], (T2, 0), 11, Alu),
+            (Sltu { rd: T2, rs: T0, rt: T1 }, vec![(T0, 0), (T1, MAX)], (T2, 1), 11, Alu),
+            (Sltu { rd: Zero, rs: T0, rt: T1 }, vec![(T0, 0), (T1, MAX)], (Zero, 0), 11, Alu),
+            (Addi { rt: T2, rs: T0, imm: -1 }, vec![(T0, 0)], (T2, MAX), 11, Alu),
+            (Andi { rt: T2, rs: T0, imm: 0xff }, vec![(T0, 0x1234)], (T2, 0x34), 11, Alu),
+            (Ori { rt: T2, rs: T0, imm: 0xff00 }, vec![(T0, 0x12)], (T2, 0xff12), 11, Alu),
+            (Xori { rt: T2, rs: T0, imm: 0xffff }, vec![(T0, 0xff)], (T2, 0xff00), 11, Alu),
+            (Slti { rt: T2, rs: T0, imm: -1 }, vec![(T0, MIN)], (T2, 1), 11, Alu),
+            (Slti { rt: T2, rs: T0, imm: 0 }, vec![(T0, MAX)], (T2, 1), 11, Alu),
+            (Sltiu { rt: T2, rs: T0, imm: 5 }, vec![(T0, MAX)], (T2, 0), 11, Alu),
+            (Sltiu { rt: T2, rs: T0, imm: MAX }, vec![(T0, 5)], (T2, 1), 11, Alu),
+            (Li { rt: T2, imm: -7 }, vec![], (T2, -7i32 as u32), 11, Alu),
+            (Li { rt: Zero, imm: 9 }, vec![], (Zero, 0), 11, Alu),
+            (Lui { rt: T2, imm: 0x1234 }, vec![], (T2, 0x1234_0000), 11, Alu),
+            (Move { rd: T2, rs: T0 }, vec![(T0, 42)], (T2, 42), 11, Alu),
+            (Sll { rd: T2, rt: T0, sh: 4 }, vec![(T0, 0x8000_0001)], (T2, 0x10), 11, Sft),
+            (Srl { rd: T2, rt: T0, sh: 4 }, vec![(T0, MIN)], (T2, 0x0800_0000), 11, Sft),
+            (Sra { rd: T2, rt: T0, sh: 4 }, vec![(T0, MIN)], (T2, 0xf800_0000), 11, Sft),
+            (Sra { rd: T2, rt: T0, sh: 31 }, vec![(T0, 0x7fff_ffff)], (T2, 0), 11, Sft),
+            // Variable shift amounts use their low five bits.
+            (Sllv { rd: T2, rt: T0, rs: T1 }, vec![(T0, 1), (T1, 33)], (T2, 2), 11, Sft),
+            (Srlv { rd: T2, rt: T0, rs: T1 }, vec![(T0, MIN), (T1, 36)], (T2, 0x0800_0000), 11, Sft),
+            (Srav { rd: T2, rt: T0, rs: T1 }, vec![(T0, MIN), (T1, 63)], (T2, MAX), 11, Sft),
+            (Srav { rd: T2, rt: T0, rs: T1 }, vec![(T0, MIN), (T1, 32)], (T2, MIN), 11, Sft),
+            (Beq { rs: T0, rt: T1, target: t() }, vec![(T0, 5), (T1, 5)], (Zero, 0), 3, taken),
+            (Beq { rs: T0, rt: T1, target: t() }, vec![(T0, 5), (T1, 6)], (Zero, 0), 11, fall),
+            (Bne { rs: T0, rt: T1, target: t() }, vec![(T0, 5), (T1, 5)], (Zero, 0), 11, fall),
+            (Bne { rs: T0, rt: T1, target: t() }, vec![(T0, 5), (T1, 6)], (Zero, 0), 3, taken),
+            (Blez { rs: T0, target: t() }, vec![(T0, 0)], (Zero, 0), 3, taken),
+            (Blez { rs: T0, target: t() }, vec![(T0, 1)], (Zero, 0), 11, fall),
+            (Bgtz { rs: T0, target: t() }, vec![(T0, MIN)], (Zero, 0), 11, fall),
+            (Bgtz { rs: T0, target: t() }, vec![(T0, 1)], (Zero, 0), 3, taken),
+            (Bltz { rs: T0, target: t() }, vec![(T0, MAX)], (Zero, 0), 3, taken),
+            (Bltz { rs: T0, target: t() }, vec![(T0, 0)], (Zero, 0), 11, fall),
+            (Bgez { rs: T0, target: t() }, vec![(T0, 0)], (Zero, 0), 3, taken),
+            (Bgez { rs: T0, target: t() }, vec![(T0, MIN)], (Zero, 0), 11, fall),
+            (J { target: t() }, vec![], (Zero, 0), 3, taken),
+            (Jal { target: t() }, vec![], (Ra, 11), 3, taken),
+            (Jr { rs: T0 }, vec![(T0, 40)], (Zero, 0), 40, taken),
+            (Jalr { rd: T1, rs: T0 }, vec![(T0, 40)], (T1, 11), 40, taken),
+            // The target is read before the link is written.
+            (Jalr { rd: T0, rs: T0 }, vec![(T0, 40)], (T0, 11), 40, taken),
+            (Nop, vec![], (Zero, 0), 11, Ctl),
+        ];
+        for (ins, inputs, (rd, value), next, cost) in table {
+            let op = decode_instr(&ins, 10).unwrap();
+            let (ctx, got_next, costs) = run_op(&op, 10, &inputs);
+            let mut want = ThreadCtx::default();
+            for &(r, v) in &inputs {
+                want.regs.set(r, v);
+            }
+            want.regs.set(rd, value);
+            assert_eq!(ctx.regs, want.regs, "{ins:?} on {inputs:?}");
+            assert_eq!(
+                (got_next, costs),
+                (next, vec![cost]),
+                "{ins:?} on {inputs:?}"
+            );
+        }
+    }
+
+    /// A fused op does what its two constituents do one after the other —
+    /// registers, next pc and the two costs in order — and its head is the
+    /// first of them.
+    #[test]
+    fn fused_ops_match_their_unfused_pairs() {
+        use Instr::*;
+        use Reg::{Zero, T0, T1, T2};
+        let t = || Target::Abs(3);
+        #[rustfmt::skip]
+        let pairs = [
+            // li + a dependent add: T0 = 5, T2 = 5 + 3.
+            (Li { rt: T0, imm: 5 }, Add { rd: T2, rs: T0, rt: T1 }, vec![(T1, 3)], (T2, 8), 12),
+            // slt at i32::MIN, then bne on its result: taken.
+            (Slt { rd: T2, rs: T0, rt: T1 }, Bne { rs: T2, rt: Zero, target: t() },
+             vec![(T0, i32::MIN as u32), (T1, 0)], (T2, 1), 3),
+            // sltu on the same inputs is false: falls through past the pair.
+            (Sltu { rd: T2, rs: T0, rt: T1 }, Bne { rs: T2, rt: Zero, target: t() },
+             vec![(T0, i32::MIN as u32), (T1, 0)], (T2, 0), 12),
+            // slti into $zero: the write is dropped, and the branch reads 0.
+            (Slti { rt: Zero, rs: T0, imm: 5 }, Beq { rs: Zero, rt: Zero, target: t() },
+             vec![(T0, 1)], (Zero, 0), 3),
+            (Sltiu { rt: T2, rs: T0, imm: 5 }, Blez { rs: T2, target: t() },
+             vec![(T0, u32::MAX)], (T2, 0), 3),
+        ];
+        for (a, b, inputs, (rd, value), next) in pairs {
+            let (da, db) = (decode_instr(&a, 10).unwrap(), decode_instr(&b, 11).unwrap());
+            let fused = fuse(&da, &db).unwrap_or_else(|| panic!("{a:?} + {b:?} fuses"));
+            assert_eq!(fused.head(), da);
+            let (ctx, got_next, costs) = run_op(&fused, 10, &inputs);
+            assert_eq!((ctx.regs.get(rd), got_next), (value, next), "{a:?} + {b:?}");
+
+            let (mut pair, mid, mut pair_costs) = run_op(&da, 10, &inputs);
+            assert_eq!(mid, 11);
+            let pair_next = exec_op(&db, 11, &mut pair, |c| pair_costs.push(c));
+            assert_eq!(
+                (ctx.regs, got_next, costs),
+                (pair.regs, pair_next, pair_costs),
+                "{a:?} + {b:?}"
+            );
+        }
+    }
 
     /// A program covering every decoded op kind, both fusion pairs, a
     /// taken/untaken branch mix, and a jump chain — mirrored after
@@ -882,18 +1036,12 @@ mod tests {
             ..Default::default()
         };
         let mut o_done: Time = 0;
-        let mut o_counts = [0u64; 4];
+        let mut o_counts = [0u64; FuKind::ALL.len()];
         let mut o_instrs = 0u64;
         while exec::peek_burstable(&exe, oracle.pc) {
             let cost = exec::issue_local(&exe, &mut oracle).unwrap();
-            use crate::exec::CostClass as C;
-            let (slot, cycles) = match cost {
-                C::Alu => (C_ALU, 1),
-                C::Sft => (C_SFT, 1),
-                C::Branch { taken } => (C_BR, if taken { 2 } else { 1 }),
-                _ => (C_CTL, 1),
-            };
-            o_counts[slot] += 1;
+            let cycles = if cost == TAKEN { 2 } else { 1 };
+            o_counts[cost.fu() as usize] += 1;
             o_done += cycles * cp;
             o_instrs += 1;
         }

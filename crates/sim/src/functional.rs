@@ -8,14 +8,15 @@
 //! `xmt-bench`'s mode-speed experiment) — a quick, limited debugging tool
 //! for XMTC programs. Because it serializes spawn blocks it cannot reveal
 //! concurrency bugs, as the paper warns; its other use is fast-forwarding
-//! to a region of interest (see [`crate::checkpoint`]).
+//! to a region of interest (see [`crate::checkpoint`]), which phase
+//! sampling does with the same executor (`Serial`).
 
-use crate::decode::{Cursor, DecodeCache, ReplayEnv, C_ALU, C_BR, C_CTL, C_SFT};
+use crate::decode::{Cursor, DecodeCache, ReplayEnv};
 use crate::exec::{self, Issued, MemKind, Mode};
 use crate::machine::{Machine, ThreadCtx, Trap};
 use crate::stats::Stats;
 use std::sync::Arc;
-use xmt_isa::{Executable, Instr, Reg};
+use xmt_isa::{Executable, FuKind, Instr, Reg};
 
 /// Errors from a functional run.
 #[derive(Debug, Clone, PartialEq)]
@@ -59,9 +60,6 @@ pub struct FunctionalSim {
     /// Pre-decoded basic-block cache (on by default; `set_decode(false)`
     /// drops back to pure interpreted issue).
     decode: Option<DecodeCache>,
-    /// Decoded-block replays, constituents replayed, superinstructions
-    /// executed whole (incl. the runtime psm+increment peephole).
-    replay_stats: (u64, u64, u64),
 }
 
 impl FunctionalSim {
@@ -82,7 +80,6 @@ impl FunctionalSim {
             stats: Stats::for_topology(1, 1),
             instr_limit: u64::MAX,
             decode: Some(DecodeCache::new(exe.len())),
-            replay_stats: (0, 0, 0),
             exe,
         }
     }
@@ -98,175 +95,138 @@ impl FunctionalSim {
         self.decode = enabled.then(|| DecodeCache::new(self.exe.len()));
     }
 
-    /// `(block replays, constituents replayed, fused superinstructions)`
-    /// executed so far — zero with the cache off.
-    pub fn replay_stats(&self) -> (u64, u64, u64) {
-        self.replay_stats
-    }
-
     /// The loaded executable.
     pub fn executable(&self) -> &Executable {
         &self.exe
     }
 
-    /// Merge one replay call's deltas into the books — equivalent to
-    /// per-instruction `count_instr` calls. `cluster` distinguishes the
-    /// master books (`None`) from the serialized-section books.
-    fn merge_replay(&mut self, cur: &Cursor, cluster: Option<u32>) {
-        use xmt_isa::FuKind;
-        self.stats
-            .count_instr_bulk(FuKind::Alu, cluster, cur.counts[C_ALU]);
-        self.stats
-            .count_instr_bulk(FuKind::Sft, cluster, cur.counts[C_SFT]);
-        self.stats
-            .count_instr_bulk(FuKind::Br, cluster, cur.counts[C_BR]);
-        self.stats
-            .count_instr_bulk(FuKind::Ctl, cluster, cur.counts[C_CTL]);
-        self.replay_stats.0 += cur.replays;
-        self.replay_stats.1 += cur.executed;
-        self.replay_stats.2 += cur.fused;
-    }
-
     /// Run to `halt`. Returns the number of instructions executed.
     pub fn run(&mut self) -> Result<u64, FuncError> {
-        let mut executed: u64 = 0;
-        loop {
-            // Fast-forward through pre-decoded blocks; the replay obeys
-            // the same instruction limit as the loop check below. The
-            // `replayable` pre-check keeps known-non-local pcs (memory
-            // ops, prints…) at interpreter cost.
-            if let Some(dc) = self.decode.as_mut() {
-                if dc.replayable(self.master.pc) {
-                    let mut cur = Cursor::new(0, 0);
-                    let env = ReplayEnv::functional(self.instr_limit, executed);
-                    dc.replay(&self.exe, &mut self.master, &env, &mut cur);
-                    if cur.executed > 0 {
-                        executed += cur.executed;
-                        self.merge_replay(&cur, None);
-                        continue;
-                    }
-                }
-            }
-            if executed >= self.instr_limit {
-                return Err(FuncError::InstrLimit { executed });
-            }
-            let pc = self.master.pc;
-            let issued = exec::issue(&self.exe, &mut self.master, &mut self.machine, Mode::Master)?;
-            executed += 1;
-            let _ = pc;
-            match issued {
-                Issued::Done(cost) => {
-                    self.stats.count_instr(cost_fu(cost), None);
-                }
-                Issued::Mem(req) => {
-                    self.stats.count_instr(xmt_isa::FuKind::Mem, None);
-                    let v = exec::perform(&mut self.machine, &req);
-                    exec::complete(&mut self.master, &req, v);
-                    // psm+increment peephole (the third fusion pair).
-                    if self.decode.is_some() && executed < self.instr_limit {
-                        if let Some(cost) = fuse_after_psm(&self.exe, &mut self.master, &req) {
-                            self.stats.count_instr(cost_fu(cost), None);
-                            self.replay_stats.2 += 1;
-                            executed += 1;
-                        }
-                    }
-                }
-                Issued::Fence => {
-                    self.stats.count_instr(xmt_isa::FuKind::Ctl, None);
-                }
-                Issued::Spawn { lo, hi, spawn_idx, join_idx } => {
-                    self.stats.count_instr(xmt_isa::FuKind::Ctl, None);
-                    executed += self.run_spawn_serialized(lo, hi, spawn_idx, join_idx, executed)?;
-                }
-                Issued::Halt => {
-                    self.stats.count_instr(xmt_isa::FuKind::Ctl, None);
-                    return Ok(executed);
-                }
-                Issued::ChkidBlocked => unreachable!("chkid traps in master mode"),
-            }
+        let mut serial = Serial {
+            exe: &self.exe,
+            machine: &mut self.machine,
+            decode: self.decode.as_mut(),
+            stats: &mut self.stats,
+            executed: 0,
+            limit: self.instr_limit,
+            section_limit: self.instr_limit,
+        };
+        if serial.run(&mut self.master, Mode::Master)? {
+            Ok(serial.executed)
+        } else {
+            Err(FuncError::InstrLimit {
+                executed: serial.executed,
+            })
         }
     }
+}
 
-    /// Serialize one parallel section: a single context consumes every
-    /// virtual thread id through the normal `ps`/`chkid` protocol.
-    fn run_spawn_serialized(
-        &mut self,
-        lo: i32,
-        hi: i32,
-        spawn_idx: u32,
-        join_idx: u32,
-        executed_so_far: u64,
-    ) -> Result<u64, FuncError> {
-        self.stats.spawns += 1;
-        self.master.pc = join_idx + 1;
-        if lo > hi {
-            return Ok(0);
-        }
-        self.stats.virtual_threads += (hi as i64 - lo as i64 + 1) as u64;
-        self.machine.gregs[0] = lo as u32;
+/// The serialized executor: functional mode's, and phase sampling's
+/// fast-forward (`CycleSim::fast_forward`). It issues one instruction at
+/// a time, and replays pre-decoded blocks through `decode` when there is
+/// one. A parallel section runs on one context that plays every virtual
+/// thread back to back, consuming thread ids from `gr0` through the
+/// normal `ps`/`chkid` protocol, exactly as a lone TCU would.
+pub(crate) struct Serial<'a> {
+    pub exe: &'a Executable,
+    pub machine: &'a mut Machine,
+    pub decode: Option<&'a mut DecodeCache>,
+    /// Instruction counters; a section counts under cluster 0.
+    pub stats: &'a mut Stats,
+    /// Instructions executed so far.
+    pub executed: u64,
+    /// No master instruction issues once `executed` has reached this.
+    pub limit: u64,
+    /// No section instruction issues once `executed` has reached this.
+    pub section_limit: u64,
+}
 
-        // One context plays all virtual threads (broadcast register file).
-        let mut ctx = ThreadCtx {
-            regs: self.master.regs.clone(),
-            pc: spawn_idx + 1,
+impl Serial<'_> {
+    /// Run `ctx` in `mode` — the master, or a section's one context —
+    /// until the master halts or the section runs out of ids (`true`), or
+    /// until the mode's limit stops it before an instruction (`false`).
+    pub(crate) fn run(&mut self, ctx: &mut ThreadCtx, mode: Mode) -> Result<bool, Trap> {
+        let (limit, cluster) = match mode {
+            Mode::Master => (self.limit, None),
+            Mode::Parallel { .. } => (self.section_limit, Some(0)),
         };
-        let mut executed = 0u64;
-        loop {
-            // Decoded-replay fast-forward, as in `run`.
-            if let Some(dc) = self.decode.as_mut() {
+        // The count lives in a register here and in `self` across a
+        // section, which runs through `self`.
+        let mut executed = self.executed;
+        let finished = loop {
+            // Fast-forward through pre-decoded blocks; the replay obeys
+            // the same limit as the check below. The `replayable`
+            // pre-check keeps known-non-local pcs (memory ops, prints…)
+            // at interpreter cost.
+            if let Some(dc) = self.decode.as_deref_mut() {
                 if dc.replayable(ctx.pc) {
                     let mut cur = Cursor::new(0, 0);
-                    let env = ReplayEnv::functional(self.instr_limit, executed_so_far + executed);
-                    dc.replay(&self.exe, &mut ctx, &env, &mut cur);
+                    let env = ReplayEnv::functional(limit, executed);
+                    dc.replay(self.exe, ctx, &env, &mut cur);
                     if cur.executed > 0 {
                         executed += cur.executed;
-                        self.merge_replay(&cur, Some(0));
+                        self.stats.count_instrs(&cur.counts, cluster);
                         continue;
                     }
                 }
             }
-            if executed_so_far + executed >= self.instr_limit {
-                return Err(FuncError::InstrLimit {
-                    executed: executed_so_far + executed,
-                });
+            if executed >= limit {
+                break false;
             }
-            let issued = exec::issue(
-                &self.exe,
-                &mut ctx,
-                &mut self.machine,
-                Mode::Parallel { hi },
-            )?;
+            let issued = exec::issue(self.exe, ctx, self.machine, mode)?;
             executed += 1;
+            let fu = match &issued {
+                Issued::Done(cost) => cost.fu(),
+                Issued::Mem(_) => FuKind::Mem,
+                Issued::ChkidBlocked => FuKind::Br,
+                _ => FuKind::Ctl,
+            };
+            self.stats.count_instr(fu, cluster);
             match issued {
-                Issued::Done(cost) => {
-                    self.stats.count_instr(cost_fu(cost), Some(0));
-                }
+                Issued::Done(_) | Issued::Fence => {}
                 Issued::Mem(req) => {
-                    self.stats.count_instr(xmt_isa::FuKind::Mem, Some(0));
-                    let v = exec::perform(&mut self.machine, &req);
-                    exec::complete(&mut ctx, &req, v);
+                    let v = exec::perform(self.machine, &req);
+                    exec::complete(ctx, &req, v);
                     // psm+increment peephole (the third fusion pair).
-                    if self.decode.is_some() && executed_so_far + executed < self.instr_limit {
-                        if let Some(cost) = fuse_after_psm(&self.exe, &mut ctx, &req) {
-                            self.stats.count_instr(cost_fu(cost), Some(0));
-                            self.replay_stats.2 += 1;
+                    if self.decode.is_some() && executed < limit {
+                        if let Some(cost) = fuse_after_psm(self.exe, ctx, &req) {
+                            self.stats.count_instr(cost.fu(), cluster);
                             executed += 1;
                         }
                     }
                 }
-                Issued::Fence => {
-                    self.stats.count_instr(xmt_isa::FuKind::Ctl, Some(0));
+                Issued::Spawn {
+                    lo,
+                    hi,
+                    spawn_idx,
+                    join_idx,
+                } => {
+                    self.stats.spawns += 1;
+                    ctx.pc = join_idx + 1;
+                    if lo <= hi {
+                        self.stats.virtual_threads += (hi as i64 - lo as i64 + 1) as u64;
+                        self.machine.gregs[0] = lo as u32;
+                        // One context plays all virtual threads (broadcast
+                        // register file).
+                        let mut thread = ThreadCtx {
+                            regs: ctx.regs.clone(),
+                            pc: spawn_idx + 1,
+                        };
+                        self.executed = executed;
+                        let finished = self.run(&mut thread, Mode::Parallel { hi })?;
+                        executed = self.executed;
+                        if !finished {
+                            break false;
+                        }
+                    }
                 }
-                Issued::ChkidBlocked => {
-                    // All ids consumed: the serialized section is done.
-                    self.stats.count_instr(xmt_isa::FuKind::Br, Some(0));
-                    return Ok(executed);
-                }
-                Issued::Halt | Issued::Spawn { .. } => {
-                    unreachable!("issue() traps on halt/spawn in parallel mode")
-                }
+                // `halt` ends the master's run and a blocked `chkid` a
+                // section's; `issue` traps on each in the other mode.
+                Issued::Halt | Issued::ChkidBlocked => break true,
             }
-        }
+        };
+        self.executed = executed;
+        Ok(finished)
     }
 }
 
@@ -274,8 +234,8 @@ impl FunctionalSim {
 /// post-incremented or scaled immediately (the `ps`/`chkid` thread-id
 /// protocol), so when the next instruction is an `addi` consuming the
 /// fetched value, execute it in the same dispatch via the local path.
-/// Pure peephole — `issue_local` is the same implementation `issue`
-/// delegates to, so semantics and counts are unchanged.
+/// Pure peephole — `issue_local` runs the same `exec_op` as `issue`, so
+/// semantics and counts are unchanged.
 fn fuse_after_psm(
     exe: &Executable,
     ctx: &mut ThreadCtx,
@@ -288,19 +248,6 @@ fn fuse_after_psm(
     match exe.instr(ctx.pc)? {
         Instr::Addi { rs, .. } if *rs == dst => exec::issue_local(exe, ctx),
         _ => None,
-    }
-}
-
-fn cost_fu(cost: exec::CostClass) -> xmt_isa::FuKind {
-    use exec::CostClass as C;
-    match cost {
-        C::Alu => xmt_isa::FuKind::Alu,
-        C::Sft => xmt_isa::FuKind::Sft,
-        C::Branch { .. } => xmt_isa::FuKind::Br,
-        C::Mul | C::Div => xmt_isa::FuKind::Mdu,
-        C::FpAdd | C::FpMul | C::FpDiv | C::FpMisc => xmt_isa::FuKind::Fpu,
-        C::Ps => xmt_isa::FuKind::Ps,
-        C::Print | C::Ctl => xmt_isa::FuKind::Ctl,
     }
 }
 

@@ -19,8 +19,9 @@
 
 use crate::config::ClockDomain;
 use crate::cycle::{CycleSim, Outcome, RunSummary, SimError};
-use crate::exec::{self, Issued, Mode};
-use crate::machine::Trap;
+use crate::exec::Mode;
+use crate::functional::Serial;
+use crate::stats::Stats;
 
 /// Phase-sampling schedule.
 #[derive(Debug, Clone, Copy)]
@@ -114,70 +115,30 @@ impl CycleSim {
 
     /// Execute up to `max_instrs` instructions *functionally* from the
     /// current quiescent point, charging `cpi` cluster cycles per
-    /// instruction of simulated time. Parallel sections are serialized
-    /// (and always executed to completion, so the machine stays
-    /// architecturally exact). Returns the number of instructions
-    /// executed.
+    /// instruction of simulated time: the serialized executor on this
+    /// simulator's machine, master and decode cache, counting into scratch
+    /// books. The budget is checked between master instructions; parallel
+    /// sections are serialized and always run to completion, so the
+    /// machine stays architecturally exact. Returns the number of
+    /// instructions executed.
     pub(crate) fn fast_forward(&mut self, max_instrs: u64, cpi: f64) -> Result<u64, SimError> {
-        // A second handle on the shared image, not a copy of it.
-        let exe = std::sync::Arc::clone(&self.exe);
-        let mut executed = 0u64;
-        while executed < max_instrs && !self.machine.halted {
-            let issued = exec::issue(&exe, &mut self.master, &mut self.machine, Mode::Master)?;
-            executed += 1;
-            match issued {
-                Issued::Done(_) | Issued::Fence => {}
-                Issued::Mem(req) => {
-                    let v = exec::perform(&mut self.machine, &req);
-                    exec::complete(&mut self.master, &req, v);
-                }
-                Issued::Spawn { lo, hi, spawn_idx, join_idx } => {
-                    executed += self.ff_spawn(&exe, lo, hi, spawn_idx, join_idx)?;
-                }
-                Issued::Halt => break,
-                Issued::ChkidBlocked => unreachable!("chkid traps in master mode"),
-            }
-        }
+        let mut scratch = Stats::for_topology(1, 1);
+        let mut serial = Serial {
+            exe: &self.exe,
+            machine: &mut self.machine,
+            decode: self.decode.as_mut(),
+            stats: &mut scratch,
+            executed: 0,
+            limit: max_instrs,
+            section_limit: u64::MAX,
+        };
+        serial.run(&mut self.master, Mode::Master)?;
+        let executed = serial.executed;
         // Charge the extrapolated time and restart the event loop there.
         let dt = (executed as f64 * cpi).round() as u64
             * self.periods()[ClockDomain::Cluster as usize];
         self.skip_time(dt);
         Ok(executed)
-    }
-
-    /// Serialize one spawn during fast-forward (the §III-A functional
-    /// mechanism). Returns instructions executed inside the section.
-    fn ff_spawn(
-        &mut self,
-        exe: &xmt_isa::Executable,
-        lo: i32,
-        hi: i32,
-        spawn_idx: u32,
-        join_idx: u32,
-    ) -> Result<u64, SimError> {
-        self.master.pc = join_idx + 1;
-        if lo > hi {
-            return Ok(0);
-        }
-        self.machine.gregs[0] = lo as u32;
-        let mut ctx =
-            crate::machine::ThreadCtx { regs: self.master.regs.clone(), pc: spawn_idx + 1 };
-        let mut executed = 0u64;
-        loop {
-            let issued = exec::issue(exe, &mut ctx, &mut self.machine, Mode::Parallel { hi })?;
-            executed += 1;
-            match issued {
-                Issued::Done(_) | Issued::Fence => {}
-                Issued::Mem(req) => {
-                    let v = exec::perform(&mut self.machine, &req);
-                    exec::complete(&mut ctx, &req, v);
-                }
-                Issued::ChkidBlocked => return Ok(executed),
-                Issued::Halt | Issued::Spawn { .. } => {
-                    return Err(SimError::Trap(Trap::SpawnInParallel { pc: ctx.pc }))
-                }
-            }
-        }
     }
 }
 
@@ -243,6 +204,12 @@ mod tests {
         // A real share of the work was fast-forwarded.
         assert!(ps.ff_fraction() > 0.2, "ff fraction {:.2}", ps.ff_fraction());
         assert!(ps.intervals >= 2);
+        // Fast-forward is deterministic: these are the figures of the
+        // per-instruction loop it replaced, to the instruction and cycle.
+        assert_eq!(
+            (ps.fast_forwarded_instructions, ps.intervals, ps.summary.cycles),
+            (24_114, 3, 19_331)
+        );
         // Extrapolated cycle count lands near the true one (homogeneous
         // phases → CPI transfers well).
         let ratio = ps.summary.cycles as f64 / fs.cycles as f64;

@@ -126,14 +126,18 @@ impl Stats {
         }
     }
 
-    /// Record `n` executed instructions of one kind at once — decoded
-    /// replay and the closed-form first round count privately and merge
-    /// here; the result is exactly `n` calls to
+    /// Record a batch of executed instructions, `counts[fu as usize]` of
+    /// each kind — decoded replay and the closed-form first round count
+    /// privately and merge here; the result is exactly that many calls to
     /// [`count_instr`](Self::count_instr).
     #[inline]
-    pub fn count_instr_bulk(&mut self, fu: FuKind, cluster: Option<u32>, n: u64) {
+    pub fn count_instrs(&mut self, counts: &[u64; 8], cluster: Option<u32>) {
+        let mut n = 0;
+        for (by, k) in self.by_fu.iter_mut().zip(counts) {
+            *by += k;
+            n += k;
+        }
         self.instructions += n;
-        self.by_fu[fu as usize] += n;
         match cluster {
             Some(c) => {
                 self.tcu_instructions += n;

@@ -396,10 +396,12 @@ fn observe(
 /// serialized mid-flight checkpoint.
 #[test]
 fn decode_cache_matches_interpreted_oracle() {
+    let mut ran = 0u32;
     run(
         "decode_cache_matches_interpreted_oracle",
         Config::default(),
         |g: &mut Gen| {
+            ran += 1;
             let exe = gen_program(g);
             let cfg = gen_config(g);
             let spec = CaseSpec {
@@ -427,6 +429,10 @@ fn decode_cache_matches_interpreted_oracle() {
             );
         },
     );
+    // scripts/verify.sh greps for this line: replay's control policy has
+    // no other referee against the interpreted loop.
+    eprintln!("decode_diff: ran {ran} cases");
+    assert!(ran >= 1);
 }
 
 /// The cache does what it is for: on a compute-bound workload nearly all

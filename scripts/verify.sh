@@ -89,7 +89,7 @@ referee xmtsim model_properties 'lanes_match_heap_on_model_traffic: ran [1-9][0-
 # determinism: bit-identical runs + quiescent and mid-flight checkpoints
 referee xmt-bench "checkpoint_resume checkpoint_inflight"
 # express ICN legs vs the per-hop walk
-referee xmtsim icn_express_diff
+referee xmtsim icn_express_diff 'icn_express_diff: ran [1-9][0-9]* cases'
 # compute bursts vs per-instruction issue (+ tracer/limit/sample clips),
 # the master's folded serial sections and inline round trips, the TCU
 # side's folded return legs and continued steps at their boundaries, and
@@ -97,8 +97,9 @@ referee xmtsim icn_express_diff
 referee xmtsim "issue_burst_diff issue_model" \
     'serial_sections: ran [1-9][0-9]* cases' 'fold_boundaries: ran [1-9][0-9]* cases' \
     'first_round: ran [1-9][0-9]* cases'
-# decoded basic-block replay vs interpreted issue
-referee xmtsim decode_diff
+# decoded basic-block replay vs interpreted issue: the only referee of
+# replay's control policy (both paths execute the same `exec_op`)
+referee xmtsim decode_diff 'decode_diff: ran [1-9][0-9]* cases'
 # generated XMTC through functional mode + the whole engine matrix
 referee "xmt-workloads --release" cross_engine_fuzz \
     'cross_engine_fuzz: ran [1-9][0-9]* cases through functional \+ 5 cycle engines'
