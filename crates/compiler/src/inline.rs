@@ -26,6 +26,9 @@ const MAX_DEPTH: u32 = 16;
 
 /// Inline calls inside every spawn body of the program.
 pub fn inline_parallel_calls(program: &mut Program) -> Result<(), CompileError> {
+    if !spawn_calls(program) {
+        return Ok(()); // nothing to inline, and nothing to reject
+    }
     // Snapshot callee definitions (functions may call one another).
     let callees: HashMap<String, Function> = program
         .functions
@@ -38,6 +41,37 @@ pub fn inline_parallel_calls(program: &mut Program) -> Result<(), CompileError> 
         inline_in_block(&mut f.body, false, &callees, &mut counter, 0, &mut scope)?;
     }
     Ok(())
+}
+
+/// Does a spawn body call a function of the program? Only such a call is
+/// inlined, or rejected.
+fn spawn_calls(program: &Program) -> bool {
+    fn in_block(b: &Block, names: &[&str]) -> bool {
+        b.stmts.iter().any(|s| in_stmt(s, names))
+    }
+    fn in_stmt(s: &Stmt, names: &[&str]) -> bool {
+        match s {
+            Stmt::Spawn { body, .. } => {
+                let mut hit = false;
+                crate::sema::walk_exprs(body, &mut |e| {
+                    if let Expr::Call { name, .. } = e {
+                        hit |= names.contains(&name.as_str());
+                    }
+                });
+                hit
+            }
+            Stmt::If { then, els, .. } => {
+                in_block(then, names) || els.as_ref().is_some_and(|e| in_block(e, names))
+            }
+            Stmt::While { body, .. } | Stmt::DoWhile { body, .. } | Stmt::For { body, .. } => {
+                in_block(body, names)
+            }
+            Stmt::Block(b) => in_block(b, names),
+            _ => false,
+        }
+    }
+    let names: Vec<&str> = program.functions.iter().map(|f| f.name.as_str()).collect();
+    program.functions.iter().any(|f| in_block(&f.body, &names))
 }
 
 /// Identifiers an expression references that are not bound by `bound`.

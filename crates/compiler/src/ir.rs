@@ -150,24 +150,42 @@ pub enum Inst {
 }
 
 impl Inst {
-    /// Virtual registers read by this instruction.
-    pub fn uses(&self) -> Vec<V> {
+    /// Call `f` on each virtual register this instruction reads, in
+    /// operand order.
+    #[inline]
+    pub fn each_use(&self, mut f: impl FnMut(V)) {
         use Inst::*;
         match self {
-            Bin { a, b, .. } => a.as_v().into_iter().chain(b.as_v()).collect(),
-            FBin { a, b, .. } | FCmp { a, b, .. } => vec![*a, *b],
+            Bin { a, b, .. } => {
+                if let Operand::V(v) = a {
+                    f(*v);
+                }
+                if let Operand::V(v) = b {
+                    f(*v);
+                }
+            }
+            FBin { a, b, .. } | FCmp { a, b, .. } => {
+                f(*a);
+                f(*b);
+            }
             Li { .. } | FLi { .. } | Tid { .. } | La { .. } | SlotAddr { .. } | Fence
-            | GrGet { .. } => vec![],
+            | GrGet { .. } => {}
             Mov { s, .. } | FMov { s, .. } | FNeg { s, .. } | CvtIF { s, .. }
             | CvtFI { s, .. } | GrPut { s, .. } | Print { s } | PrintF { s } | PrintC { s } => {
-                vec![*s]
+                f(*s)
             }
-            Ld { addr, .. } | FLd { addr, .. } | Pref { addr, .. } => vec![*addr],
-            St { s, addr, .. } | FSt { s, addr, .. } => vec![*s, *addr],
-            Psm { s_d, addr, .. } => vec![*s_d, *addr],
-            Ps { s_d, .. } => vec![*s_d],
-            Call { args, .. } => args.clone(),
-            Alloc { size, .. } => vec![*size],
+            Ld { addr, .. } | FLd { addr, .. } | Pref { addr, .. } => f(*addr),
+            St { s, addr, .. } | FSt { s, addr, .. } => {
+                f(*s);
+                f(*addr);
+            }
+            Psm { s_d, addr, .. } => {
+                f(*s_d);
+                f(*addr);
+            }
+            Ps { s_d, .. } => f(*s_d),
+            Call { args, .. } => args.iter().for_each(|&a| f(a)),
+            Alloc { size, .. } => f(*size),
         }
     }
 
@@ -243,23 +261,111 @@ pub enum Term {
 
 impl Term {
     /// Successor blocks.
-    pub fn succs(&self) -> Vec<Bb> {
-        match self {
-            Term::Jmp(b) => vec![*b],
-            Term::Br { t, f, .. } => vec![*t, *f],
-            Term::SpawnStart { harness, cont, .. } => vec![*harness, *cont],
-            Term::Ret(_) | Term::Halt => vec![],
+    #[inline]
+    pub fn succs(&self) -> Succs {
+        match *self {
+            Term::Jmp(b) => Succs { buf: [b, 0], len: 1 },
+            Term::Br { t, f, .. } => Succs { buf: [t, f], len: 2 },
+            Term::SpawnStart { harness, cont, .. } => Succs { buf: [harness, cont], len: 2 },
+            Term::Ret(_) | Term::Halt => Succs { buf: [0, 0], len: 0 },
         }
     }
 
-    /// Virtual registers read by the terminator.
-    pub fn uses(&self) -> Vec<V> {
-        match self {
-            Term::Br { cond, .. } => vec![*cond],
-            Term::Ret(Some(v)) => vec![*v],
-            Term::SpawnStart { lo, hi, .. } => vec![*lo, *hi],
-            _ => vec![],
+    /// Call `f` on each virtual register the terminator reads.
+    #[inline]
+    pub fn each_use(&self, mut f: impl FnMut(V)) {
+        match *self {
+            Term::Br { cond, .. } => f(cond),
+            Term::Ret(Some(v)) => f(v),
+            Term::SpawnStart { lo, hi, .. } => {
+                f(lo);
+                f(hi);
+            }
+            _ => {}
         }
+    }
+}
+
+/// The successors of a terminator: at most two, held inline.
+#[derive(Debug, Clone, Copy)]
+pub struct Succs {
+    buf: [Bb; 2],
+    len: u8,
+}
+
+impl std::ops::Deref for Succs {
+    type Target = [Bb];
+    fn deref(&self) -> &[Bb] {
+        &self.buf[..self.len as usize]
+    }
+}
+
+impl IntoIterator for Succs {
+    type Item = Bb;
+    type IntoIter = std::iter::Take<std::array::IntoIter<Bb, 2>>;
+    fn into_iter(self) -> Self::IntoIter {
+        self.buf.into_iter().take(self.len as usize)
+    }
+}
+
+/// A set of virtual registers of one function: a bitset over
+/// `0..vclass.len()`, since `V` is a dense index.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub(crate) struct VSet {
+    words: Vec<u64>,
+}
+
+impl VSet {
+    /// An empty set able to hold `0..n`.
+    pub fn new(n: usize) -> Self {
+        VSet { words: vec![0; n.div_ceil(64)] }
+    }
+
+    #[inline]
+    pub fn insert(&mut self, v: V) {
+        self.words[v as usize / 64] |= 1u64 << (v % 64);
+    }
+
+    #[inline]
+    pub fn contains(&self, v: V) -> bool {
+        self.words[v as usize / 64] & (1u64 << (v % 64)) != 0
+    }
+
+    /// `self |= other`.
+    pub fn union_with(&mut self, other: &VSet) {
+        for (a, b) in self.words.iter_mut().zip(&other.words) {
+            *a |= b;
+        }
+    }
+
+    /// `self = gen | (out & !kill)`; returns whether `self` changed.
+    pub fn assign_transfer(&mut self, gen: &VSet, out: &VSet, kill: &VSet) -> bool {
+        let mut changed = false;
+        for (k, a) in self.words.iter_mut().enumerate() {
+            let w = gen.words[k] | (out.words[k] & !kill.words[k]);
+            changed |= *a != w;
+            *a = w;
+        }
+        changed
+    }
+
+    /// Make `self` empty.
+    pub fn clear(&mut self) {
+        self.words.fill(0);
+    }
+
+    /// The members, ascending.
+    pub fn iter(&self) -> impl Iterator<Item = V> + '_ {
+        self.words.iter().enumerate().flat_map(|(k, &w)| {
+            let mut w = w;
+            std::iter::from_fn(move || {
+                (w != 0).then(|| {
+                    let bit = w.trailing_zeros();
+                    w &= w - 1;
+                    (k * 64) as V + bit
+                })
+            })
+        })
     }
 }
 
@@ -371,33 +477,38 @@ impl fmt::Display for Module {
 mod tests {
     use super::*;
 
+    fn uses(i: &Inst) -> Vec<V> {
+        let mut out = Vec::new();
+        i.each_use(|v| out.push(v));
+        out
+    }
+
     #[test]
     fn uses_and_defs() {
         let i = Inst::Bin { op: BinK::Add, d: 3, a: Operand::V(1), b: Operand::C(4) };
-        assert_eq!(i.uses(), vec![1]);
+        assert_eq!(uses(&i), vec![1]);
         assert_eq!(i.def(), Some(3));
         assert!(i.is_pure());
 
         let st = Inst::St { s: 1, addr: 2, off: 0, nb: false };
-        assert_eq!(st.uses(), vec![1, 2]);
+        assert_eq!(uses(&st), vec![1, 2]);
         assert_eq!(st.def(), None);
         assert!(!st.is_pure());
         assert!(st.is_memory());
 
         let psm = Inst::Psm { s_d: 5, addr: 6, off: 0 };
-        assert_eq!(psm.uses(), vec![5, 6]);
+        assert_eq!(uses(&psm), vec![5, 6]);
         assert_eq!(psm.def(), Some(5));
     }
 
     #[test]
     fn term_successors() {
-        assert_eq!(Term::Jmp(3).succs(), vec![3]);
-        assert_eq!(Term::Br { cond: 0, t: 1, f: 2 }.succs(), vec![1, 2]);
-        assert_eq!(
-            Term::SpawnStart { lo: 0, hi: 1, harness: 5, cont: 9 }.succs(),
-            vec![5, 9]
-        );
+        assert_eq!(*Term::Jmp(3).succs(), [3]);
+        assert_eq!(*Term::Br { cond: 0, t: 1, f: 2 }.succs(), [1, 2]);
+        assert_eq!(*Term::SpawnStart { lo: 0, hi: 1, harness: 5, cont: 9 }.succs(), [5, 9]);
         assert!(Term::Halt.succs().is_empty());
+        let br = Term::Br { cond: 0, t: 1, f: 2 };
+        assert_eq!(br.succs().into_iter().collect::<Vec<_>>(), [1, 2]);
     }
 
     #[test]
@@ -419,5 +530,24 @@ mod tests {
         let b = f.new_block(true);
         assert!(f.blocks[b as usize].parallel);
         assert!(f.has_spawn());
+    }
+
+    #[test]
+    fn vset_members_and_transfer() {
+        let mut s = VSet::new(130);
+        s.insert(3);
+        s.insert(129);
+        s.insert(3);
+        assert!(s.contains(129) && !s.contains(4));
+        assert_eq!(s.iter().collect::<Vec<_>>(), [3, 129]);
+        let (mut gen, mut kill, mut out) = (VSet::new(130), VSet::new(130), VSet::new(130));
+        gen.insert(1);
+        kill.insert(3);
+        out.union_with(&s);
+        assert!(s.assign_transfer(&gen, &out, &kill));
+        assert_eq!(s.iter().collect::<Vec<_>>(), [1, 129]);
+        assert!(!s.assign_transfer(&gen, &out, &kill));
+        s.clear();
+        assert_eq!(s.iter().count(), 0);
     }
 }

@@ -215,7 +215,8 @@ fn keyword(s: &str) -> Option<Tok> {
 /// Tokenize XMTC source text.
 pub fn lex(src: &str) -> Result<Vec<Token>, LexError> {
     let bytes = src.as_bytes();
-    let mut toks = Vec::new();
+    // XMTC runs about one token per two bytes: one allocation, usually.
+    let mut toks = Vec::with_capacity(src.len() / 2 + 1);
     let mut i = 0usize;
     let mut line = 1u32;
     let mut col = 1u32;

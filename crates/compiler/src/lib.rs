@@ -41,6 +41,7 @@ pub mod sema;
 
 use lexer::Span;
 use std::fmt;
+use std::time::Instant;
 use xmt_isa::{AsmProgram, MemoryMap};
 
 /// Compiler options.
@@ -177,7 +178,16 @@ pub struct CompileOutput {
     /// Sparse (instruction index → XMTC source line) table; see
     /// [`CompileOutput::source_line_of`].
     pub line_table: Vec<(u32, u32)>,
+    /// Host microseconds each of [`PASSES`] took, in that order.
+    pub pass_us: [f64; PASSES.len()],
 }
+
+/// The compiler's passes as [`CompileOutput::pass_us`] times them:
+/// `parse`; `sema` (parallel-call inlining, checks, dead-function
+/// pruning); `outline` (clustering and outlining); `lower`; `opt`;
+/// `codegen` (register allocation and emission); `layout` (the
+/// post-pass and the line table).
+pub const PASSES: [&str; 7] = ["parse", "sema", "outline", "lower", "opt", "codegen", "layout"];
 
 impl CompileOutput {
     /// The XMTC source line an instruction was generated from, if known
@@ -228,7 +238,16 @@ impl CompileOutput {
 
 /// Compile XMTC source text into XMT assembly.
 pub fn compile(source: &str, opts: &Options) -> Result<CompileOutput, CompileError> {
+    // One clock read per pass boundary.
+    let mut pass_us = [0.0; PASSES.len()];
+    let mut last = Instant::now();
+    let mut lap = |pass: usize| {
+        let now = Instant::now();
+        pass_us[pass] = (now - last).as_secs_f64() * 1e6;
+        last = now;
+    };
     let mut ast = parser::parse(source)?;
+    lap(0);
     // Calls inside spawn blocks are inlined (there is no parallel cactus
     // stack in the current release, paper §IV-E).
     inline::inline_parallel_calls(&mut ast)?;
@@ -236,6 +255,7 @@ pub fn compile(source: &str, opts: &Options) -> Result<CompileOutput, CompileErr
     // Helpers that existed only to be inlined are dead now.
     inline::prune_dead_functions(&mut checked.program);
     let mut warnings = std::mem::take(&mut checked.warnings);
+    lap(1);
 
     if let Some(c) = opts.clustering {
         if c > 1 {
@@ -251,13 +271,17 @@ pub fn compile(source: &str, opts: &Options) -> Result<CompileOutput, CompileErr
                 .to_string(),
         );
     }
+    lap(2);
 
     let mut module = lower::lower(&checked, opts)?;
+    lap(3);
     opt::optimize(&mut module, opts);
+    lap(4);
     let mut asm = codegen::emit(&module, opts)?;
-    let fixes = layout::fix_layout(&mut asm).map_err(CompileError::Verify)?;
-    layout::verify(&asm).map_err(CompileError::Verify)?;
+    lap(5);
+    let fixes = layout::fix_and_verify(&mut asm).map_err(CompileError::Verify)?;
     let line_table = build_line_table(&asm);
+    lap(6);
 
     Ok(CompileOutput {
         asm,
@@ -265,6 +289,7 @@ pub fn compile(source: &str, opts: &Options) -> Result<CompileOutput, CompileErr
         layout_fixes: fixes,
         warnings,
         line_table,
+        pass_us,
     })
 }
 

@@ -7,33 +7,59 @@
 //! emptied.
 
 use crate::ir::*;
-use std::collections::HashSet;
+
+const NONE: u32 = u32::MAX;
 
 /// Run DCE on one function.
+///
+/// Keeps a use count per vreg and a worklist of vregs whose count fell to
+/// zero: removing an instruction only ever lowers counts, so this reaches
+/// the same fixed point as re-scanning every use until nothing changes.
 pub fn run(f: &mut IrFunction) {
     remove_unreachable(f);
-    loop {
-        let mut used: HashSet<V> = HashSet::new();
-        for b in &f.blocks {
-            for i in &b.insts {
-                used.extend(i.uses());
-            }
-            used.extend(b.term.uses());
+    let nv = f.vclass.len();
+    let insts: Vec<&Inst> = f.blocks.iter().flat_map(|b| &b.insts).collect();
+    // Uses per vreg. (A param's def is the prologue, which never dies.)
+    let mut uses = vec![0u32; nv];
+    // The pure instructions defining each vreg, as linked lists over
+    // instruction ids (function order).
+    let mut first_def = vec![NONE; nv];
+    let mut next_def = vec![NONE; insts.len()];
+    for (id, i) in insts.iter().enumerate() {
+        i.each_use(|u| uses[u as usize] += 1);
+        if let Some(d) = i.def().filter(|_| i.is_pure()) {
+            next_def[id] = first_def[d as usize];
+            first_def[d as usize] = id as u32;
         }
-        // Params are ABI-live (their defs are the prologue).
-        let mut changed = false;
-        for b in &mut f.blocks {
-            b.insts.retain(|i| {
-                let dead = i.is_pure() && i.def().is_some_and(|d| !used.contains(&d));
-                if dead {
-                    changed = true;
+    }
+    for b in &f.blocks {
+        b.term.each_use(|u| uses[u as usize] += 1);
+    }
+    let mut work: Vec<V> = insts
+        .iter()
+        .filter_map(|i| i.def().filter(|&d| i.is_pure() && uses[d as usize] == 0))
+        .collect();
+    let mut dead = vec![false; insts.len()];
+    while let Some(v) = work.pop() {
+        // Taking the list makes a vreg queued twice a no-op.
+        let mut id = std::mem::replace(&mut first_def[v as usize], NONE);
+        while id != NONE {
+            dead[id as usize] = true;
+            insts[id as usize].each_use(|u| {
+                uses[u as usize] -= 1;
+                if uses[u as usize] == 0 {
+                    work.push(u);
                 }
-                !dead
             });
+            id = next_def[id as usize];
         }
-        if !changed {
-            break;
-        }
+    }
+    let mut id = 0;
+    for b in &mut f.blocks {
+        b.insts.retain(|_| {
+            id += 1;
+            !dead[id - 1]
+        });
     }
 }
 
@@ -108,8 +134,9 @@ mod tests {
             src_line: 0,
         }]);
         run(&mut f);
-        // The load's result is unused but loads are not pure in our IR
-        // conservatism? They are non-pure (is_pure() false) so kept.
+        // The load's result is unused, but `is_pure` excludes every
+        // memory operation, loads included: DCE keeps it like the store
+        // and the prefix-sum.
         assert_eq!(f.blocks[0].insts.len(), 3);
     }
 

@@ -7,61 +7,54 @@
 //! a `mul` for a per-TCU shift is a real win).
 
 use crate::ir::*;
-use std::collections::HashMap;
 
 /// Run folding over every block of a function.
 pub fn run(f: &mut IrFunction) {
+    // vreg -> known constant, valid until redefinition: `since[v]` is
+    // when `v` was last loaded with a constant (0 = not), and a value
+    // from before the current block's start is not known.
+    let nv = f.vclass.len();
+    let mut value = vec![0i32; nv];
+    let mut since = vec![0u32; nv];
+    let mut now = 0;
     for b in &mut f.blocks {
-        fold_block(b);
-    }
-}
-
-fn fold_block(b: &mut BlockIr) {
-    // vreg -> known constant, valid until redefinition.
-    let mut known: HashMap<V, i32> = HashMap::new();
-    for inst in &mut b.insts {
-        // Replace operands with constants where known.
-        if let Inst::Bin { a, b: ob, .. } = inst {
-            if let Operand::V(v) = a {
-                if let Some(c) = known.get(v) {
-                    *a = Operand::C(*c);
-                }
-            }
-            if let Operand::V(v) = ob {
-                if let Some(c) = known.get(v) {
-                    *ob = Operand::C(*c);
-                }
-            }
-        }
-        // Evaluate / simplify.
-        if let Inst::Bin { op, d, a, b: ob } = inst.clone() {
-            match (a, ob) {
-                (Operand::C(x), Operand::C(y)) => {
-                    if let Some(v) = eval(op, x, y) {
-                        *inst = Inst::Li { d, imm: v };
+        now += 1;
+        let block_start = now;
+        let known = |v: V, since: &[u32]| since[v as usize] >= block_start;
+        for inst in &mut b.insts {
+            now += 1;
+            // Replace operands with constants where known.
+            if let Inst::Bin { a, b: ob, .. } = inst {
+                for o in [a, ob] {
+                    if let Operand::V(v) = *o {
+                        if known(v, &since) {
+                            *o = Operand::C(value[v as usize]);
+                        }
                     }
                 }
-                (Operand::V(x), Operand::C(y)) => {
-                    if let Some(s) = simplify_vc(op, d, x, y) {
-                        *inst = s;
-                    }
-                }
-                (Operand::C(x), Operand::V(y)) => {
-                    if let Some(s) = simplify_cv(op, d, x, y) {
-                        *inst = s;
-                    }
-                }
-                _ => {}
             }
-        }
-        // Update known-constant map.
-        match inst {
-            Inst::Li { d, imm } => {
-                known.insert(*d, *imm);
+            // Evaluate / simplify.
+            if let Inst::Bin { op, d, a, b: ob } = *inst {
+                let folded = match (a, ob) {
+                    (Operand::C(x), Operand::C(y)) => eval(op, x, y).map(|imm| Inst::Li { d, imm }),
+                    (Operand::V(x), Operand::C(y)) => simplify_vc(op, d, x, y),
+                    (Operand::C(x), Operand::V(y)) => simplify_cv(op, d, x, y),
+                    _ => None,
+                };
+                if let Some(s) = folded {
+                    *inst = s;
+                }
             }
-            other => {
-                if let Some(d) = other.def() {
-                    known.remove(&d);
+            // Update known-constant map.
+            match inst {
+                Inst::Li { d, imm } => {
+                    value[*d as usize] = *imm;
+                    since[*d as usize] = now;
+                }
+                other => {
+                    if let Some(d) = other.def() {
+                        since[d as usize] = 0;
+                    }
                 }
             }
         }

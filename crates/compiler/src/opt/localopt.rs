@@ -9,172 +9,245 @@
 use crate::ir::*;
 use std::collections::HashMap;
 
+const NONE: V = V::MAX;
+
+/// Facts of the form "`d` holds the value of `s`", learned within one
+/// block, on dense vreg ids. Time advances by two per instruction: kills
+/// happen at even times, facts are learned at odd ones, and a fact holds
+/// while nothing killed its source after it was learned. A fact from an
+/// earlier block is older than `block_start`, so blocks need no reset.
+struct Facts {
+    src: Vec<V>,
+    learned: Vec<u32>,
+    /// When each vreg last stopped being a valid source.
+    killed: Vec<u32>,
+    block_start: u32,
+}
+
+impl Facts {
+    fn new(nv: usize) -> Self {
+        Facts { src: vec![NONE; nv], learned: vec![0; nv], killed: vec![0; nv], block_start: 0 }
+    }
+
+    /// The source `v` is known to copy, if any.
+    #[inline]
+    fn get(&self, v: V) -> Option<V> {
+        let (s, t) = (self.src[v as usize], self.learned[v as usize]);
+        (s != NONE && t >= self.block_start && self.killed[s as usize] < t).then_some(s)
+    }
+
+    fn learn(&mut self, d: V, s: V, now: u32) {
+        self.src[d as usize] = s;
+        self.learned[d as usize] = now;
+    }
+
+    /// Forget what `d` copies, and every fact whose source is `d`.
+    fn kill(&mut self, d: V, now: u32) {
+        self.src[d as usize] = NONE;
+        self.killed[d as usize] = now;
+    }
+}
+
 /// Replace uses of `Mov` destinations by their sources within blocks.
 pub fn copy_propagate(f: &mut IrFunction) {
-    for b in &mut f.blocks {
-        let mut copies: HashMap<V, V> = HashMap::new();
-        let resolve = |copies: &HashMap<V, V>, v: V| -> V {
-            let mut v = v;
-            let mut depth = 0;
-            while let Some(&s) = copies.get(&v) {
-                v = s;
-                depth += 1;
-                if depth > 32 {
-                    break;
-                }
+    let mut copies = Facts::new(f.vclass.len());
+    let mut now = 0;
+    let resolve = |copies: &Facts, v: V| -> V {
+        let mut v = v;
+        let mut depth = 0;
+        while let Some(s) = copies.get(v) {
+            v = s;
+            depth += 1;
+            if depth > 32 {
+                break;
             }
-            v
-        };
+        }
+        v
+    };
+    for b in &mut f.blocks {
+        now += 2;
+        copies.block_start = now;
         for inst in &mut b.insts {
+            now += 2;
             // Rewrite uses first.
             rewrite_uses(inst, |v| resolve(&copies, v));
             // Kill facts about the redefined register.
             if let Some(d) = inst.def() {
-                copies.remove(&d);
-                copies.retain(|_, s| *s != d);
+                copies.kill(d, now);
             }
             // Learn new copies.
             match inst {
                 Inst::Mov { d, s } | Inst::FMov { d, s } if d != s => {
-                    copies.insert(*d, *s);
+                    copies.learn(*d, *s, now + 1);
                 }
                 _ => {}
             }
         }
         // Terminator uses.
-        let copies_ref = &copies;
         match &mut b.term {
-            Term::Br { cond, .. } => *cond = resolve(copies_ref, *cond),
-            Term::Ret(Some(v)) => *v = resolve(copies_ref, *v),
+            Term::Br { cond, .. } => *cond = resolve(&copies, *cond),
+            Term::Ret(Some(v)) => *v = resolve(&copies, *v),
             Term::SpawnStart { lo, hi, .. } => {
-                *lo = resolve(copies_ref, *lo);
-                *hi = resolve(copies_ref, *hi);
+                *lo = resolve(&copies, *lo);
+                *hi = resolve(&copies, *hi);
             }
             _ => {}
         }
     }
+}
+
+/// A value CSE can reuse: the operation and its operands, packed.
+#[derive(PartialEq, Eq, Hash, Clone, Copy)]
+struct Key(u64, u64);
+
+/// The vreg holding an available value, when it became available, and
+/// what kills it: its operand vregs and, for loads, any memory effect.
+#[derive(Clone, Copy)]
+struct Avail {
+    v: V,
+    at: u32,
+    operands: [V; 2],
+    load: bool,
+}
+
+/// The key of a value `inst` computes, and its operand vregs: a tag, an
+/// operation and two operand words (each flagged as a constant or a
+/// vreg), so two keys are equal exactly when the instructions compute
+/// the same value from the same operands.
+fn key_of(inst: &Inst, syms: &mut HashMap<String, u32>) -> Option<(Key, [V; 2])> {
+    let v = |v: V| (v as u64, v, 0);
+    let c = |c: u32| (c as u64, NONE, 1);
+    let opnd = |o: Operand| match o {
+        Operand::V(x) => v(x),
+        Operand::C(k) => c(k as u32),
+    };
+    let pack = |tag: u64, op: u64, (a, va, ca): (u64, V, u64), (b, vb, cb): (u64, V, u64)| {
+        (Key(tag | op << 4 | ca << 9 | cb << 10, a | b << 32), [va, vb])
+    };
+    Some(match inst {
+        Inst::Bin { op, a, b, .. } => pack(0, *op as u64, opnd(*a), opnd(*b)),
+        Inst::FBin { op, a, b, .. } => pack(1, *op as u64, v(*a), v(*b)),
+        Inst::Li { imm, .. } => pack(2, 0, c(*imm as u32), c(0)),
+        Inst::FLi { imm, .. } => pack(3, 0, c(imm.to_bits()), c(0)),
+        Inst::La { symbol, .. } => {
+            let id = match syms.get(symbol.as_str()) {
+                Some(&id) => id,
+                None => {
+                    let id = syms.len() as u32;
+                    syms.insert(symbol.clone(), id);
+                    id
+                }
+            };
+            pack(4, 0, c(id), c(0))
+        }
+        Inst::SlotAddr { slot, .. } => pack(5, 0, c(*slot), c(0)),
+        Inst::CvtIF { s, .. } => pack(6, 1, v(*s), c(0)),
+        Inst::CvtFI { s, .. } => pack(6, 0, v(*s), c(0)),
+        Inst::FCmp { op, a, b, .. } => pack(7, *op as u64, v(*a), v(*b)),
+        Inst::Ld { addr, off, volatile: false, .. } => pack(8, 0, v(*addr), c(*off as u32)),
+        Inst::FLd { addr, off, .. } => pack(9, 0, v(*addr), c(*off as u32)),
+        _ => return None,
+    })
 }
 
 /// Local CSE over pure operations and (non-volatile) loads.
 pub fn cse(f: &mut IrFunction) {
+    let nv = f.vclass.len();
+    let mut st = Cse {
+        avail: HashMap::new(),
+        reg_killed: vec![0; nv],
+        mem_killed: 0,
+        replaced: Facts::new(nv),
+        syms: HashMap::new(),
+        now: 0,
+    };
     for b in &mut f.blocks {
-        cse_block(b);
+        st.block(b);
     }
 }
 
-#[derive(PartialEq, Clone)]
-enum Key {
-    Bin(BinK, Operand, Operand),
-    FBin(FBinK, V, V),
-    Li(i32),
-    FLi(u32),
-    La(String),
-    SlotAddr(u32),
-    Cvt(bool, V),
-    FCmp(FCmpK, V, V),
-    Load(V, i32),
-    FLoad(V, i32),
+/// CSE state for one function, on dense vreg ids and the clock of
+/// [`Facts`]: an available value holds while neither it, an operand nor
+/// (for a load) memory was killed after it became available.
+struct Cse {
+    /// At most one live entry per key: a key is only added when no live
+    /// entry has it, so lookup is the first match.
+    avail: HashMap<Key, Avail>,
+    reg_killed: Vec<u32>,
+    mem_killed: u32,
+    /// Destinations of reused values → the vreg they were replaced by.
+    replaced: Facts,
+    /// `La` symbols, numbered for keys.
+    syms: HashMap<String, u32>,
+    now: u32,
 }
 
-fn cse_block(b: &mut BlockIr) {
-    // available value -> defining vreg
-    let mut avail: Vec<(Key, V)> = Vec::new();
-    let mut replaced: HashMap<V, V> = HashMap::new();
+impl Cse {
+    fn live(&self, a: &Avail) -> bool {
+        let killed = |v: V| v != NONE && self.reg_killed[v as usize] >= a.at;
+        let [x, y] = a.operands;
+        !(killed(a.v) || killed(x) || killed(y) || a.load && self.mem_killed >= a.at)
+    }
 
-    let kill_reg = |avail: &mut Vec<(Key, V)>, d: V| {
-        avail.retain(|(k, v)| {
-            if *v == d {
-                return false;
+    fn block(&mut self, b: &mut BlockIr) {
+        self.avail.clear();
+        self.now += 2;
+        self.replaced.block_start = self.now;
+        for inst in &mut b.insts {
+            self.now += 2;
+            let now = self.now;
+            let replaced = &self.replaced;
+            rewrite_uses(inst, |v| replaced.get(v).unwrap_or(v));
+
+            let key = key_of(inst, &mut self.syms);
+            if let (Some((key, ..)), Some(d)) = (key, inst.def()) {
+                if let Some(prev) = self.avail.get(&key).filter(|a| self.live(a)).map(|a| a.v) {
+                    // Only safe if `prev` hasn't been redefined since — the
+                    // kill logic guarantees that. But the destination may be
+                    // live elsewhere (non-SSA), so keep the def as a move.
+                    let is_float = matches!(
+                        inst,
+                        Inst::FBin { .. } | Inst::FLi { .. } | Inst::FLd { .. } | Inst::CvtIF { .. }
+                    );
+                    *inst = if is_float {
+                        Inst::FMov { d, s: prev }
+                    } else {
+                        Inst::Mov { d, s: prev }
+                    };
+                    self.replaced.learn(d, prev, now + 1);
+                    self.reg_killed[d as usize] = now;
+                    continue;
+                }
             }
-            !match k {
-                Key::Bin(_, a, bb) => a.as_v() == Some(d) || bb.as_v() == Some(d),
-                Key::FBin(_, a, bb) | Key::FCmp(_, a, bb) => *a == d || *bb == d,
-                Key::Cvt(_, s) => *s == d,
-                Key::Load(a, _) | Key::FLoad(a, _) => *a == d,
-                _ => false,
+
+            // Effects on available facts.
+            match inst {
+                Inst::St { .. } | Inst::FSt { .. } | Inst::Psm { .. } | Inst::Fence
+                | Inst::Call { .. } | Inst::Alloc { .. } => self.mem_killed = now,
+                Inst::Ps { .. } | Inst::GrPut { .. } => self.mem_killed = now,
+                _ => {}
             }
-        });
-    };
-    let kill_memory = |avail: &mut Vec<(Key, V)>| {
-        avail.retain(|(k, _)| !matches!(k, Key::Load(..) | Key::FLoad(..)));
-    };
-
-    for inst in &mut b.insts {
-        rewrite_uses(inst, |v| *replaced.get(&v).unwrap_or(&v));
-
-        let key = match inst {
-            Inst::Bin { op, a, b, .. } => Some(Key::Bin(*op, *a, *b)),
-            Inst::FBin { op, a, b, .. } => Some(Key::FBin(*op, *a, *b)),
-            Inst::Li { imm, .. } => Some(Key::Li(*imm)),
-            Inst::FLi { imm, .. } => Some(Key::FLi(imm.to_bits())),
-            Inst::La { symbol, .. } => Some(Key::La(symbol.clone())),
-            Inst::SlotAddr { slot, .. } => Some(Key::SlotAddr(*slot)),
-            Inst::CvtIF { s, .. } => Some(Key::Cvt(true, *s)),
-            Inst::CvtFI { s, .. } => Some(Key::Cvt(false, *s)),
-            Inst::FCmp { op, a, b, .. } => Some(Key::FCmp(*op, *a, *b)),
-            Inst::Ld { addr, off, volatile: false, .. } => Some(Key::Load(*addr, *off)),
-            Inst::FLd { addr, off, .. } => Some(Key::FLoad(*addr, *off)),
-            _ => None,
-        };
-
-        if let (Some(key), Some(d)) = (key.clone(), inst.def()) {
-            if let Some((_, prev)) = avail.iter().find(|(k, _)| *k == key) {
-                let prev = *prev;
-                // Only safe if `prev` hasn't been redefined since — the
-                // kill logic guarantees that. But the destination may be
-                // live elsewhere (non-SSA), so keep the def as a move.
-                let is_float = matches!(
-                    inst,
-                    Inst::FBin { .. } | Inst::FLi { .. } | Inst::FLd { .. } | Inst::CvtIF { .. }
-                );
-                *inst = if is_float {
-                    Inst::FMov { d, s: prev }
-                } else {
-                    Inst::Mov { d, s: prev }
-                };
-                replaced.insert(d, prev);
-                kill_reg(&mut avail, d);
-                continue;
+            if let Some(d) = inst.def() {
+                self.reg_killed[d as usize] = now;
+                self.replaced.kill(d, now);
+                if let Some((key, operands)) = key {
+                    let load = matches!(inst, Inst::Ld { .. } | Inst::FLd { .. });
+                    self.avail.insert(key, Avail { v: d, at: now + 1, operands, load });
+                }
             }
         }
-
-        // Effects on available facts.
-        match inst {
-            Inst::St { .. } | Inst::FSt { .. } | Inst::Psm { .. } | Inst::Fence
-            | Inst::Call { .. } | Inst::Alloc { .. } => kill_memory(&mut avail),
-            Inst::Ps { .. } | Inst::GrPut { .. } => kill_memory(&mut avail),
+        // Fix terminator uses.
+        let replaced = &self.replaced;
+        let fix = |v: &mut V| *v = replaced.get(*v).unwrap_or(*v);
+        match &mut b.term {
+            Term::Br { cond, .. } => fix(cond),
+            Term::Ret(Some(v)) => fix(v),
+            Term::SpawnStart { lo, hi, .. } => {
+                fix(lo);
+                fix(hi);
+            }
             _ => {}
         }
-        if let Some(d) = inst.def() {
-            kill_reg(&mut avail, d);
-            replaced.remove(&d);
-            replaced.retain(|_, s| *s != d);
-            if let Some(key) = key {
-                avail.push((key, d));
-            }
-        }
-    }
-    // Fix terminator uses.
-    match &mut b.term {
-        Term::Br { cond, .. } => {
-            if let Some(s) = replaced.get(cond) {
-                *cond = *s;
-            }
-        }
-        Term::Ret(Some(v)) => {
-            if let Some(s) = replaced.get(v) {
-                *v = *s;
-            }
-        }
-        Term::SpawnStart { lo, hi, .. } => {
-            if let Some(s) = replaced.get(lo) {
-                *lo = *s;
-            }
-            if let Some(s) = replaced.get(hi) {
-                *hi = *s;
-            }
-        }
-        _ => {}
     }
 }
 

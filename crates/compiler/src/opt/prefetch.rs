@@ -13,22 +13,21 @@
 //! arithmetic) are hoisted.
 
 use crate::ir::*;
-use std::collections::HashMap;
 
 /// Insert prefetches in all parallel blocks; returns the number of
 /// `pref` instructions inserted.
 pub fn insert_prefetches(f: &mut IrFunction, max_batch: usize) -> usize {
     // Count definitions per vreg across the whole function: only
     // single-def temporaries may be hoisted.
-    let mut def_count: HashMap<V, u32> = HashMap::new();
+    let mut def_count = vec![0u32; f.vclass.len()];
     for b in &f.blocks {
         for i in &b.insts {
             if let Some(d) = i.def() {
-                *def_count.entry(d).or_default() += 1;
+                def_count[d as usize] += 1;
             }
         }
     }
-    let single_def = |v: V| def_count.get(&v).copied().unwrap_or(0) == 1;
+    let single_def = |v: V| def_count[v as usize] == 1;
 
     let mut inserted = 0;
     for b in &mut f.blocks {
@@ -107,23 +106,12 @@ fn prefetch_block(b: &mut BlockIr, max_batch: usize, single_def: &dyn Fn(V) -> b
         // Apply: move hoisted instructions (in original order) to just
         // before i0, then insert the prefs.
         hoist.sort_unstable();
-        let mut new_insts: Vec<Inst> = Vec::with_capacity(b.insts.len() + prefs.len());
-        new_insts.extend_from_slice(&b.insts[..i0]);
-        for &h in &hoist {
-            new_insts.push(b.insts[h].clone());
-        }
-        for &(addr, off) in &prefs {
-            new_insts.push(Inst::Pref { addr, off });
-            inserted += 1;
-        }
-        for (k2, inst) in b.insts[i0..].iter().enumerate() {
-            if hoist.contains(&(i0 + k2)) {
-                continue; // moved up
-            }
-            new_insts.push(inst.clone());
-        }
         let group_end = i0 + hoist.len() + prefs.len() + (k - i0);
-        b.insts = new_insts;
+        let mut moved: Vec<Inst> = hoist.iter().rev().map(|&h| b.insts.remove(h)).collect();
+        moved.reverse();
+        inserted += prefs.len();
+        let prefs = prefs.into_iter().map(|(addr, off)| Inst::Pref { addr, off });
+        b.insts.splice(i0..i0, moved.into_iter().chain(prefs));
         start = group_end.min(b.insts.len());
     }
     inserted
@@ -161,7 +149,13 @@ fn addr_available(
                 if !insts[p].is_pure() || !single_def(v) {
                     return false;
                 }
-                for u in insts[p].uses() {
+                // A pure instruction reads at most two vregs.
+                let (mut uses, mut n) = ([0; 2], 0);
+                insts[p].each_use(|u| {
+                    uses[n] = u;
+                    n += 1;
+                });
+                for &u in &uses[..n] {
                     if !go(insts, u, i0, p, single_def, extra, depth + 1) {
                         return false;
                     }

@@ -120,8 +120,7 @@ fn outline_stmt(
             caps.expr(lo, false);
             caps.expr(hi, false);
             caps.block(body);
-            let reads = caps.reads.clone();
-            let writes = caps.writes.clone();
+            let Captures { reads, writes, .. } = caps;
 
             // 2. Build the parameter list: stable order of first use.
             let mut params = Vec::new();
@@ -141,10 +140,11 @@ fn outline_stmt(
                 params.push(Param { name: name.clone(), ty: pty, span: *span });
             }
 
-            // 3. Rewrite by-ref uses inside the spawn (v → *v).
-            let mut new_lo = lo.clone();
-            let mut new_hi = hi.clone();
-            let mut new_body = body.clone();
+            // 3. Rewrite by-ref uses inside the spawn (v → *v). The spawn
+            // moves into the new function: `*s` is replaced below.
+            let mut new_lo = std::mem::replace(lo, Expr::IntLit(0));
+            let mut new_hi = std::mem::replace(hi, Expr::IntLit(0));
+            let mut new_body = std::mem::take(body);
             if !by_ref.is_empty() {
                 let mut rw = Rewriter { by_ref: &by_ref, shadow: vec![HashSet::new()] };
                 rw.expr(&mut new_lo);

@@ -53,8 +53,11 @@ impl Parser {
         self.toks[self.pos].span
     }
 
+    /// Consume the current token. The parser never backs up, so the token
+    /// moves out (leaving `Eof`); the last token, `Eof`, is never passed.
     fn bump(&mut self) -> Token {
-        let t = self.toks[self.pos].clone();
+        let eof = Token { tok: Tok::Eof, span: self.span() };
+        let t = std::mem::replace(&mut self.toks[self.pos], eof);
         if self.pos + 1 < self.toks.len() {
             self.pos += 1;
         }

@@ -15,7 +15,6 @@
 
 use crate::ir::*;
 use crate::CompileError;
-use std::collections::HashMap;
 use xmt_isa::{FReg, Reg};
 
 /// Caller-saved integer pool.
@@ -45,15 +44,30 @@ const S_POOL: [Reg; 8] = [
     Reg::S7,
 ];
 
+/// The integer scan's free mask: `T_POOL` in bits 0..11, `S_POOL` in
+/// bits 11..19, each in register-number order.
+const T_MASK: u32 = (1 << 11) - 1;
+const S_MASK: u32 = ((1 << 19) - 1) & !T_MASK;
+
+/// Where a virtual register lives.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Loc {
+    /// Never live: no location needed.
+    None,
+    Reg(Reg),
+    FReg(FReg),
+    /// A stack slot of the function's frame.
+    Spill(u32),
+}
+
 /// Result of allocation for one function.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub struct Assignment {
-    /// Integer vreg → physical register.
-    pub int_reg: HashMap<V, Reg>,
-    /// Float vreg → physical register.
-    pub f_reg: HashMap<V, FReg>,
-    /// Spilled vreg → stack-slot index (slots appended to the function).
-    pub spill: HashMap<V, u32>,
+    /// Location of each vreg (indexed by `V`).
+    pub loc: Vec<Loc>,
+    /// Spill slots (4 bytes each) the frame needs past the function's
+    /// own `slots`; spill slot indices continue that numbering.
+    pub spill_slots: u32,
     /// Callee-saved registers used (to save/restore in the prologue).
     pub used_s: Vec<Reg>,
 }
@@ -61,12 +75,26 @@ pub struct Assignment {
 impl Assignment {
     /// The physical register of an integer vreg, if not spilled.
     pub fn reg(&self, v: V) -> Option<Reg> {
-        self.int_reg.get(&v).copied()
+        match self.loc.get(v as usize) {
+            Some(Loc::Reg(r)) => Some(*r),
+            _ => None,
+        }
     }
 
     /// The physical register of a float vreg, if not spilled.
     pub fn freg(&self, v: V) -> Option<FReg> {
-        self.f_reg.get(&v).copied()
+        match self.loc.get(v as usize) {
+            Some(Loc::FReg(r)) => Some(*r),
+            _ => None,
+        }
+    }
+
+    /// The stack slot of a spilled vreg.
+    pub fn spill(&self, v: V) -> Option<u32> {
+        match self.loc.get(v as usize) {
+            Some(Loc::Spill(s)) => Some(*s),
+            _ => None,
+        }
     }
 }
 
@@ -77,27 +105,190 @@ struct Interval {
     start: u32,
     end: u32,
     crosses_call: bool,
+    /// Touches a parallel block: must not be spilled (§IV-D).
     parallel: bool,
 }
 
-/// Allocate registers for `f`, possibly appending spill slots.
-pub fn allocate(f: &mut IrFunction) -> Result<Assignment, CompileError> {
-    let intervals = build_intervals(f);
-    let mut asg = Assignment::default();
+/// An interval holding a register during a scan.
+#[derive(Debug, Clone, Copy)]
+struct Active {
+    end: u32,
+    v: V,
+    /// Bit of the register in the scan's free mask.
+    bit: u32,
+    parallel: bool,
+}
 
-    // Sort by start position (stable on vreg id for determinism).
-    let mut ivs: Vec<Interval> = intervals.into_values().collect();
-    ivs.sort_by_key(|i| (i.start, i.v));
+/// Allocation state shared by the two scans.
+struct Alloc<'a> {
+    f: &'a IrFunction,
+    asg: Assignment,
+}
 
+impl Alloc<'_> {
+    fn new_spill_slot(&mut self) -> u32 {
+        self.asg.spill_slots += 1;
+        (self.f.slots.len() as u32) + self.asg.spill_slots - 1
+    }
+
+    /// Spill either `cur` or the furthest-ending non-parallel active
+    /// interval (the last of equals), whichever ends later; parallel
+    /// intervals are not spillable, and a `cur` live across a call can
+    /// only take an `s` register (only integers get here so: such a float
+    /// is spilled before it asks). Returns false when nothing spillable
+    /// remains for a parallel `cur` — the paper's register-spill error.
+    fn spill_one(&mut self, active: &mut Vec<Active>, cur: &Interval) -> bool {
+        let candidate = active
+            .iter()
+            .enumerate()
+            .filter(|(_, a)| !a.parallel && (!cur.crosses_call || S_MASK & 1 << a.bit != 0))
+            .max_by_key(|(_, a)| a.end)
+            .map(|(k, _)| k);
+        match candidate {
+            Some(k) if active[k].end > cur.end || cur.parallel => {
+                // Spill the active victim, give its register to `cur`.
+                let victim = active.remove(k);
+                let held = self.asg.loc[victim.v as usize];
+                let slot = self.new_spill_slot();
+                self.asg.loc[victim.v as usize] = Loc::Spill(slot);
+                self.asg.loc[cur.v as usize] = held;
+                let (end, v, parallel) = (cur.end, cur.v, cur.parallel);
+                active.push(Active { end, v, bit: victim.bit, parallel });
+                true
+            }
+            _ if !cur.parallel => {
+                let slot = self.new_spill_slot();
+                self.asg.loc[cur.v as usize] = Loc::Spill(slot);
+                true
+            }
+            _ => false,
+        }
+    }
+
+    fn scan_int<'i>(
+        &mut self,
+        ivs: impl Iterator<Item = &'i Interval>,
+    ) -> Result<(), CompileError> {
+        // One mask over both pools, each in register-number order: the
+        // lowest free register of a pool is its lowest set bit.
+        let mut regs = [Reg::Zero; 19];
+        regs[..11].copy_from_slice(&T_POOL);
+        regs[11..].copy_from_slice(&S_POOL);
+        regs[..11].sort_by_key(|r| r.number());
+        regs[11..].sort_by_key(|r| r.number());
+        let mut free: u32 = T_MASK | S_MASK;
+        let mut active: Vec<Active> = Vec::new();
+
+        for iv in ivs {
+            // Expire old intervals.
+            active.retain(|a| {
+                if a.end < iv.start {
+                    free |= 1 << a.bit;
+                    false
+                } else {
+                    true
+                }
+            });
+            let pool = if iv.crosses_call {
+                free & S_MASK
+            } else if free & T_MASK != 0 {
+                // Prefer t-regs, fall back to s-regs.
+                free & T_MASK
+            } else {
+                free & S_MASK
+            };
+            if pool != 0 {
+                let bit = pool.trailing_zeros();
+                free &= !(1 << bit);
+                self.asg.loc[iv.v as usize] = Loc::Reg(regs[bit as usize]);
+                active.push(Active { end: iv.end, v: iv.v, bit, parallel: iv.parallel });
+            } else if !self.spill_one(&mut active, iv) {
+                return Err(CompileError::RegisterSpill {
+                    function: self.f.name.clone(),
+                    message: format!(
+                        "virtual thread needs more than {} integer registers",
+                        T_POOL.len() + S_POOL.len()
+                    ),
+                });
+            }
+        }
+        Ok(())
+    }
+
+    fn scan_float<'i>(
+        &mut self,
+        ivs: impl Iterator<Item = &'i Interval>,
+    ) -> Result<(), CompileError> {
+        // f0/f1 are reserved as code-generator scratch for spill reloads;
+        // the mask is indexed by register number.
+        let mut free: u64 = FReg::allocatable().filter(|r| r.0 >= 2).fold(0, |m, r| m | 1 << r.0);
+        let mut active: Vec<Active> = Vec::new();
+
+        for iv in ivs {
+            active.retain(|a| {
+                if a.end < iv.start {
+                    free |= 1 << a.bit;
+                    false
+                } else {
+                    true
+                }
+            });
+
+            // Floats live across calls are spilled (no callee-saved FP regs),
+            // which a value the spawn broadcasts cannot be.
+            if iv.crosses_call {
+                if iv.parallel {
+                    return Err(CompileError::RegisterSpill {
+                        function: self.f.name.clone(),
+                        message: "a float live across a call cannot reach the spawn in a \
+                                  register (there are no callee-saved float registers)"
+                            .into(),
+                    });
+                }
+                let slot = self.new_spill_slot();
+                self.asg.loc[iv.v as usize] = Loc::Spill(slot);
+                continue;
+            }
+            if free != 0 {
+                let bit = free.trailing_zeros();
+                free &= !(1 << bit);
+                self.asg.loc[iv.v as usize] = Loc::FReg(FReg(bit as u8));
+                active.push(Active { end: iv.end, v: iv.v, bit, parallel: iv.parallel });
+            } else if !self.spill_one(&mut active, iv) {
+                return Err(CompileError::RegisterSpill {
+                    function: self.f.name.clone(),
+                    message: "virtual thread needs more float registers than the TCU has".into(),
+                });
+            }
+        }
+        Ok(())
+    }
+}
+
+/// Allocate registers for `f`. Spill slots are not added to `f`: the
+/// assignment counts them in [`Assignment::spill_slots`].
+pub fn allocate(f: &IrFunction) -> Result<Assignment, CompileError> {
+    let ivs = build_intervals(f);
+    let mut a = Alloc {
+        f,
+        asg: Assignment {
+            loc: vec![Loc::None; f.vclass.len()],
+            spill_slots: 0,
+            used_s: Vec::new(),
+        },
+    };
     // Independent scans per class.
-    scan_int(f, ivs.iter().filter(|i| i.class == Class::Int), &mut asg)?;
-    scan_float(f, ivs.iter().filter(|i| i.class == Class::Float), &mut asg)?;
+    a.scan_int(ivs.iter().filter(|i| i.class == Class::Int))?;
+    a.scan_float(ivs.iter().filter(|i| i.class == Class::Float))?;
 
+    let mut asg = a.asg;
     let mut used_s: Vec<Reg> = asg
-        .int_reg
-        .values()
-        .copied()
-        .filter(|r| S_POOL.contains(r))
+        .loc
+        .iter()
+        .filter_map(|l| match l {
+            Loc::Reg(r) if S_POOL.contains(r) => Some(*r),
+            _ => None,
+        })
         .collect();
     used_s.sort();
     used_s.dedup();
@@ -105,197 +296,8 @@ pub fn allocate(f: &mut IrFunction) -> Result<Assignment, CompileError> {
     Ok(asg)
 }
 
-fn scan_int<'a>(
-    f: &mut IrFunction,
-    ivs: impl Iterator<Item = &'a Interval>,
-    asg: &mut Assignment,
-) -> Result<(), CompileError> {
-    // active: (end, vreg, reg)
-    let mut active: Vec<(u32, V, Reg)> = Vec::new();
-    let mut free_t: Vec<Reg> = T_POOL.to_vec();
-    let mut free_s: Vec<Reg> = S_POOL.to_vec();
-
-    for iv in ivs {
-        // Expire old intervals.
-        active.retain(|&(end, _, r)| {
-            if end < iv.start {
-                if T_POOL.contains(&r) {
-                    free_t.push(r);
-                } else {
-                    free_s.push(r);
-                }
-                false
-            } else {
-                true
-            }
-        });
-        free_t.sort_by_key(|r| r.number());
-        free_s.sort_by_key(|r| r.number());
-
-        let pick = if iv.crosses_call {
-            free_s.first().copied().inspect(|&r| {
-                free_s.retain(|x| *x != r);
-            })
-        } else {
-            // Prefer t-regs, fall back to s-regs.
-            if let Some(&r) = free_t.first() {
-                free_t.retain(|x| x != &r);
-                Some(r)
-            } else if let Some(&r) = free_s.first() {
-                free_s.retain(|x| x != &r);
-                Some(r)
-            } else {
-                None
-            }
-        };
-
-        match pick {
-            Some(r) => {
-                asg.int_reg.insert(iv.v, r);
-                active.push((iv.end, iv.v, r));
-            }
-            None => {
-                // Spill: choose the active interval with the furthest end
-                // among the spillable candidates (or the current one).
-                spill_one(f, asg, &mut active, iv)?;
-            }
-        }
-    }
-    Ok(())
-}
-
-/// Spill either the current interval or the furthest-ending active one.
-/// `parallel` intervals are not spillable — that situation is the
-/// paper's register-spill error.
-fn spill_one(
-    f: &mut IrFunction,
-    asg: &mut Assignment,
-    active: &mut Vec<(u32, V, Reg)>,
-    cur: &Interval,
-) -> Result<(), CompileError> {
-    // Find the furthest-ending spill candidate among active intervals.
-    // We lack per-active parallel info here, so conservatively: if the
-    // current interval is parallel, spilling an active one would still
-    // leave the register for us; active parallel intervals are exactly
-    // those that must keep registers. Track parallel-ness via a side map.
-    let cur_parallel = cur.parallel;
-    // Candidates: active intervals that are not parallel.
-    let candidate = active
-        .iter()
-        .enumerate()
-        .filter(|(_, (_, v, _))| !PARALLEL_SET.with(|s| s.borrow().contains(v)))
-        .max_by_key(|(_, (end, _, _))| *end)
-        .map(|(k, _)| k);
-
-    match candidate {
-        Some(k) if active[k].0 > cur.end || cur_parallel => {
-            // Spill the active victim, give its register to `cur`.
-            let (_, victim, r) = active.remove(k);
-            asg.int_reg.remove(&victim);
-            let slot = new_spill_slot(f);
-            asg.spill.insert(victim, slot);
-            asg.int_reg.insert(cur.v, r);
-            active.push((cur.end, cur.v, r));
-            Ok(())
-        }
-        _ if !cur_parallel => {
-            let slot = new_spill_slot(f);
-            asg.spill.insert(cur.v, slot);
-            Ok(())
-        }
-        _ => Err(CompileError::RegisterSpill {
-            function: f.name.clone(),
-            message: format!(
-                "virtual thread needs more than {} integer registers",
-                T_POOL.len() + S_POOL.len()
-            ),
-        }),
-    }
-}
-
-thread_local! {
-    /// Set of parallel (un-spillable) vregs for the function currently
-    /// being allocated. Populated by `build_intervals`.
-    static PARALLEL_SET: std::cell::RefCell<std::collections::HashSet<V>> =
-        std::cell::RefCell::new(std::collections::HashSet::new());
-}
-
-fn scan_float<'a>(
-    f: &mut IrFunction,
-    ivs: impl Iterator<Item = &'a Interval>,
-    asg: &mut Assignment,
-) -> Result<(), CompileError> {
-    // f0/f1 are reserved as code-generator scratch for spill reloads.
-    let pool: Vec<FReg> = FReg::allocatable().filter(|r| r.0 >= 2).collect();
-    let mut active: Vec<(u32, V, FReg)> = Vec::new();
-    let mut free: Vec<FReg> = pool;
-
-    for iv in ivs {
-        active.retain(|&(end, _, r)| {
-            if end < iv.start {
-                free.push(r);
-                false
-            } else {
-                true
-            }
-        });
-        free.sort_by_key(|r| r.0);
-
-        // Floats live across calls are spilled (no callee-saved FP regs).
-        if iv.crosses_call {
-            if iv.parallel {
-                return Err(CompileError::Internal(
-                    "call inside parallel code survived sema".into(),
-                ));
-            }
-            let slot = new_spill_slot(f);
-            asg.spill.insert(iv.v, slot);
-            continue;
-        }
-        if let Some(&r) = free.first() {
-            free.retain(|x| *x != r);
-            asg.f_reg.insert(iv.v, r);
-            active.push((iv.end, iv.v, r));
-        } else {
-            // Spill furthest-ending non-parallel active, else current.
-            let candidate = active
-                .iter()
-                .enumerate()
-                .filter(|(_, (_, v, _))| !PARALLEL_SET.with(|s| s.borrow().contains(v)))
-                .max_by_key(|(_, (end, _, _))| *end)
-                .map(|(k, _)| k);
-            match candidate {
-                Some(k) if active[k].0 > iv.end || iv.parallel => {
-                    let (_, victim, r) = active.remove(k);
-                    asg.f_reg.remove(&victim);
-                    let slot = new_spill_slot(f);
-                    asg.spill.insert(victim, slot);
-                    asg.f_reg.insert(iv.v, r);
-                    active.push((iv.end, iv.v, r));
-                }
-                _ if !iv.parallel => {
-                    let slot = new_spill_slot(f);
-                    asg.spill.insert(iv.v, slot);
-                }
-                _ => {
-                    return Err(CompileError::RegisterSpill {
-                        function: f.name.clone(),
-                        message: "virtual thread needs more float registers than the TCU has"
-                            .into(),
-                    })
-                }
-            }
-        }
-    }
-    Ok(())
-}
-
-fn new_spill_slot(f: &mut IrFunction) -> u32 {
-    f.slots.push(4);
-    (f.slots.len() - 1) as u32
-}
-
-/// Compute one live interval per vreg over a linear numbering.
+/// Compute one live interval per vreg over a linear numbering, sorted by
+/// start position (then vreg id).
 ///
 /// Positions are split per instruction: instruction `i` *uses* its
 /// operands at `2(i+1)` and *defines* its result at `2(i+1)+1`;
@@ -303,16 +305,24 @@ fn new_spill_slot(f: &mut IrFunction) -> u32 {
 /// sits strictly *inside* the interval of any value defined before it and
 /// used after it — the condition for needing a callee-saved register —
 /// while values merely passed as arguments do not cross it.
-fn build_intervals(f: &IrFunction) -> HashMap<V, Interval> {
+fn build_intervals(f: &IrFunction) -> Vec<Interval> {
+    let nb = f.blocks.len();
+    let nv = f.vclass.len();
     // Linear instruction counter across the whole function (starts at 1
-    // so the prologue owns position 1).
+    // so the prologue owns position 1). Both lists come out ascending.
     let mut counter: u32 = 1;
-    let mut block_start = vec![0u32; f.blocks.len()];
-    let mut block_end = vec![0u32; f.blocks.len()];
+    let mut block_start = vec![0u32; nb];
+    let mut block_end = vec![0u32; nb];
     let mut call_positions = Vec::new();
+    // Calls that open their block, with the vreg they define: they share
+    // their position with the block's live-in values.
+    let mut leading_calls: Vec<(u32, Option<V>)> = Vec::new();
     let mut parallel_ranges: Vec<(u32, u32)> = Vec::new();
     for (bi, b) in f.blocks.iter().enumerate() {
         block_start[bi] = 2 * counter;
+        if let Some(Inst::Call { ret, .. }) = b.insts.first() {
+            leading_calls.push((2 * counter, ret.map(|(v, _)| v)));
+        }
         for i in &b.insts {
             if matches!(i, Inst::Call { .. }) {
                 call_positions.push(2 * counter);
@@ -326,116 +336,124 @@ fn build_intervals(f: &IrFunction) -> HashMap<V, Interval> {
         }
     }
 
-    // Liveness (per-block live-in/out) via iterative dataflow.
-    let nb = f.blocks.len();
-    let mut live_in: Vec<std::collections::HashSet<V>> = vec![Default::default(); nb];
-    let mut live_out: Vec<std::collections::HashSet<V>> = vec![Default::default(); nb];
-    let mut gen: Vec<std::collections::HashSet<V>> = vec![Default::default(); nb];
-    let mut def: Vec<std::collections::HashSet<V>> = vec![Default::default(); nb];
+    // Liveness (per-block live-in/out): bitset gen/kill dataflow.
+    let mut gen = vec![VSet::new(nv); nb];
+    let mut kill = vec![VSet::new(nv); nb];
     for (bi, b) in f.blocks.iter().enumerate() {
+        let (g, k) = (&mut gen[bi], &mut kill[bi]);
         for i in &b.insts {
-            for u in i.uses() {
-                if !def[bi].contains(&u) {
-                    gen[bi].insert(u);
+            i.each_use(|u| {
+                if !k.contains(u) {
+                    g.insert(u);
                 }
-            }
+            });
             if let Some(d) = i.def() {
-                def[bi].insert(d);
+                k.insert(d);
             }
         }
-        for u in b.term.uses() {
-            if !def[bi].contains(&u) {
-                gen[bi].insert(u);
+        b.term.each_use(|u| {
+            if !k.contains(u) {
+                g.insert(u);
             }
-        }
+        });
     }
+    let mut live_in = vec![VSet::new(nv); nb];
+    let mut live_out = vec![VSet::new(nv); nb];
+    let mut out = VSet::new(nv);
     loop {
         let mut changed = false;
         for bi in (0..nb).rev() {
-            let mut out: std::collections::HashSet<V> = Default::default();
+            out.clear();
             for s in f.blocks[bi].term.succs() {
-                out.extend(live_in[s as usize].iter().copied());
+                out.union_with(&live_in[s as usize]);
             }
-            let mut inn = gen[bi].clone();
-            for v in &out {
-                if !def[bi].contains(v) {
-                    inn.insert(*v);
-                }
-            }
-            if out != live_out[bi] || inn != live_in[bi] {
-                live_out[bi] = out;
-                live_in[bi] = inn;
+            if out != live_out[bi] {
+                std::mem::swap(&mut out, &mut live_out[bi]);
                 changed = true;
             }
+            changed |= live_in[bi].assign_transfer(&gen[bi], &live_out[bi], &kill[bi]);
         }
         if !changed {
             break;
         }
     }
 
-    let mut ivs: HashMap<V, Interval> = HashMap::new();
-    let mut touch = |v: V, p: u32, class: Class| {
-        let e = ivs.entry(v).or_insert(Interval {
-            v,
-            class,
-            start: p,
-            end: p,
-            crosses_call: false,
-            parallel: false,
-        });
-        e.start = e.start.min(p);
-        e.end = e.end.max(p);
+    // (start, end) per vreg; `start == u32::MAX` for vregs never touched.
+    let mut span = vec![(u32::MAX, 0u32); nv];
+    let mut touch = |v: V, p: u32| {
+        let e = &mut span[v as usize];
+        e.0 = e.0.min(p);
+        e.1 = e.1.max(p);
     };
-    let class_of = |v: V| f.vclass[v as usize];
 
     // Params are defined in the prologue.
     for &p in &f.params {
-        touch(p, 1, class_of(p));
+        touch(p, 1);
     }
     let mut counter: u32 = 1;
     for (bi, b) in f.blocks.iter().enumerate() {
-        for v in &live_in[bi] {
-            touch(*v, block_start[bi], class_of(*v));
-        }
-        for v in &live_out[bi] {
-            touch(*v, block_end[bi], class_of(*v));
-        }
+        live_in[bi].iter().for_each(|v| touch(v, block_start[bi]));
+        live_out[bi].iter().for_each(|v| touch(v, block_end[bi]));
         for i in &b.insts {
-            for u in i.uses() {
-                touch(u, 2 * counter, class_of(u));
-            }
+            i.each_use(|u| touch(u, 2 * counter));
             if let Some(d) = i.def() {
-                touch(d, 2 * counter + 1, class_of(d));
+                touch(d, 2 * counter + 1);
             }
             counter += 1;
         }
-        for u in b.term.uses() {
-            touch(u, 2 * counter, class_of(u));
-        }
+        b.term.each_use(|u| touch(u, 2 * counter));
         counter += 1;
     }
 
-    // Mark call-crossing and parallel intervals.
-    PARALLEL_SET.with(|s| s.borrow_mut().clear());
-    for iv in ivs.values_mut() {
-        iv.crosses_call = call_positions
-            .iter()
-            .any(|&c| iv.start < c && c < iv.end);
-        iv.parallel = parallel_ranges
-            .iter()
-            .any(|&(s, e)| iv.start < e && s <= iv.end);
-        if iv.parallel {
-            PARALLEL_SET.with(|s| {
-                s.borrow_mut().insert(iv.v);
-            });
-        }
-    }
+    // Mark call-crossing and parallel intervals: both lists are sorted
+    // and the parallel ranges are disjoint, so the first call after
+    // `start` and the first range ending after `start` decide. A value
+    // first seen at a call that opens its block is live into the block,
+    // so it crosses that call too if it outlives it (and is not its
+    // result).
+    let mut ivs: Vec<Interval> = span
+        .iter()
+        .enumerate()
+        .filter(|(_, &(start, _))| start != u32::MAX)
+        .map(|(v, &(start, end))| {
+            let c = call_positions.partition_point(|&c| c <= start);
+            let r = parallel_ranges.partition_point(|&(_, e)| e <= start);
+            Interval {
+                v: v as V,
+                class: f.vclass[v],
+                start,
+                end,
+                crosses_call: call_positions.get(c).is_some_and(|&c| c < end)
+                    || start < end
+                        && leading_calls
+                            .binary_search_by_key(&start, |&(c, _)| c)
+                            .is_ok_and(|k| leading_calls[k].1 != Some(v as V)),
+                parallel: parallel_ranges.get(r).is_some_and(|&(s, _)| s <= end),
+            }
+        })
+        .collect();
+    // Sort by start position, then vreg id (keys are unique).
+    ivs.sort_unstable_by_key(|i| (i.start, i.v));
     ivs
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn spills(a: &Assignment) -> usize {
+        a.loc.iter().filter(|l| matches!(l, Loc::Spill(_))).count()
+    }
+
+    fn int_regs(a: &Assignment) -> Vec<Reg> {
+        a.loc
+            .iter()
+            .filter_map(|l| match l {
+                Loc::Reg(r) => Some(*r),
+                _ => None,
+            })
+            .collect()
+    }
 
     fn simple_fn(n_vregs: usize, blocks: Vec<BlockIr>) -> IrFunction {
         IrFunction {
@@ -452,7 +470,7 @@ mod tests {
 
     #[test]
     fn small_function_all_in_registers() {
-        let mut f = simple_fn(
+        let f = simple_fn(
             4,
             vec![BlockIr {
                 insts: vec![
@@ -466,9 +484,9 @@ mod tests {
                 src_line: 0,
             }],
         );
-        let asg = allocate(&mut f).unwrap();
-        assert!(asg.spill.is_empty());
-        assert_eq!(asg.int_reg.len(), 3);
+        let asg = allocate(&f).unwrap();
+        assert_eq!(spills(&asg), 0);
+        assert_eq!(int_regs(&asg).len(), 3);
         // Distinct registers for overlapping values.
         assert_ne!(asg.reg(0), asg.reg(1));
     }
@@ -480,10 +498,10 @@ mod tests {
             insts.push(Inst::Li { d: k, imm: k as i32 });
             insts.push(Inst::Print { s: k });
         }
-        let mut f = simple_fn(30, vec![BlockIr { insts, term: Term::Halt, parallel: false, src_line: 0 }]);
-        let asg = allocate(&mut f).unwrap();
-        assert!(asg.spill.is_empty());
-        let distinct: std::collections::HashSet<Reg> = asg.int_reg.values().copied().collect();
+        let f = simple_fn(30, vec![BlockIr { insts, term: Term::Halt, parallel: false, src_line: 0 }]);
+        let asg = allocate(&f).unwrap();
+        assert_eq!(spills(&asg), 0);
+        let distinct: std::collections::HashSet<Reg> = int_regs(&asg).into_iter().collect();
         assert!(distinct.len() <= 2, "sequential lifetimes reuse registers");
     }
 
@@ -497,11 +515,11 @@ mod tests {
         for k in 0..25u32 {
             insts.push(Inst::Print { s: k });
         }
-        let mut f = simple_fn(25, vec![BlockIr { insts, term: Term::Halt, parallel: false, src_line: 0 }]);
-        let asg = allocate(&mut f).unwrap();
-        assert!(!asg.spill.is_empty());
-        assert_eq!(asg.spill.len() + asg.int_reg.len(), 25);
-        assert_eq!(f.slots.len(), asg.spill.len());
+        let f = simple_fn(25, vec![BlockIr { insts, term: Term::Halt, parallel: false, src_line: 0 }]);
+        let asg = allocate(&f).unwrap();
+        assert!(spills(&asg) > 0);
+        assert_eq!(spills(&asg) + int_regs(&asg).len(), 25);
+        assert_eq!(asg.spill_slots as usize, spills(&asg));
     }
 
     #[test]
@@ -514,14 +532,14 @@ mod tests {
         for k in 0..25u32 {
             insts.push(Inst::Print { s: k });
         }
-        let mut f = simple_fn(25, vec![BlockIr { insts, term: Term::Halt, parallel: true, src_line: 0 }]);
-        let err = allocate(&mut f).unwrap_err();
+        let f = simple_fn(25, vec![BlockIr { insts, term: Term::Halt, parallel: true, src_line: 0 }]);
+        let err = allocate(&f).unwrap_err();
         assert!(matches!(err, CompileError::RegisterSpill { .. }));
     }
 
     #[test]
     fn call_crossing_values_use_callee_saved() {
-        let mut f = simple_fn(
+        let f = simple_fn(
             3,
             vec![BlockIr {
                 insts: vec![
@@ -534,16 +552,70 @@ mod tests {
                 src_line: 0,
             }],
         );
-        let asg = allocate(&mut f).unwrap();
+        let asg = allocate(&f).unwrap();
         let r = asg.reg(0).unwrap();
         assert!(S_POOL.contains(&r), "value live across call in {r}");
         assert!(asg.used_s.contains(&r));
     }
 
     #[test]
+    fn value_live_into_a_block_crosses_its_leading_call() {
+        // v0 reaches b1 only around the loop from b2, which is laid out
+        // later, so its interval opens at b1's first position — the call's.
+        let block = |insts, term| BlockIr { insts, term, parallel: false, src_line: 0 };
+        let f = simple_fn(
+            1,
+            vec![
+                block(vec![], Term::Jmp(2)),
+                block(
+                    vec![
+                        Inst::Call { name: "g".into(), args: vec![], ret: None },
+                        Inst::Print { s: 0 },
+                    ],
+                    Term::Jmp(3),
+                ),
+                block(vec![Inst::Li { d: 0, imm: 7 }], Term::Jmp(1)),
+                block(vec![], Term::Halt),
+            ],
+        );
+        let asg = allocate(&f).unwrap();
+        assert!(asg.reg(0).is_some_and(|r| S_POOL.contains(&r)), "{:?}", asg.loc[0]);
+    }
+
+    #[test]
+    fn parallel_value_across_a_call_never_takes_a_t_register() {
+        // v0..v7 are broadcast and live across the call: they take all the
+        // s registers. v8 is too; the only spillable value, v9, holds a t
+        // register, which would not survive the call.
+        let mut insts = vec![Inst::Li { d: 9, imm: 9 }];
+        insts.extend((0..9).map(|d| Inst::Li { d, imm: d as i32 }));
+        insts.push(Inst::Print { s: 9 });
+        insts.push(Inst::Call { name: "g".into(), args: vec![], ret: None });
+        let body: Vec<Inst> = (0..9).map(|s| Inst::Print { s }).collect();
+        let mut f = simple_fn(
+            10,
+            vec![
+                BlockIr {
+                    insts,
+                    term: Term::SpawnStart { lo: 0, hi: 0, harness: 1, cont: 2 },
+                    parallel: false,
+                    src_line: 0,
+                },
+                BlockIr { insts: body, term: Term::Jmp(1), parallel: true, src_line: 0 },
+                BlockIr { insts: vec![], term: Term::Halt, parallel: false, src_line: 0 },
+            ],
+        );
+        f.is_main = false;
+        match allocate(&f) {
+            Ok(asg) => assert!(asg.reg(8).is_some_and(|r| S_POOL.contains(&r))),
+            Err(e) => assert!(matches!(e, CompileError::RegisterSpill { .. }), "{e}"),
+        }
+    }
+
+    #[test]
     fn loop_carried_value_spans_loop() {
         // v0 defined in b0, used in loop body b1 which loops on itself.
-        let mut f = simple_fn(
+        let f = simple_fn(
             2,
             vec![
                 BlockIr {
@@ -566,13 +638,13 @@ mod tests {
                 BlockIr { insts: vec![], term: Term::Halt, parallel: false, src_line: 0 },
             ],
         );
-        let asg = allocate(&mut f).unwrap();
+        let asg = allocate(&f).unwrap();
         assert!(asg.reg(0).is_some());
     }
 
     #[test]
     fn float_allocation_independent() {
-        let mut f = IrFunction {
+        let f = IrFunction {
             name: "t".into(),
             params: vec![],
             vclass: vec![Class::Float, Class::Float, Class::Int],
@@ -592,7 +664,7 @@ mod tests {
             ret: None,
             is_main: true,
         };
-        let asg = allocate(&mut f).unwrap();
+        let asg = allocate(&f).unwrap();
         assert!(asg.freg(0).is_some());
         assert!(asg.freg(1).is_some());
         assert_ne!(asg.freg(0), asg.freg(1));

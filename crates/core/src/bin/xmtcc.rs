@@ -22,11 +22,18 @@
 //!   --cycles-limit N      abort after N cycles
 //!   --checkpoint N:FILE   run to cycle N, save a checkpoint, exit
 //!   --resume FILE         resume a run from a saved checkpoint
+//!   --metrics-out FILE    write the compile's `xmtsim.metrics.v1` rows:
+//!                         host µs per pass (`xmtc.<pass>_us`) and of the
+//!                         whole compile + link (`xmtc.compile_us`), the
+//!                         emitted instruction count and layout fixes
 //! ```
 
 use std::process::ExitCode;
-use xmt_core::Toolchain;
+use std::time::Instant;
+use xmt_core::{Compiled, Toolchain};
+use xmt_harness::ToJson;
 use xmtc::Options;
+use xmtsim::obs::MetricsRegistry;
 use xmtsim::stats::MemHotspotFilter;
 use xmtsim::trace::{TraceLevel, Tracer};
 use xmtsim::XmtConfig;
@@ -46,6 +53,7 @@ struct Args {
     cycle_limit: Option<u64>,
     checkpoint: Option<(u64, String)>,
     resume: Option<String>,
+    metrics_out: Option<String>,
 }
 
 fn usage() -> ! {
@@ -53,7 +61,8 @@ fn usage() -> ! {
         "usage: xmtcc PROGRAM.c [--emit-asm] [--functional] \
          [--config fpga64|chip1024|tiny] [--set G=v1,v2,..] [--stats] \
          [--hotspots] [--trace[=N]] [--dump G:COUNT] [--O0] [--cluster K] \
-         [--no-outline] [--cycles-limit N]"
+         [--no-outline] [--cycles-limit N] [--checkpoint N:FILE] [--resume FILE] \
+         [--metrics-out FILE]"
     );
     std::process::exit(2)
 }
@@ -74,6 +83,7 @@ fn parse_args() -> Args {
         cycle_limit: None,
         checkpoint: None,
         resume: None,
+        metrics_out: None,
     };
     let mut it = std::env::args().skip(1);
     while let Some(a) = it.next() {
@@ -105,6 +115,7 @@ fn parse_args() -> Args {
                     Some((cycle.parse().unwrap_or_else(|_| usage()), file.to_string()));
             }
             "--resume" => args.resume = Some(it.next().unwrap_or_else(|| usage())),
+            "--metrics-out" => args.metrics_out = Some(it.next().unwrap_or_else(|| usage())),
             "--cycles-limit" => {
                 args.cycle_limit =
                     Some(it.next().and_then(|v| v.parse().ok()).unwrap_or_else(|| usage()));
@@ -141,6 +152,19 @@ fn parse_args() -> Args {
         usage();
     }
     args
+}
+
+/// The compile's metrics: host time per pass and in all, and what the
+/// compiler produced.
+fn compile_metrics(compiled: &Compiled, compile_us: f64) -> MetricsRegistry {
+    let mut m = MetricsRegistry::new();
+    for (pass, us) in xmtc::PASSES.iter().zip(compiled.pass_us) {
+        m.gauge(format!("xmtc.{pass}_us"), us);
+    }
+    m.gauge("xmtc.compile_us", compile_us);
+    m.counter("xmtc.asm_instrs", compiled.executable().text.len() as u64);
+    m.counter("xmtc.layout_fixes", compiled.layout_fixes.into());
+    m
 }
 
 /// Typed readback of the attached hotspot filter's results.
@@ -182,13 +206,23 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    let mut compiled = match Toolchain::with_options(args.options.clone()).compile(&source) {
+    let start = Instant::now();
+    let compiled = Toolchain::with_options(args.options.clone()).compile(&source);
+    let compile_us = start.elapsed().as_secs_f64() * 1e6;
+    let mut compiled = match compiled {
         Ok(c) => c,
         Err(e) => {
             eprintln!("xmtcc: {e}");
             return ExitCode::FAILURE;
         }
     };
+    if let Some(path) = &args.metrics_out {
+        let json = compile_metrics(&compiled, compile_us).to_json_string();
+        if let Err(e) = std::fs::write(path, json) {
+            eprintln!("xmtcc: cannot write metrics {path}: {e}");
+            return ExitCode::FAILURE;
+        }
+    }
     for w in &compiled.warnings {
         eprintln!("warning: {w}");
     }

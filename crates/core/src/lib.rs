@@ -118,6 +118,7 @@ impl Toolchain {
             warnings: out.warnings,
             layout_fixes: out.layout_fixes,
             line_table: out.line_table,
+            pass_us: out.pass_us,
             exe: Arc::new(exe),
         })
     }
@@ -134,6 +135,8 @@ pub struct Compiled {
     pub layout_fixes: u32,
     /// Sparse instruction-index → XMTC-source-line table.
     pub line_table: Vec<(u32, u32)>,
+    /// Host microseconds of each compiler pass (`xmtc::PASSES`).
+    pub pass_us: [f64; xmtc::PASSES.len()],
     /// Shared with every simulator and [`RunResult`] built from it, so a
     /// run copies the image once (into simulated memory), not per holder.
     exe: Arc<Executable>,

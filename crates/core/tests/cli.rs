@@ -196,3 +196,40 @@ fn checkpoint_and_resume_roundtrip() {
     assert!(resume.status.success(), "{}", String::from_utf8_lossy(&resume.stderr));
     assert_eq!(String::from_utf8_lossy(&resume.stdout), want);
 }
+
+/// `--metrics-out` writes the compile's `xmtsim.metrics.v1` rows: one
+/// time per pass, which together fit inside the compile's wall time, and
+/// the emitted instruction count.
+#[test]
+fn metrics_out_reports_the_compiler_passes() {
+    use xmt_harness::{FromJson, Json};
+    use xmtsim::obs::{MetricValue, MetricsRegistry};
+
+    let src = write_tmp("metrics.c", COMPACT);
+    let path = std::env::temp_dir().join(format!("xmtcc_metrics_{}.json", std::process::id()));
+    let out = xmtcc()
+        .arg(&src)
+        .args(["--functional", "--set", "A=5,0,12,0,0,3,0,9", "--metrics-out"])
+        .arg(&path)
+        .output()
+        .unwrap();
+    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    let json = Json::parse(&std::fs::read_to_string(&path).unwrap()).unwrap();
+    let m = MetricsRegistry::from_json(&json).unwrap();
+    let value = |name: &str| match m.get(name).map(|r| &r.value) {
+        Some(MetricValue::F(v)) => *v,
+        Some(MetricValue::U(v)) => *v as f64,
+        other => panic!("{name}: {other:?}"),
+    };
+    let passes: Vec<f64> = xmtc::PASSES.iter().map(|p| value(&format!("xmtc.{p}_us"))).collect();
+    assert!(passes.iter().all(|&us| us >= 0.0), "{passes:?}");
+    let sum: f64 = passes.iter().sum();
+    let wall = value("xmtc.compile_us");
+    assert!(sum > 0.0 && sum <= wall, "passes sum to {sum} µs, compile took {wall} µs");
+    let asm = xmtcc().arg(&src).arg("--emit-asm").output().unwrap();
+    let instrs = xmt_isa::asm::parse(&String::from_utf8_lossy(&asm.stdout)).unwrap().instrs().count();
+    assert_eq!(value("xmtc.asm_instrs"), instrs as f64);
+    // The fix count is the one the compile's note reports.
+    let note = format!("relocated {} basic block(s)", value("xmtc.layout_fixes"));
+    assert!(String::from_utf8_lossy(&asm.stderr).contains(&note), "no `{note}`");
+}

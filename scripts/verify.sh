@@ -103,6 +103,12 @@ referee xmtsim decode_diff 'decode_diff: ran [1-9][0-9]* cases'
 # generated XMTC through functional mode + the whole engine matrix
 referee "xmt-workloads --release" cross_engine_fuzz \
     'cross_engine_fuzz: ran [1-9][0-9]* cases through functional \+ 5 cycle engines'
+# the compiler's output pinned by hash (edit_run_loop's 412 programs),
+# and each program's assembly text read back to the same executable
+referee xmt-workloads asm_hashes 'asm_hashes: [1-9][0-9]* programs, 0 differ' \
+    'asm_text_round_trips: [1-9][0-9]* programs'
+# the register allocator against naive liveness on random IR functions
+referee xmtc regalloc_props 'regalloc_props: ran [1-9][0-9]* cases'
 # observability on vs off, and the exported trace parses
 referee xmtsim "obs_diff obs_trace" 'obs_diff: ran [1-9][0-9]* obs-on/obs-off cases'
 
