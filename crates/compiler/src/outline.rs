@@ -7,9 +7,11 @@
 //! promotion of variables that the parallel TCUs can only observe through
 //! memory. Outlining places each spawn statement in a new function and
 //! replaces it with a call. Variables of the enclosing scope that the
-//! spawn accesses become parameters: read-only scalars by value, written
-//! scalars by reference (as `found` in Fig. 8c), arrays by (decayed)
-//! pointer.
+//! spawn accesses become parameters: read-only `int`/pointer scalars by
+//! value, written scalars by reference (as `found` in Fig. 8c), arrays by
+//! (decayed) pointer. A `float` scalar always goes by reference, since
+//! parameters are passed in integer registers and XMTC has no `float`
+//! parameter.
 //!
 //! With outlining disabled (the `Options::outline` flag) the compiler
 //! reproduces the paper's hazard: a scalar written inside the spawn block
@@ -129,7 +131,7 @@ fn outline_stmt(
                 let (pty, r) = if *is_array {
                     // Arrays decay: pass the element pointer by value.
                     (array_decay(ty), false)
-                } else if writes.contains(name) {
+                } else if writes.contains(name) || *ty == Type::Float {
                     (ty.clone().ptr(), true)
                 } else {
                     (ty.clone(), false)
@@ -498,6 +500,24 @@ mod tests {
         let f = p.function("__outl_spawn0").unwrap();
         assert_eq!(f.params.len(), 1);
         assert_eq!(f.params[0].ty, Type::Int);
+    }
+
+    #[test]
+    fn float_scalars_by_reference() {
+        // A read-only float capture goes by reference: there is no float
+        // parameter. The spawn reads it through the pointer.
+        let p = outlined(
+            "float F[4];
+             void main() { float x = F[1]; spawn(0, 3) { F[$] = x; } }",
+        );
+        let f = p.function("__outl_spawn0").unwrap();
+        assert_eq!(f.params.len(), 1);
+        assert_eq!(f.params[0].ty, Type::Float.ptr());
+        let Stmt::Spawn { body, .. } = &f.body.stmts[0] else { panic!() };
+        assert!(matches!(&body.stmts[0], Stmt::Assign { value: Expr::Deref(_), .. }));
+        let main = p.function("main").unwrap();
+        let Stmt::Expr(Expr::Call { args, .. }) = &main.body.stmts[1] else { panic!() };
+        assert!(matches!(args[0], Expr::AddrOf(..)));
     }
 
     #[test]

@@ -251,6 +251,24 @@ fn fig8_outlining_protects_against_illegal_dataflow() {
 }
 
 #[test]
+fn spawn_reading_a_float_local_matches_the_unoutlined_build() {
+    // Outlining passes a read-only float capture by reference (there is no
+    // float parameter); functional and fpga64 runs of the outlined build
+    // agree with the build that keeps the spawn inline.
+    let src = "float F[4]; int main() { float x = F[1]; spawn(0, 3) { F[$] = x; } return 0; }";
+    let inline = Options { outline: false, ..Options::default() };
+    let runs = [Toolchain::new(), Toolchain::with_options(inline)].map(|tc| {
+        let mut c = tc.compile(src).expect("compiles");
+        c.set_global_floats("F", &[0.0, 2.5, 0.0, 0.0]).unwrap();
+        let functional = c.run_functional().unwrap().read_global_floats("F", 4).unwrap();
+        let fpga64 = c.run(&XmtConfig::fpga64()).unwrap().read_global_floats("F", 4).unwrap();
+        (functional, fpga64)
+    });
+    assert_eq!(runs[0], (vec![2.5; 4], vec![2.5; 4]));
+    assert_eq!(runs[0], runs[1]);
+}
+
+#[test]
 fn nested_spawn_serialized() {
     let src = "
         int M[24]; // 4 x 6

@@ -11,9 +11,12 @@
 //! * data-carrying variants encode as `{"Variant": <payload>}`.
 //!
 //! Floats round-trip exactly through the shortest decimal representation
-//! (`{:?}`); NaN and infinities are rejected at encode time — simulator
-//! state is NaN-free by construction, and a checkpoint that failed to
-//! round-trip would silently corrupt a resumed run.
+//! (`{:?}`). JSON has no number for NaN or the infinities, yet a simulated
+//! program may hold them in `f32` state (FP registers, printed floats, `fli`
+//! immediates): a non-finite `f32` encodes as the string [`F32Text`]
+//! writes (`"inf"`, `"-inf"`, `"nan(0x7fc00000)"`), bit for bit. A
+//! non-finite `f64` is rejected at encode time, since a checkpoint that
+//! failed to round-trip would silently corrupt a resumed run.
 //!
 //! [`json_struct!`], [`json_enum!`] and [`json_newtype!`] generate the
 //! [`ToJson`]/[`FromJson`] impls that `#[derive(Serialize, Deserialize)]`
@@ -503,15 +506,50 @@ impl FromJson for f64 {
 
 impl ToJson for f32 {
     fn to_json(&self) -> Json {
-        // f32 -> f64 is exact, and the f64 shortest-decimal encoding of an
-        // exact f32 value parses back to the same f32.
-        Json::F(*self as f64)
+        if self.is_finite() {
+            // f32 -> f64 is exact, and the f64 shortest-decimal encoding of
+            // an exact f32 value parses back to the same f32.
+            Json::F(*self as f64)
+        } else {
+            Json::Str(F32Text(*self).to_string())
+        }
     }
 }
 
 impl FromJson for f32 {
     fn from_json(v: &Json) -> Result<Self, JsonError> {
-        f64::from_json(v).map(|x| x as f32)
+        match v {
+            Json::Str(s) => parse_f32(s)
+                .filter(|x| !x.is_finite())
+                .ok_or_else(|| JsonError::new(format!("bad non-finite float `{s}`"))),
+            other => f64::from_json(other).map(|x| x as f32),
+        }
+    }
+}
+
+/// The exact text of an `f32`: the shortest decimal that reads back to the
+/// same value (`{:?}`), `inf`/`-inf`, or `nan(0x…)` with the whole bit
+/// pattern (C's `strtod` spelling), so every NaN payload survives. A
+/// non-finite `f32` in JSON and the assembler's `fli` immediate are
+/// written this way; [`parse_f32`] reads it back. The text holds no `:`,
+/// `#` or `;`, which the assembler reads as a label or a comment.
+pub struct F32Text(pub f32);
+
+impl fmt::Display for F32Text {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        if self.0.is_nan() {
+            write!(f, "nan({:#010x})", self.0.to_bits())
+        } else {
+            write!(f, "{:?}", self.0)
+        }
+    }
+}
+
+/// Read what [`F32Text`] writes (and any decimal `str::parse` takes).
+pub fn parse_f32(s: &str) -> Option<f32> {
+    match s.strip_prefix("nan(0x").and_then(|rest| rest.strip_suffix(')')) {
+        Some(hex) => u32::from_str_radix(hex, 16).ok().map(f32::from_bits).filter(|x| x.is_nan()),
+        None => s.parse().ok(),
     }
 }
 
@@ -871,6 +909,26 @@ mod tests {
             let back = f32::from_json(&Json::parse(&x.to_json_string()).unwrap()).unwrap();
             assert_eq!(back.to_bits(), x.to_bits(), "{x}");
         }
+    }
+
+    #[test]
+    fn non_finite_f32_roundtrips_bit_for_bit() {
+        let finite = [0.0f32, -0.0, 1.5, f32::MIN_POSITIVE, 1.0e-45];
+        for x in finite {
+            assert_eq!(x.to_json(), Json::F(x as f64), "finite values encode as numbers");
+        }
+        let special = [f32::INFINITY, f32::NEG_INFINITY, f32::NAN, -f32::NAN];
+        let payloads = [0x7f80_0001u32, 0x7fbf_ffff, 0xffc0_1234, 0xff80_0001];
+        for x in special.into_iter().chain(payloads.map(f32::from_bits)) {
+            let text = x.to_json_string();
+            let back = f32::from_json(&Json::parse(&text).unwrap()).unwrap();
+            assert_eq!(back.to_bits(), x.to_bits(), "{text}");
+            assert_eq!(parse_f32(&F32Text(x).to_string()).map(f32::to_bits), Some(x.to_bits()));
+        }
+        assert_eq!(f32::INFINITY.to_json_string(), r#""inf""#);
+        assert_eq!(f32::from_bits(0x7fc0_0001).to_json_string(), r#""nan(0x7fc00001)""#);
+        assert!(f32::from_json_str(r#""1.5""#).is_err(), "a finite value is a number");
+        assert!(f32::from_json_str(r#""nan(0x3f800000)""#).is_err(), "bits of 1.0 are no NaN");
     }
 
     #[test]

@@ -11,82 +11,8 @@ use crate::instr::{FCmpOp, Instr, Target};
 use crate::program::{AsmItem, AsmProgram};
 use crate::reg::{FReg, GlobalReg, Reg};
 use std::fmt;
-
-impl fmt::Display for Instr {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        use Instr::*;
-        match self {
-            Add { rd, rs, rt } => write!(f, "add {rd}, {rs}, {rt}"),
-            Sub { rd, rs, rt } => write!(f, "sub {rd}, {rs}, {rt}"),
-            And { rd, rs, rt } => write!(f, "and {rd}, {rs}, {rt}"),
-            Or { rd, rs, rt } => write!(f, "or {rd}, {rs}, {rt}"),
-            Xor { rd, rs, rt } => write!(f, "xor {rd}, {rs}, {rt}"),
-            Nor { rd, rs, rt } => write!(f, "nor {rd}, {rs}, {rt}"),
-            Slt { rd, rs, rt } => write!(f, "slt {rd}, {rs}, {rt}"),
-            Sltu { rd, rs, rt } => write!(f, "sltu {rd}, {rs}, {rt}"),
-            Mul { rd, rs, rt } => write!(f, "mul {rd}, {rs}, {rt}"),
-            Div { rd, rs, rt } => write!(f, "div {rd}, {rs}, {rt}"),
-            Rem { rd, rs, rt } => write!(f, "rem {rd}, {rs}, {rt}"),
-            Addi { rt, rs, imm } => write!(f, "addi {rt}, {rs}, {imm}"),
-            Andi { rt, rs, imm } => write!(f, "andi {rt}, {rs}, {imm}"),
-            Ori { rt, rs, imm } => write!(f, "ori {rt}, {rs}, {imm}"),
-            Xori { rt, rs, imm } => write!(f, "xori {rt}, {rs}, {imm}"),
-            Slti { rt, rs, imm } => write!(f, "slti {rt}, {rs}, {imm}"),
-            Sltiu { rt, rs, imm } => write!(f, "sltiu {rt}, {rs}, {imm}"),
-            Li { rt, imm } => write!(f, "li {rt}, {imm}"),
-            Lui { rt, imm } => write!(f, "lui {rt}, {imm}"),
-            Move { rd, rs } => write!(f, "move {rd}, {rs}"),
-            Sll { rd, rt, sh } => write!(f, "sll {rd}, {rt}, {sh}"),
-            Srl { rd, rt, sh } => write!(f, "srl {rd}, {rt}, {sh}"),
-            Sra { rd, rt, sh } => write!(f, "sra {rd}, {rt}, {sh}"),
-            Sllv { rd, rt, rs } => write!(f, "sllv {rd}, {rt}, {rs}"),
-            Srlv { rd, rt, rs } => write!(f, "srlv {rd}, {rt}, {rs}"),
-            Srav { rd, rt, rs } => write!(f, "srav {rd}, {rt}, {rs}"),
-            Lw { rt, base, off } => write!(f, "lw {rt}, {off}({base})"),
-            Sw { rt, base, off } => write!(f, "sw {rt}, {off}({base})"),
-            Lb { rt, base, off } => write!(f, "lb {rt}, {off}({base})"),
-            Lbu { rt, base, off } => write!(f, "lbu {rt}, {off}({base})"),
-            Sb { rt, base, off } => write!(f, "sb {rt}, {off}({base})"),
-            Swnb { rt, base, off } => write!(f, "swnb {rt}, {off}({base})"),
-            Pref { base, off } => write!(f, "pref {off}({base})"),
-            Lwro { rt, base, off } => write!(f, "lwro {rt}, {off}({base})"),
-            Fadd { fd, fs, ft } => write!(f, "fadd {fd}, {fs}, {ft}"),
-            Fsub { fd, fs, ft } => write!(f, "fsub {fd}, {fs}, {ft}"),
-            Fmul { fd, fs, ft } => write!(f, "fmul {fd}, {fs}, {ft}"),
-            Fdiv { fd, fs, ft } => write!(f, "fdiv {fd}, {fs}, {ft}"),
-            Fmov { fd, fs } => write!(f, "fmov {fd}, {fs}"),
-            Fneg { fd, fs } => write!(f, "fneg {fd}, {fs}"),
-            Fcvtsw { fd, rs } => write!(f, "fcvtsw {fd}, {rs}"),
-            Fcvtws { rd, fs } => write!(f, "fcvtws {rd}, {fs}"),
-            Fcmp { op, rd, fs, ft } => write!(f, "fcmp.{op} {rd}, {fs}, {ft}"),
-            Fli { fd, imm } => write!(f, "fli {fd}, {imm:?}"),
-            Flw { ft, base, off } => write!(f, "flw {ft}, {off}({base})"),
-            Fsw { ft, base, off } => write!(f, "fsw {ft}, {off}({base})"),
-            Beq { rs, rt, target } => write!(f, "beq {rs}, {rt}, {target}"),
-            Bne { rs, rt, target } => write!(f, "bne {rs}, {rt}, {target}"),
-            Blez { rs, target } => write!(f, "blez {rs}, {target}"),
-            Bgtz { rs, target } => write!(f, "bgtz {rs}, {target}"),
-            Bltz { rs, target } => write!(f, "bltz {rs}, {target}"),
-            Bgez { rs, target } => write!(f, "bgez {rs}, {target}"),
-            J { target } => write!(f, "j {target}"),
-            Jal { target } => write!(f, "jal {target}"),
-            Jr { rs } => write!(f, "jr {rs}"),
-            Jalr { rd, rs } => write!(f, "jalr {rd}, {rs}"),
-            Spawn { lo, hi } => write!(f, "spawn {lo}, {hi}"),
-            Join => write!(f, "join"),
-            Ps { rt, gr } => write!(f, "ps {rt}, {gr}"),
-            Psm { rt, base, off } => write!(f, "psm {rt}, {off}({base})"),
-            Grput { gr, rs } => write!(f, "grput {gr}, {rs}"),
-            Chkid { rt } => write!(f, "chkid {rt}"),
-            Fence => write!(f, "fence"),
-            Print { rs } => write!(f, "print {rs}"),
-            Printf { fs } => write!(f, "printf {fs}"),
-            Printc { rs } => write!(f, "printc {rs}"),
-            Halt => write!(f, "halt"),
-            Nop => write!(f, "nop"),
-        }
-    }
-}
+use xmt_harness::json::{parse_f32, F32Text};
+use xmt_harness::prop::Gen;
 
 /// Render a program as assembly text.
 pub fn to_text(p: &AsmProgram) -> String {
@@ -164,8 +90,7 @@ pub fn parse(text: &str) -> Result<AsmProgram, AsmParseError> {
         if code.is_empty() {
             continue;
         }
-        let instr = parse_instr(code)
-            .map_err(|message| AsmParseError { line, message })?;
+        let instr = code.parse::<Instr>().map_err(|message| AsmParseError { line, message })?;
         prog.push(instr);
     }
     Ok(prog)
@@ -181,12 +106,12 @@ fn is_ident(s: &str) -> bool {
 }
 
 /// Operand scanner over one instruction's operand text.
-struct Ops<'a> {
+pub(crate) struct Ops<'a> {
     parts: std::vec::IntoIter<&'a str>,
 }
 
 impl<'a> Ops<'a> {
-    fn new(s: &'a str) -> Self {
+    pub(crate) fn new(s: &'a str) -> Self {
         let parts: Vec<&str> = s
             .split(',')
             .map(str::trim)
@@ -199,49 +124,12 @@ impl<'a> Ops<'a> {
         self.parts.next().ok_or_else(|| "missing operand".to_string())
     }
 
-    fn reg(&mut self) -> Result<Reg, String> {
-        let t = self.next()?;
-        Reg::parse(t).ok_or_else(|| format!("bad register `{t}`"))
-    }
-
-    fn freg(&mut self) -> Result<FReg, String> {
-        let t = self.next()?;
-        FReg::parse(t).ok_or_else(|| format!("bad fp register `{t}`"))
-    }
-
-    fn greg(&mut self) -> Result<GlobalReg, String> {
-        let t = self.next()?;
-        GlobalReg::parse(t).ok_or_else(|| format!("bad global register `{t}`"))
-    }
-
-    fn imm_i32(&mut self) -> Result<i32, String> {
-        let t = self.next()?;
-        parse_i32(t).ok_or_else(|| format!("bad immediate `{t}`"))
-    }
-
-    fn imm_u32(&mut self) -> Result<u32, String> {
-        let t = self.next()?;
-        parse_i32(t)
-            .map(|v| v as u32)
-            .or_else(|| parse_u32(t))
-            .ok_or_else(|| format!("bad immediate `{t}`"))
-    }
-
-    fn imm_f32(&mut self) -> Result<f32, String> {
-        let t = self.next()?;
-        t.parse::<f32>().map_err(|_| format!("bad float immediate `{t}`"))
-    }
-
-    fn shamt(&mut self) -> Result<u8, String> {
-        let v = self.imm_i32()?;
-        if !(0..32).contains(&v) {
-            return Err(format!("shift amount {v} out of range"));
-        }
-        Ok(v as u8)
+    pub(crate) fn operand<T: Operand>(&mut self) -> Result<T, String> {
+        T::parse(self.next()?)
     }
 
     /// Parse an `off(base)` memory operand.
-    fn mem(&mut self) -> Result<(Reg, i32), String> {
+    pub(crate) fn mem(&mut self) -> Result<(Reg, i32), String> {
         let t = self.next()?;
         let open = t.find('(').ok_or_else(|| format!("bad memory operand `{t}`"))?;
         let close = t.rfind(')').ok_or_else(|| format!("bad memory operand `{t}`"))?;
@@ -259,19 +147,7 @@ impl<'a> Ops<'a> {
         Ok((base, off))
     }
 
-    fn target(&mut self) -> Result<Target, String> {
-        let t = self.next()?;
-        if let Some(abs) = t.strip_prefix('@') {
-            let idx: u32 = abs.parse().map_err(|_| format!("bad target `{t}`"))?;
-            Ok(Target::Abs(idx))
-        } else if is_ident(t) {
-            Ok(Target::label(t))
-        } else {
-            Err(format!("bad target `{t}`"))
-        }
-    }
-
-    fn done(mut self) -> Result<(), String> {
+    pub(crate) fn done(mut self) -> Result<(), String> {
         match self.parts.next() {
             None => Ok(()),
             Some(extra) => Err(format!("unexpected operand `{extra}`")),
@@ -297,131 +173,163 @@ fn parse_u32(s: &str) -> Option<u32> {
     }
 }
 
-fn parse_instr(code: &str) -> Result<Instr, String> {
-    let (mn, rest) = match code.find(char::is_whitespace) {
-        Some(pos) => (&code[..pos], code[pos..].trim()),
-        None => (code, ""),
-    };
-    let mut o = Ops::new(rest);
-    use Instr::*;
-    let instr = match mn {
-        "add" => Add { rd: o.reg()?, rs: o.reg()?, rt: o.reg()? },
-        "sub" => Sub { rd: o.reg()?, rs: o.reg()?, rt: o.reg()? },
-        "and" => And { rd: o.reg()?, rs: o.reg()?, rt: o.reg()? },
-        "or" => Or { rd: o.reg()?, rs: o.reg()?, rt: o.reg()? },
-        "xor" => Xor { rd: o.reg()?, rs: o.reg()?, rt: o.reg()? },
-        "nor" => Nor { rd: o.reg()?, rs: o.reg()?, rt: o.reg()? },
-        "slt" => Slt { rd: o.reg()?, rs: o.reg()?, rt: o.reg()? },
-        "sltu" => Sltu { rd: o.reg()?, rs: o.reg()?, rt: o.reg()? },
-        "mul" => Mul { rd: o.reg()?, rs: o.reg()?, rt: o.reg()? },
-        "div" => Div { rd: o.reg()?, rs: o.reg()?, rt: o.reg()? },
-        "rem" => Rem { rd: o.reg()?, rs: o.reg()?, rt: o.reg()? },
-        "addi" => Addi { rt: o.reg()?, rs: o.reg()?, imm: o.imm_i32()? },
-        "andi" => Andi { rt: o.reg()?, rs: o.reg()?, imm: o.imm_u32()? },
-        "ori" => Ori { rt: o.reg()?, rs: o.reg()?, imm: o.imm_u32()? },
-        "xori" => Xori { rt: o.reg()?, rs: o.reg()?, imm: o.imm_u32()? },
-        "slti" => Slti { rt: o.reg()?, rs: o.reg()?, imm: o.imm_i32()? },
-        "sltiu" => Sltiu { rt: o.reg()?, rs: o.reg()?, imm: o.imm_u32()? },
-        "li" => Li { rt: o.reg()?, imm: o.imm_i32()? },
-        "lui" => Lui { rt: o.reg()?, imm: o.imm_u32()? },
-        "move" => Move { rd: o.reg()?, rs: o.reg()? },
-        "sll" => Sll { rd: o.reg()?, rt: o.reg()?, sh: o.shamt()? },
-        "srl" => Srl { rd: o.reg()?, rt: o.reg()?, sh: o.shamt()? },
-        "sra" => Sra { rd: o.reg()?, rt: o.reg()?, sh: o.shamt()? },
-        "sllv" => Sllv { rd: o.reg()?, rt: o.reg()?, rs: o.reg()? },
-        "srlv" => Srlv { rd: o.reg()?, rt: o.reg()?, rs: o.reg()? },
-        "srav" => Srav { rd: o.reg()?, rt: o.reg()?, rs: o.reg()? },
-        "lw" => {
-            let rt = o.reg()?;
-            let (base, off) = o.mem()?;
-            Lw { rt, base, off }
+/// A field type of the ISA table (`crate::instr`): its text as an assembly
+/// operand, and a value drawn over all of its valid values for property
+/// tests. A `u8` field is a shift amount.
+pub(crate) trait Operand: Sized {
+    fn parse(t: &str) -> Result<Self, String>;
+
+    fn arbitrary(g: &mut Gen) -> Self;
+
+    fn write(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result
+    where
+        Self: fmt::Display,
+    {
+        fmt::Display::fmt(self, f)
+    }
+
+    /// The field as a static branch target, when it is one.
+    fn target(&self) -> Option<&Target> {
+        None
+    }
+
+    fn target_mut(&mut self) -> Option<&mut Target> {
+        None
+    }
+}
+
+impl Operand for Reg {
+    fn parse(t: &str) -> Result<Self, String> {
+        Reg::parse(t).ok_or_else(|| format!("bad register `{t}`"))
+    }
+
+    fn arbitrary(g: &mut Gen) -> Self {
+        *g.choose(&Reg::ALL)
+    }
+}
+
+impl Operand for FReg {
+    fn parse(t: &str) -> Result<Self, String> {
+        FReg::parse(t).ok_or_else(|| format!("bad fp register `{t}`"))
+    }
+
+    fn arbitrary(g: &mut Gen) -> Self {
+        FReg(g.usize_in(0, FReg::COUNT as usize) as u8)
+    }
+}
+
+impl Operand for GlobalReg {
+    fn parse(t: &str) -> Result<Self, String> {
+        GlobalReg::parse(t).ok_or_else(|| format!("bad global register `{t}`"))
+    }
+
+    fn arbitrary(g: &mut Gen) -> Self {
+        GlobalReg(g.usize_in(0, GlobalReg::COUNT as usize) as u8)
+    }
+}
+
+impl Operand for i32 {
+    fn parse(t: &str) -> Result<Self, String> {
+        parse_i32(t).ok_or_else(|| format!("bad immediate `{t}`"))
+    }
+
+    fn arbitrary(g: &mut Gen) -> Self {
+        g.u32() as i32
+    }
+}
+
+impl Operand for u32 {
+    fn parse(t: &str) -> Result<Self, String> {
+        parse_i32(t)
+            .map(|v| v as u32)
+            .or_else(|| parse_u32(t))
+            .ok_or_else(|| format!("bad immediate `{t}`"))
+    }
+
+    fn arbitrary(g: &mut Gen) -> Self {
+        g.u32()
+    }
+}
+
+impl Operand for u8 {
+    fn parse(t: &str) -> Result<Self, String> {
+        let v = i32::parse(t)?;
+        if !(0..32).contains(&v) {
+            return Err(format!("shift amount {v} out of range"));
         }
-        "sw" => {
-            let rt = o.reg()?;
-            let (base, off) = o.mem()?;
-            Sw { rt, base, off }
+        Ok(v as u8)
+    }
+
+    fn arbitrary(g: &mut Gen) -> Self {
+        g.usize_in(0, 32) as u8
+    }
+}
+
+impl Operand for f32 {
+    fn parse(t: &str) -> Result<Self, String> {
+        parse_f32(t).ok_or_else(|| format!("bad float immediate `{t}`"))
+    }
+
+    fn arbitrary(g: &mut Gen) -> Self {
+        // Any bit pattern, but an exponent of all ones (NaN with a random
+        // payload, or an infinity) or of all zeros (zero or subnormal) in
+        // three draws out of eight.
+        let bits = g.u32();
+        f32::from_bits(match g.usize_in(0, 8) {
+            0 => bits | 0x7f80_0000,
+            1 => bits & 0x8000_0000 | 0x7f80_0000,
+            2 => bits & 0x807f_ffff,
+            _ => bits,
+        })
+    }
+
+    fn write(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        fmt::Display::fmt(&F32Text(*self), f)
+    }
+}
+
+impl Operand for Target {
+    fn parse(t: &str) -> Result<Self, String> {
+        if let Some(abs) = t.strip_prefix('@') {
+            let idx: u32 = abs.parse().map_err(|_| format!("bad target `{t}`"))?;
+            Ok(Target::Abs(idx))
+        } else if is_ident(t) {
+            Ok(Target::label(t))
+        } else {
+            Err(format!("bad target `{t}`"))
         }
-        "lb" => {
-            let rt = o.reg()?;
-            let (base, off) = o.mem()?;
-            Lb { rt, base, off }
+    }
+
+    fn arbitrary(g: &mut Gen) -> Self {
+        if g.bool_p(0.5) {
+            Target::Label(g.ident(12))
+        } else {
+            Target::Abs(g.u32())
         }
-        "lbu" => {
-            let rt = o.reg()?;
-            let (base, off) = o.mem()?;
-            Lbu { rt, base, off }
+    }
+
+    fn target(&self) -> Option<&Target> {
+        Some(self)
+    }
+
+    fn target_mut(&mut self) -> Option<&mut Target> {
+        Some(self)
+    }
+}
+
+impl Operand for FCmpOp {
+    fn parse(t: &str) -> Result<Self, String> {
+        match t {
+            "eq" => Ok(FCmpOp::Eq),
+            "lt" => Ok(FCmpOp::Lt),
+            "le" => Ok(FCmpOp::Le),
+            _ => Err(format!("bad compare `{t}`")),
         }
-        "sb" => {
-            let rt = o.reg()?;
-            let (base, off) = o.mem()?;
-            Sb { rt, base, off }
-        }
-        "swnb" => {
-            let rt = o.reg()?;
-            let (base, off) = o.mem()?;
-            Swnb { rt, base, off }
-        }
-        "pref" => {
-            let (base, off) = o.mem()?;
-            Pref { base, off }
-        }
-        "lwro" => {
-            let rt = o.reg()?;
-            let (base, off) = o.mem()?;
-            Lwro { rt, base, off }
-        }
-        "fadd" => Fadd { fd: o.freg()?, fs: o.freg()?, ft: o.freg()? },
-        "fsub" => Fsub { fd: o.freg()?, fs: o.freg()?, ft: o.freg()? },
-        "fmul" => Fmul { fd: o.freg()?, fs: o.freg()?, ft: o.freg()? },
-        "fdiv" => Fdiv { fd: o.freg()?, fs: o.freg()?, ft: o.freg()? },
-        "fmov" => Fmov { fd: o.freg()?, fs: o.freg()? },
-        "fneg" => Fneg { fd: o.freg()?, fs: o.freg()? },
-        "fcvtsw" => Fcvtsw { fd: o.freg()?, rs: o.reg()? },
-        "fcvtws" => Fcvtws { rd: o.reg()?, fs: o.freg()? },
-        "fcmp.eq" => Fcmp { op: FCmpOp::Eq, rd: o.reg()?, fs: o.freg()?, ft: o.freg()? },
-        "fcmp.lt" => Fcmp { op: FCmpOp::Lt, rd: o.reg()?, fs: o.freg()?, ft: o.freg()? },
-        "fcmp.le" => Fcmp { op: FCmpOp::Le, rd: o.reg()?, fs: o.freg()?, ft: o.freg()? },
-        "fli" => Fli { fd: o.freg()?, imm: o.imm_f32()? },
-        "flw" => {
-            let ft = o.freg()?;
-            let (base, off) = o.mem()?;
-            Flw { ft, base, off }
-        }
-        "fsw" => {
-            let ft = o.freg()?;
-            let (base, off) = o.mem()?;
-            Fsw { ft, base, off }
-        }
-        "beq" => Beq { rs: o.reg()?, rt: o.reg()?, target: o.target()? },
-        "bne" => Bne { rs: o.reg()?, rt: o.reg()?, target: o.target()? },
-        "blez" => Blez { rs: o.reg()?, target: o.target()? },
-        "bgtz" => Bgtz { rs: o.reg()?, target: o.target()? },
-        "bltz" => Bltz { rs: o.reg()?, target: o.target()? },
-        "bgez" => Bgez { rs: o.reg()?, target: o.target()? },
-        "j" => J { target: o.target()? },
-        "jal" => Jal { target: o.target()? },
-        "jr" => Jr { rs: o.reg()? },
-        "jalr" => Jalr { rd: o.reg()?, rs: o.reg()? },
-        "spawn" => Spawn { lo: o.reg()?, hi: o.reg()? },
-        "join" => Join,
-        "ps" => Ps { rt: o.reg()?, gr: o.greg()? },
-        "psm" => {
-            let rt = o.reg()?;
-            let (base, off) = o.mem()?;
-            Psm { rt, base, off }
-        }
-        "chkid" => Chkid { rt: o.reg()? },
-        "grput" => Grput { gr: o.greg()?, rs: o.reg()? },
-        "fence" => Fence,
-        "print" => Print { rs: o.reg()? },
-        "printf" => Printf { fs: o.freg()? },
-        "printc" => Printc { rs: o.reg()? },
-        "halt" => Halt,
-        "nop" => Nop,
-        other => return Err(format!("unknown mnemonic `{other}`")),
-    };
-    o.done()?;
-    Ok(instr)
+    }
+
+    fn arbitrary(g: &mut Gen) -> Self {
+        *g.choose(&[FCmpOp::Eq, FCmpOp::Lt, FCmpOp::Le])
+    }
 }
 
 #[cfg(test)]

@@ -11,8 +11,8 @@
 //! Everything is resolved at decode time — branch and jump targets become
 //! plain absolute pcs ([`Target::abs`] would otherwise be re-resolved every
 //! execution), `lui` pre-shifts its immediate, `jal`/`jalr` precompute
-//! their link values — and the wide [`Instr`] match collapses into a
-//! handful of dense grouped tags.
+//! their link values — and the wide [`Instr`](crate::Instr) match
+//! collapses into a handful of dense grouped tags.
 //!
 //! Two *superinstructions* fuse the common dependent pairs:
 //!
@@ -27,7 +27,7 @@
 //! constituent latencies — so they are observationally identical to the
 //! unfused pair.
 
-use crate::instr::{Instr, Target};
+use crate::instr::Target;
 use crate::reg::Reg;
 
 /// Register-register ALU operations ([`DecodedOp::Bin`]).
@@ -106,8 +106,8 @@ impl CmpOp {
 }
 
 /// One pre-decoded operation. Ops other than the two fused variants map
-/// 1:1 onto a burstable [`Instr`]; the fused variants cover two
-/// consecutive instructions ([`DecodedOp::constituents`]).
+/// 1:1 onto a burstable [`Instr`](crate::Instr); the fused variants cover
+/// two consecutive instructions ([`DecodedOp::constituents`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DecodedOp {
     /// Register-register ALU.
@@ -229,203 +229,40 @@ impl DecodedOp {
     }
 }
 
-fn abs(t: &Target) -> Option<u32> {
-    match t {
-        Target::Abs(a) => Some(*a),
-        // Unlinked label targets cannot be pre-resolved; the interpreted
-        // path surfaces the usual panic.
-        Target::Label(_) => None,
-    }
+pub use crate::instr::decode_instr;
+
+/// How an instruction field reaches its [`DecodedOp`] in the ISA table's
+/// lowering: by value, except a branch target, which becomes its absolute
+/// pc (`None` while it is an unlinked label: the interpreted path then
+/// surfaces the usual panic).
+pub(crate) trait Lower {
+    type To;
+    fn lower(&self) -> Self::To;
 }
 
-/// Pre-decode the instruction at `pc` if it belongs to the pure-local
-/// subset; `None` for every other instruction (which therefore ends a
-/// basic block), and for a branch whose target is still a label.
-/// Always inlined: the simulator's interpreted issue path calls it for
-/// every instruction, from another crate, and straight into the execution
-/// of the op it builds.
-#[inline(always)]
-pub fn decode_instr(ins: &Instr, pc: u32) -> Option<DecodedOp> {
-    use Instr as I;
-    Some(match *ins {
-        I::Add { rd, rs, rt } => DecodedOp::Bin {
-            op: BinAlu::Add,
-            rd,
-            rs,
-            rt,
-        },
-        I::Sub { rd, rs, rt } => DecodedOp::Bin {
-            op: BinAlu::Sub,
-            rd,
-            rs,
-            rt,
-        },
-        I::And { rd, rs, rt } => DecodedOp::Bin {
-            op: BinAlu::And,
-            rd,
-            rs,
-            rt,
-        },
-        I::Or { rd, rs, rt } => DecodedOp::Bin {
-            op: BinAlu::Or,
-            rd,
-            rs,
-            rt,
-        },
-        I::Xor { rd, rs, rt } => DecodedOp::Bin {
-            op: BinAlu::Xor,
-            rd,
-            rs,
-            rt,
-        },
-        I::Nor { rd, rs, rt } => DecodedOp::Bin {
-            op: BinAlu::Nor,
-            rd,
-            rs,
-            rt,
-        },
-        I::Slt { rd, rs, rt } => DecodedOp::Bin {
-            op: BinAlu::Slt,
-            rd,
-            rs,
-            rt,
-        },
-        I::Sltu { rd, rs, rt } => DecodedOp::Bin {
-            op: BinAlu::Sltu,
-            rd,
-            rs,
-            rt,
-        },
-        I::Addi { rt, rs, imm } => DecodedOp::Imm {
-            op: ImmAlu::Addi,
-            rt,
-            rs,
-            imm: imm as u32,
-        },
-        I::Andi { rt, rs, imm } => DecodedOp::Imm {
-            op: ImmAlu::Andi,
-            rt,
-            rs,
-            imm,
-        },
-        I::Ori { rt, rs, imm } => DecodedOp::Imm {
-            op: ImmAlu::Ori,
-            rt,
-            rs,
-            imm,
-        },
-        I::Xori { rt, rs, imm } => DecodedOp::Imm {
-            op: ImmAlu::Xori,
-            rt,
-            rs,
-            imm,
-        },
-        I::Slti { rt, rs, imm } => DecodedOp::Imm {
-            op: ImmAlu::Slti,
-            rt,
-            rs,
-            imm: imm as u32,
-        },
-        I::Sltiu { rt, rs, imm } => DecodedOp::Imm {
-            op: ImmAlu::Sltiu,
-            rt,
-            rs,
-            imm,
-        },
-        I::Li { rt, imm } => DecodedOp::Li { rt, imm },
-        I::Lui { rt, imm } => DecodedOp::Lui {
-            rt,
-            upper: imm << 16,
-        },
-        I::Move { rd, rs } => DecodedOp::Move { rd, rs },
-        I::Sll { rd, rt, sh } => DecodedOp::ShImm {
-            op: ShKind::Sll,
-            rd,
-            rt,
-            sh,
-        },
-        I::Srl { rd, rt, sh } => DecodedOp::ShImm {
-            op: ShKind::Srl,
-            rd,
-            rt,
-            sh,
-        },
-        I::Sra { rd, rt, sh } => DecodedOp::ShImm {
-            op: ShKind::Sra,
-            rd,
-            rt,
-            sh,
-        },
-        I::Sllv { rd, rt, rs } => DecodedOp::ShVar {
-            op: ShKind::Sll,
-            rd,
-            rt,
-            rs,
-        },
-        I::Srlv { rd, rt, rs } => DecodedOp::ShVar {
-            op: ShKind::Srl,
-            rd,
-            rt,
-            rs,
-        },
-        I::Srav { rd, rt, rs } => DecodedOp::ShVar {
-            op: ShKind::Sra,
-            rd,
-            rt,
-            rs,
-        },
-        I::Beq { rs, rt, ref target } => DecodedOp::Br {
-            cond: BrCond::Eq,
-            rs,
-            rt,
-            target: abs(target)?,
-        },
-        I::Bne { rs, rt, ref target } => DecodedOp::Br {
-            cond: BrCond::Ne,
-            rs,
-            rt,
-            target: abs(target)?,
-        },
-        I::Blez { rs, ref target } => DecodedOp::Br {
-            cond: BrCond::Lez,
-            rs,
-            rt: Reg::Zero,
-            target: abs(target)?,
-        },
-        I::Bgtz { rs, ref target } => DecodedOp::Br {
-            cond: BrCond::Gtz,
-            rs,
-            rt: Reg::Zero,
-            target: abs(target)?,
-        },
-        I::Bltz { rs, ref target } => DecodedOp::Br {
-            cond: BrCond::Ltz,
-            rs,
-            rt: Reg::Zero,
-            target: abs(target)?,
-        },
-        I::Bgez { rs, ref target } => DecodedOp::Br {
-            cond: BrCond::Gez,
-            rs,
-            rt: Reg::Zero,
-            target: abs(target)?,
-        },
-        I::J { ref target } => DecodedOp::J {
-            target: abs(target)?,
-        },
-        I::Jal { ref target } => DecodedOp::Jal {
-            target: abs(target)?,
-            link: pc + 1,
-        },
-        I::Jr { rs } => DecodedOp::Jr { rs },
-        I::Jalr { rd, rs } => DecodedOp::Jalr {
-            rd,
-            rs,
-            link: pc + 1,
-        },
-        I::Nop => DecodedOp::Nop,
-        _ => return None,
-    })
+macro_rules! lower_by_value {
+    ($($t:ty),*) => {$(
+        impl Lower for $t {
+            type To = $t;
+            #[inline(always)]
+            fn lower(&self) -> $t {
+                *self
+            }
+        }
+    )*};
+}
+
+lower_by_value!(Reg, i32, u32, u8);
+
+impl Lower for Target {
+    type To = Option<u32>;
+    #[inline(always)]
+    fn lower(&self) -> Option<u32> {
+        match self {
+            Target::Abs(a) => Some(*a),
+            Target::Label(_) => None,
+        }
+    }
 }
 
 /// Fuse two consecutive decoded ops into a superinstruction, if they form
@@ -495,6 +332,7 @@ pub fn fuse(a: &DecodedOp, b: &DecodedOp) -> Option<DecodedOp> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::instr::Instr;
 
     #[test]
     fn burstable_subset_decodes_and_the_rest_does_not() {

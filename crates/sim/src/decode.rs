@@ -699,6 +699,8 @@ impl DecodeCache {
 mod tests {
     use super::*;
     use crate::exec;
+    use std::collections::HashSet;
+    use xmt_harness::prop::Gen;
     use xmt_isa::{AsmProgram, Instr, MemoryMap, Target};
 
     /// Decode `ins` at `pc` and run it through `exec_op` on a context
@@ -714,12 +716,14 @@ mod tests {
         (ctx, next, costs)
     }
 
+    /// (instruction, inputs, register written and its value, next pc, cost)
+    type GoldenRow = (Instr, Vec<(Reg, u32)>, (Reg, u32), u32, CostClass);
+
     /// What every pure-local opcode does, written out by hand rather than
     /// derived from `exec_op`: fixed inputs, the one register it writes
     /// and its value, the next pc and the cost class. Decoded at pc 10;
     /// every branch targets 3.
-    #[test]
-    fn exec_op_golden_table() {
+    fn golden_rows() -> Vec<GoldenRow> {
         use CostClass::{Alu, Branch, Ctl, Sft};
         use Instr::*;
         use Reg::{Ra, Zero, T0, T1, T2};
@@ -727,10 +731,8 @@ mod tests {
         const MAX: u32 = u32::MAX;
         let t = || Target::Abs(3);
         let (taken, fall) = (Branch { taken: true }, Branch { taken: false });
-        // (instruction, inputs, register written and its value, next pc, cost)
-        type Row = (Instr, Vec<(Reg, u32)>, (Reg, u32), u32, CostClass);
         #[rustfmt::skip]
-        let table: Vec<Row> = vec![
+        let table = vec![
             (Add { rd: T2, rs: T0, rt: T1 }, vec![(T0, 7), (T1, MAX)], (T2, 6), 11, Alu),
             (Add { rd: Zero, rs: T0, rt: T1 }, vec![(T0, 7), (T1, 1)], (Zero, 0), 11, Alu),
             (Sub { rd: T2, rs: T0, rt: T1 }, vec![(T0, 0), (T1, 1)], (T2, MAX), 11, Alu),
@@ -784,7 +786,12 @@ mod tests {
             (Jalr { rd: T0, rs: T0 }, vec![(T0, 40)], (T0, 11), 40, taken),
             (Nop, vec![], (Zero, 0), 11, Ctl),
         ];
-        for (ins, inputs, (rd, value), next, cost) in table {
+        table
+    }
+
+    #[test]
+    fn exec_op_golden_table() {
+        for (ins, inputs, (rd, value), next, cost) in golden_rows() {
             let op = decode_instr(&ins, 10).unwrap();
             let (ctx, got_next, costs) = run_op(&op, 10, &inputs);
             let mut want = ThreadCtx::default();
@@ -799,6 +806,25 @@ mod tests {
                 "{ins:?} on {inputs:?}"
             );
         }
+    }
+
+    /// Every opcode `decode_instr` accepts has a golden row, and every
+    /// golden row's opcode decodes: a pure-local row added to the ISA
+    /// table without one fails here.
+    #[test]
+    fn golden_table_covers_every_decoded_opcode() {
+        let golden: HashSet<&str> = golden_rows().iter().map(|row| row.0.mnemonic()).collect();
+        let mut g = Gen::new(0x601d, 256);
+        let mut decoded = HashSet::new();
+        for (k, &mn) in Instr::MNEMONICS.iter().enumerate() {
+            // A drawn target is a label half the time, which never decodes.
+            if (0..64).any(|_| decode_instr(&Instr::arbitrary(k, &mut g), 10).is_some()) {
+                decoded.insert(mn);
+            }
+        }
+        let missing: Vec<_> = decoded.difference(&golden).collect();
+        assert!(missing.is_empty(), "decoded opcodes without a golden row: {missing:?}");
+        assert_eq!(decoded, golden);
     }
 
     /// A fused op does what its two constituents do one after the other —

@@ -384,7 +384,14 @@ pub fn issue(exe: &Executable, ctx: &mut ThreadCtx, m: &mut Machine, mode: Mode)
         // `decode_instr` took every pure-local instruction but a branch
         // whose target is still a label, which the linker and the JSON
         // reader both refuse to leave.
-        _ => panic!("unresolved branch target at pc {pc}: {ins:?}"),
+        Beq { .. } | Bne { .. } | Blez { .. } | Bgtz { .. } | Bltz { .. } | Bgez { .. }
+        | J { .. } | Jal { .. } => panic!("unresolved branch target at pc {pc}: {ins:?}"),
+        Add { .. } | Sub { .. } | And { .. } | Or { .. } | Xor { .. } | Nor { .. } | Slt { .. }
+        | Sltu { .. } | Addi { .. } | Andi { .. } | Ori { .. } | Xori { .. } | Slti { .. }
+        | Sltiu { .. } | Li { .. } | Lui { .. } | Move { .. } | Sll { .. } | Srl { .. }
+        | Sra { .. } | Sllv { .. } | Srlv { .. } | Srav { .. } | Jr { .. } | Jalr { .. } | Nop => {
+            unreachable!("decoded above")
+        }
     };
     Ok(issued)
 }

@@ -109,6 +109,8 @@ referee xmt-workloads asm_hashes 'asm_hashes: [1-9][0-9]* programs, 0 differ' \
     'asm_text_round_trips: [1-9][0-9]* programs'
 # the register allocator against naive liveness on random IR functions
 referee xmtc regalloc_props 'regalloc_props: ran [1-9][0-9]* cases'
+# every opcode of the ISA table, random operands, through text and JSON
+referee xmt-isa asm_roundtrip 'isa_roundtrip: ran [1-9][0-9]* cases over [1-9][0-9]* opcodes'
 # observability on vs off, and the exported trace parses
 referee xmtsim "obs_diff obs_trace" 'obs_diff: ran [1-9][0-9]* obs-on/obs-off cases'
 

@@ -3,7 +3,7 @@
 //! run must finish with exactly the same results, cycle counts and
 //! statistics as the uninterrupted run.
 
-use xmt_harness::ToJson;
+use xmt_harness::{FromJson, ToJson};
 use xmtc::Options;
 use xmtsim::checkpoint::CheckpointOutcome;
 use xmtsim::trace::{TraceLevel, Tracer};
@@ -68,6 +68,40 @@ fn resume_equals_uninterrupted_run() {
         full.stats.to_json_string(),
         "resumed stats JSON matches the uninterrupted run"
     );
+}
+
+#[test]
+fn non_finite_floats_checkpoint_and_resume_bit_for_bit() {
+    // 1/0 and 0/0 leave inf and NaN in FP registers and memory. The
+    // checkpoint's JSON keeps every bit pattern, and the resumed run ends
+    // bit-identical to the uninterrupted one.
+    let src = "float F[4]; int A[4];
+        int main() { float z = F[0]; float x = 1.0 / z; F[1] = x; F[2] = z / z;
+                     int i; int s = 0;
+                     for (i = 0; i < 2000; i = i + 1) { s = s + i; }
+                     A[0] = s; return 0; }";
+    let cfg = XmtConfig::fpga64();
+    let compiled = Toolchain::new().compile(src).unwrap();
+    let mut full = compiled.simulator(&cfg);
+    let full_sum = full.run().unwrap();
+    let words = |sim: &CycleSim, name| sim.machine.read_symbol(sim.executable(), name, 4).unwrap();
+    let full_f = words(&full, "F");
+    assert!(f32::from_bits(full_f[1]).is_infinite() && f32::from_bits(full_f[2]).is_nan());
+
+    let mut first = compiled.simulator(&cfg);
+    let ckpt = match first.run_to_checkpoint(full_sum.cycles / 2).unwrap() {
+        CheckpointOutcome::Checkpoint(c) => c,
+        CheckpointOutcome::Done(_) => panic!("program ended before the checkpoint"),
+    };
+    let text = ckpt.to_json_string();
+    assert!(text.contains("\"inf\"") && text.contains("\"nan("), "FP state holds inf and NaN");
+    let restored = xmtsim::checkpoint::Checkpoint::from_json_str(&text).unwrap();
+    assert_eq!(restored.to_json_string(), text, "the checkpoint reads back bit for bit");
+
+    let mut resumed = CycleSim::resume(compiled.executable().clone(), cfg, restored);
+    assert_eq!(resumed.run().unwrap().cycles, full_sum.cycles, "cycle-exact resume");
+    assert_eq!((words(&resumed, "F"), words(&resumed, "A")), (full_f, words(&full, "A")));
+    assert_eq!(resumed.stats.to_json_string(), full.stats.to_json_string());
 }
 
 #[test]
