@@ -6,8 +6,8 @@
 //! Table I characterizes the *reference* cost profile — one event per
 //! switch hop and one per issued instruction, interpreted decode — so
 //! every optimization knob is pinned to its oracle model here
-//! (`BENCH_icn.json`, `BENCH_issue.json` and `BENCH_decode.json` measure
-//! what express legs / compute bursts / decoded replay buy).
+//! (`bench/e2e`'s `ablate.*` rows time what express legs / compute bursts
+//! / decoded replay buy).
 
 use xmt_harness::BenchGroup;
 use xmt_workloads::micro::{build, MicroGroup, MicroParams};

@@ -8,8 +8,6 @@
 //! readable `BENCH_<group>.json` file so successive runs can be diffed.
 //!
 //! Output directory: `$XMT_BENCH_DIR`, defaulting to `target/bench`.
-//! Environment overrides: `XMT_BENCH_ITERS` (timed iterations),
-//! `XMT_BENCH_WARMUP_MS` (warmup budget per bench).
 
 use crate::json::Json;
 use std::time::{Duration, Instant};
@@ -50,13 +48,6 @@ impl BenchResult {
     }
 }
 
-fn env_u64(name: &str, default: u64) -> u64 {
-    std::env::var(name)
-        .ok()
-        .and_then(|v| v.trim().parse().ok())
-        .unwrap_or(default)
-}
-
 /// A named group of benchmarks; dropping it (or calling [`finish`]) writes
 /// `BENCH_<group>.json`.
 ///
@@ -75,8 +66,8 @@ impl BenchGroup {
     pub fn new(name: &str) -> Self {
         BenchGroup {
             name: name.to_string(),
-            sample_size: env_u64("XMT_BENCH_ITERS", 100) as u32,
-            warmup: Duration::from_millis(env_u64("XMT_BENCH_WARMUP_MS", 300)),
+            sample_size: 100,
+            warmup: Duration::from_millis(300),
             throughput: None,
             results: Vec::new(),
             finished: false,
@@ -84,11 +75,9 @@ impl BenchGroup {
     }
 
     /// Set the number of timed iterations per bench (criterion's
-    /// `sample_size`). `XMT_BENCH_ITERS` still overrides.
+    /// `sample_size`).
     pub fn sample_size(&mut self, n: u32) -> &mut Self {
-        if std::env::var("XMT_BENCH_ITERS").is_err() {
-            self.sample_size = n.max(1);
-        }
+        self.sample_size = n.max(1);
         self
     }
 
@@ -196,10 +185,8 @@ mod tests {
     fn bench_group_writes_json() {
         let dir = std::env::temp_dir().join("xmt_bench_test");
         std::env::set_var("XMT_BENCH_DIR", &dir);
-        std::env::set_var("XMT_BENCH_ITERS", "5");
-        std::env::set_var("XMT_BENCH_WARMUP_MS", "0");
         let mut g = BenchGroup::new("selftest");
-        g.throughput_elements(1000);
+        g.sample_size(5).throughput_elements(1000);
         g.bench("sum", || (0..1000u64).sum::<u64>());
         let path = g.finish();
         let text = std::fs::read_to_string(&path).unwrap();
@@ -215,8 +202,6 @@ mod tests {
         assert!(b.iter().any(|(k, _)| k == "median_ns"));
         assert!(b.iter().any(|(k, _)| k == "elements_per_sec"));
         std::env::remove_var("XMT_BENCH_DIR");
-        std::env::remove_var("XMT_BENCH_ITERS");
-        std::env::remove_var("XMT_BENCH_WARMUP_MS");
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

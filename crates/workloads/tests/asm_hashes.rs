@@ -14,16 +14,30 @@
 //!
 //! The second test reads each program's assembly text back through
 //! `xmt_isa::asm::parse` and checks it links to the same executable.
+//!
+//! The third, `ledger`, pins what the simulator does with such programs:
+//! the 14 kernels on `fpga64` and `chip1024`, the four Table I
+//! microbenchmarks at small size on `chip1024`, and the first 16 of the
+//! generated programs on the configurations `fuzz::gen_config` draws for
+//! them. For each run it records the cycle, instruction and event counts,
+//! four exact `HostProfile` counters, and FNV-1a hashes of the stats JSON
+//! and of the final memory image, in `fixtures/ledger.txt`. The
+//! differential suites only check a fast path against its oracle in one
+//! binary; this file is what shows a change that moves both together.
+//! `XMT_BLESS=1` rewrites it too; say in the change log why timing moved.
 
 use std::fmt::Write as _;
 use std::path::PathBuf;
 use xmt_core::{Compiled, Toolchain};
 use xmt_harness::prng::splitmix64;
 use xmt_harness::prop::Gen;
+use xmt_harness::ToJson;
 use xmt_workloads::corpus::*;
 use xmt_workloads::fuzz;
+use xmt_workloads::micro::{self, MicroGroup, MicroParams};
 use xmt_workloads::suite::Variant;
 use xmtc::Options;
+use xmtsim::XmtConfig;
 
 /// The benchmark's seed, and the first of its generated-program stream.
 const SEED: u64 = 2011;
@@ -51,17 +65,26 @@ fn kernels(seed: u64) -> Vec<Box<dyn WorkloadCase>> {
     ]
 }
 
+/// The first `n` generated programs of the stream, named and compiled,
+/// each with the machine configuration drawn for it after the program.
+fn fuzz_programs(n: usize) -> Vec<(String, Compiled, XmtConfig)> {
+    let mut stream = SEED;
+    (0..n)
+        .map(|i| {
+            let mut g = Gen::new(splitmix64(&mut stream), 256);
+            let spec = fuzz::generate(&mut g);
+            let compiled = Toolchain::new()
+                .compile(&fuzz::render(&spec))
+                .unwrap_or_else(|e| panic!("fuzz/{i}: {e}"));
+            (format!("fuzz/{i}"), compiled, fuzz::gen_config(&mut g))
+        })
+        .collect()
+}
+
 /// Every program, named, compiled and linked.
 fn programs() -> Vec<(String, Compiled)> {
-    let mut out = Vec::new();
-    let mut stream = SEED;
-    for i in 0..FUZZ_PROGRAMS {
-        let spec = fuzz::generate(&mut Gen::new(splitmix64(&mut stream), 256));
-        let compiled = Toolchain::new()
-            .compile(&fuzz::render(&spec))
-            .unwrap_or_else(|e| panic!("fuzz/{i}: {e}"));
-        out.push((format!("fuzz/{i}"), compiled));
-    }
+    let mut out: Vec<(String, Compiled)> =
+        fuzz_programs(FUZZ_PROGRAMS).into_iter().map(|(name, c, _)| (name, c)).collect();
     let option_sets = [
         ("default", Options::default()),
         ("o0", Options::o0()),
@@ -105,24 +128,16 @@ fn record(name: &str, c: &Compiled) -> String {
     )
 }
 
-fn fixture() -> PathBuf {
-    PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/asm_hashes.txt")
-}
-
-#[test]
-fn asm_hashes_match_fixture() {
-    let mut got = String::from(
-        "# name asm=FNV(asm text) mm=FNV(memory map text) lines=FNV(line table) \
-         fixes=layout fixes warnings=FNV(warnings)\n",
-    );
-    let programs = programs();
-    for (name, c) in &programs {
-        writeln!(got, "{}", record(name, c)).unwrap();
-    }
-    let path = fixture();
+/// Compare `got` (a header line, then one `name key=value …` line per
+/// entry) with the fixture `file`, or rewrite it under `XMT_BLESS=1`.
+/// Prints `<suite>: N <what>, M differ` and fails naming each entry and
+/// field that moved.
+fn check_fixture(suite: &str, file: &str, what: &str, got: &str) {
+    let path = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures").join(file);
+    let entries = got.lines().count() - 1;
     if std::env::var("XMT_BLESS").is_ok_and(|v| v == "1") {
-        std::fs::write(&path, &got).expect("write fixture");
-        println!("asm_hashes: blessed {} programs", programs.len());
+        std::fs::write(&path, got).expect("write fixture");
+        println!("{suite}: blessed {entries} {what}");
         return;
     }
     let want = std::fs::read_to_string(&path)
@@ -131,21 +146,94 @@ fn asm_hashes_match_fixture() {
         .lines()
         .zip(want.lines())
         .filter(|(g, w)| g != w)
-        .map(|(g, w)| format!("  want {w}\n  got  {g}"))
+        .map(|(g, w)| {
+            let fields: Vec<String> = g
+                .split(' ')
+                .zip(w.split(' '))
+                .skip(1)
+                .filter(|(g, w)| g != w)
+                .map(|(g, w)| format!("{w} -> {}", g.split_once('=').map_or(g, |(_, v)| v)))
+                .collect();
+            format!("  {}: {}", g.split(' ').next().unwrap_or(""), fields.join(", "))
+        })
         .collect();
-    println!("asm_hashes: {} programs, {} differ", programs.len(), differ.len());
+    println!("{suite}: {entries} {what}, {} differ", differ.len());
     assert_eq!(
         got.lines().count(),
         want.lines().count(),
-        "program count differs from {}",
+        "{what} count differs from {}",
         path.display()
     );
     assert!(
         differ.is_empty(),
-        "compiler output changed for {} programs:\n{}",
+        "{} of {entries} {what} differ from {}:\n{}",
         differ.len(),
+        path.display(),
         differ.join("\n")
     );
+}
+
+#[test]
+fn asm_hashes_match_fixture() {
+    let mut got = String::from(
+        "# name asm=FNV(asm text) mm=FNV(memory map text) lines=FNV(line table) \
+         fixes=layout fixes warnings=FNV(warnings)\n",
+    );
+    for (name, c) in &programs() {
+        writeln!(got, "{}", record(name, c)).unwrap();
+    }
+    check_fixture("asm_hashes", "asm_hashes.txt", "programs", &got);
+}
+
+/// Run `c` on `cfg` and return its ledger line.
+fn ledger_line(name: &str, c: &Compiled, cfg: &XmtConfig) -> String {
+    let mut sim = c.simulator(cfg);
+    sim.enable_host_profiling();
+    sim.set_instr_limit(50_000_000);
+    let s = sim.run().unwrap_or_else(|e| panic!("{name}: {e}"));
+    assert!(sim.machine.halted, "{name}: did not halt in {} instructions", s.instructions);
+    let hp = sim.host_profile().expect("host profiling enabled");
+    format!(
+        "{name} cycles={} instructions={} events={} memory_events={} bursts={} \
+         hops_elided={} replay_instrs={} stats={:016x} mem={:016x}",
+        s.cycles,
+        s.instructions,
+        s.events,
+        hp.memory_events,
+        hp.bursts,
+        hp.hops_elided,
+        hp.replay_instrs,
+        fnv1a(sim.stats.to_json_string().as_bytes()),
+        fnv1a(sim.machine.mem.to_json_string().as_bytes()),
+    )
+}
+
+#[test]
+fn ledger() {
+    let mut got = String::from(
+        "# name cycles instructions events memory_events bursts hops_elided replay_instrs \
+         stats=FNV(stats JSON) mem=FNV(final memory image JSON)\n",
+    );
+    let configs = [("fpga64", XmtConfig::fpga64()), ("chip1024", XmtConfig::chip1024())];
+    for case in kernels(SEED) {
+        let w = case
+            .build(Variant::Parallel, &Options::default())
+            .unwrap_or_else(|e| panic!("{}: {e}", case.name()));
+        for (cname, cfg) in &configs {
+            let name = format!("{}/{cname}", case.name());
+            writeln!(got, "{}", ledger_line(&name, &w.compiled, cfg)).unwrap();
+        }
+    }
+    let p = MicroParams { threads: 64, iters: 8, data_words: 1 << 10 };
+    for g in MicroGroup::ALL {
+        let c = micro::build(g, &p, &Options::default()).unwrap();
+        let name = format!("micro/{g:?}/chip1024");
+        writeln!(got, "{}", ledger_line(&name, &c, &configs[1].1)).unwrap();
+    }
+    for (name, c, cfg) in fuzz_programs(16) {
+        writeln!(got, "{}", ledger_line(&name, &c, &cfg)).unwrap();
+    }
+    check_fixture("ledger", "ledger.txt", "runs", &got);
 }
 
 #[test]

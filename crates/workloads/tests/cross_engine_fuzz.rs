@@ -18,9 +18,8 @@
 //! panics with the minimized source plus the harness's
 //! `XMT_PROP_SEED=0x...` replay instructions.
 //!
-//! `XMT_FUZZ_CASES` overrides the default 256 cases (used by
-//! `scripts/verify.sh` for the quick smoke tier); `XMT_PROP_SEED`
-//! replays one failing case.
+//! `XMT_FUZZ_CASES` overrides the default 256 cases (`scripts/verify.sh`
+//! passes it through); `XMT_PROP_SEED` replays one failing case.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use xmt_harness::prop::{self, Config, Gen};

@@ -197,22 +197,25 @@ fn clustering_sweep_shape_holds() {
     assert!(r.stats.virtual_threads == 512);
 }
 
-/// E13 shape: functional mode is at least an order of magnitude faster in
-/// host time.
+/// E13 shape: functional mode does none of the cycle model's work. It
+/// processes no events, while the cycle-accurate run of the same kernel
+/// processes about one per instruction; that event traffic is what
+/// functional mode's host-time lead is made of (`mode_speed` prints the
+/// ratio, EXPERIMENTS.md E13). The shape is pinned on those exact counts,
+/// not on host time: 0.9357 events per instruction when this was written
+/// (a change that elides events re-pins it, as it re-blesses the ledger).
 #[test]
 fn functional_mode_is_much_faster() {
     let w = suite::vecadd(4096, 6, Variant::Parallel, &Options::default()).unwrap();
-    let cfg = XmtConfig::fpga64();
-    let t0 = std::time::Instant::now();
-    w.run_and_verify(&cfg).unwrap();
-    let cyc = t0.elapsed().as_secs_f64();
-    let t0 = std::time::Instant::now();
-    w.run_functional_and_verify().unwrap();
-    let fun = t0.elapsed().as_secs_f64().max(1e-9);
+    let cyc = w.run_and_verify(&XmtConfig::fpga64()).unwrap();
+    let fun = w.run_functional_and_verify().unwrap();
+    assert_eq!(fun.events, 0, "functional mode processes no events");
+    let per_instr = cyc.events as f64 / cyc.instructions as f64;
     assert!(
-        cyc / fun > 5.0,
-        "functional mode speedup over cycle-accurate: {:.1}x",
-        cyc / fun
+        per_instr >= 0.935,
+        "cycle-accurate events per instruction: {per_instr:.4} ({} / {})",
+        cyc.events,
+        cyc.instructions
     );
 }
 
